@@ -77,6 +77,14 @@ def _cmd_expand(args) -> int:
     except ValueError as exc:
         print(f"pdotq expand: {exc}", file=sys.stderr)
         return 2
+    if args.order < 0:
+        print(f"pdotq expand: --order must be >= 0, got {args.order}",
+              file=sys.stderr)
+        return 2
+    if args.mod is not None and args.mod < 2:
+        print(f"pdotq expand: --mod must be >= 2, got {args.mod}",
+              file=sys.stderr)
+        return 2
     try:
         series = q_expansion(eq, args.order, args.mod)
     except ValueError as exc:
@@ -157,8 +165,12 @@ def _cmd_radu(args) -> int:
 
 
 def _cmd_sturm(args) -> int:
-    bound = sturm_bound(args.weight, args.level,
-                        same_character=not args.different_character)
+    try:
+        bound = sturm_bound(args.weight, args.level,
+                            same_character=not args.different_character)
+    except ValueError as exc:
+        print(f"pdotq sturm: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps({"weight": args.weight, "level": args.level,
                           "same_character": not args.different_character,
@@ -181,6 +193,10 @@ _SUITE_FLAGS = {
     "powers-of-two": {"order": "order", "kmax": "conj_k_max"},
 }
 
+# smallest value each numeric flag accepts; --p is checked by its suite
+_FLAG_MIN = {"order": 1, "bound": 0, "k": 0, "kmax": 0, "nmax": 0,
+             "ellmax": 0}
+
 
 def _cmd_check(args, parser) -> int:
     provided = {name: getattr(args, name)
@@ -199,6 +215,11 @@ def _cmd_check(args, parser) -> int:
                 f"suite {args.suite!r} does not accept: "
                 + ", ".join(f"--{u}" for u in unknown)
             )
+        for name, value in provided.items():
+            if name in _FLAG_MIN and value < _FLAG_MIN[name]:
+                print(f"pdotq check: --{name} must be >= {_FLAG_MIN[name]}, "
+                      f"got {value}", file=sys.stderr)
+                return 2
         kwargs = {flags[name]: value for name, value in provided.items()}
         try:
             reports = [SUITES[args.suite](**kwargs)]

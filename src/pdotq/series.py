@@ -7,17 +7,33 @@ The domain is either exact integers (modulus None) or the residue ring Z/MZ
 two series requires identical domains and truncates to the smaller order,
 since nothing past that point is determined by the operands.
 
-Multiplication dispatches on the domain: exact series use schoolbook
+Multiplication dispatches on the domain and the product order.  Exact
+series, and residue-ring products below order 128, use schoolbook
 convolution that skips zero coefficients (the Euler factors built here are
-pentagonal-sparse, so this matters), while residue-ring series at large
-order use Kronecker substitution, packing each coefficient into a fixed
-byte-width limb of one big integer so that CPython's native big-integer
-multiply does the convolution.  Inversion is Newton iteration x -> x(2-ax),
-doubling the correct precision each step.
+pentagonal-sparse, so this matters).  Longer residue-ring products use
+Kronecker substitution: each coefficient becomes a fixed-width field of one
+big number, a single big-number multiply does the whole convolution, and
+the fields of the product are the coefficients.  Below order 2048 the
+fields are byte-width limbs of a Python int, packed only where the
+coefficient is nonzero, so CPython's Karatsuba multiply does the work.
+From order 2048 up they are zero-padded base-10 fields of an integer
+`decimal.Decimal`, because libmpdec multiplies long operands with a
+number-theoretic transform, which is asymptotically faster.  This is still
+exact integer arithmetic, not floating point: both operands are integers
+with exponent 0, the context has precision MAX_PREC, and its Inexact and
+Rounded traps make any product that would need rounding raise instead.
+A modulus so large that a field would have more digits than the
+interpreter converts between int and str keeps the packed path.
+Inversion is Newton iteration x -> x(2-ax), doubling the correct precision
+each step.
 """
 
 from __future__ import annotations
 
+import sys
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded,
+)
 from math import isqrt
 
 
@@ -94,13 +110,67 @@ def _mul_packed(a, b, order, modulus):
     return out
 
 
+_DECIMAL_THRESHOLD = 2048
+
+# Integer arithmetic on Decimals: an exact product is returned unchanged,
+# and one that would need rounding raises Inexact instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT.traps[Inexact] = True
+_EXACT.traps[Rounded] = True
+
+
+def _mul_decimal(a, b, order, modulus):
+    # Kronecker substitution in base 10^w, with w decimal digits enough for
+    # the same convolution bound as in _mul_packed.  Each temporary is
+    # dropped as soon as it is consumed, to keep peak memory down.
+    la = min(len(a), order)
+    lb = min(len(b), order)
+    if not la or not lb:
+        return [0] * order
+    w = len(str(min(la, lb) * (modulus - 1) * (modulus - 1)))
+    field = "%0" + str(w) + "d"
+    digits = (field * la) % tuple(a[la - 1::-1])
+    x = Decimal(digits)
+    del digits
+    digits = (field * lb) % tuple(b[lb - 1::-1])
+    y = Decimal(digits)
+    del digits
+    z = _EXACT.multiply(x, y)
+    del x, y
+    digits = str(z)
+    del z
+    # field k is digits[top - (k+1)w : top - kw]; fields past the leading
+    # digit are zero, so the string is never padded to full width
+    n = min(order, la + lb - 1)
+    top = len(digits)
+    full = min(n, top // w)
+    out = [int(digits[i - w:i]) % modulus
+           for i in range(top, top - full * w, -w)]
+    if full < n and top % w:
+        out.append(int(digits[:top % w]) % modulus)
+    del digits
+    out.extend([0] * (order - len(out)))
+    return out
+
+
+def _fits_int_str(value):
+    """Whether the digits of `value` may be converted between int and str
+    under the interpreter's limit on such conversions (0 means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^(3 limit) < 10^limit settles the usual case without the big power
+    return not limit or value.bit_length() <= 3 * limit or value < 10 ** limit
+
+
 def _mul_lists(a, b, order, modulus):
     """Product of coefficient lists, truncated to `order` coefficients."""
     if order <= 0:
         return []
-    if modulus is not None and order >= _PACK_THRESHOLD:
+    if modulus is None or order < _PACK_THRESHOLD:
+        return _mul_schoolbook(a, b, order, modulus)
+    if (order < _DECIMAL_THRESHOLD
+            or not _fits_int_str(order * (modulus - 1) * (modulus - 1))):
         return _mul_packed(a, b, order, modulus)
-    return _mul_schoolbook(a, b, order, modulus)
+    return _mul_decimal(a, b, order, modulus)
 
 
 def _invert_list(a, order, modulus):

@@ -13,7 +13,7 @@ from pdotq.cli import (
     parse_eta_quotient,
     parse_exponents,
 )
-from pdotq.modforms import EtaQuotient
+from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.verify import Report
 
 
@@ -66,6 +66,27 @@ def test_expand_errors(capsys):
     # f_1 alone has leading power 1/24
     code, _, err = run(capsys, "expand", "--eta", "6;1;1:1")
     assert code == 1 and "not expandable" in err
+
+
+def test_expand_usage_errors(capsys):
+    for flags in (["--mod", "1"], ["--order", "-3"]):
+        code, out, err = run(capsys, "expand", "--eta", "6;1;1:-2,2:1",
+                             *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("pdotq expand: " + flags[0])
+        assert err.count("\n") == 1
+
+
+def test_expand_modulus_beyond_int_str_limit(capsys):
+    # a 2201-digit modulus: the product fields are too wide to parse as
+    # decimal strings, so the multiply must take the packed path
+    modulus = 10 ** 2200 + 1
+    code, out, err = run(capsys, "expand", "--eta", "6;1;1:-2,2:1",
+                         "--order", "2048", "--mod", str(modulus))
+    assert (code, err) == (0, "")
+    exact = q_expansion(parse_eta_quotient("6;1;1:-2,2:1"), 2048)
+    assert out.splitlines() == [f"{n}\t{c % modulus}"
+                                for n, c in enumerate(exact.coeffs)]
 
 
 def test_pdot_counters(capsys):
@@ -143,6 +164,13 @@ def test_sturm_command(capsys):
                                "same_character": True, "bound": 492}
 
 
+def test_sturm_usage_error(capsys):
+    code, out, err = run(capsys, "sturm", "--weight", "0", "--level", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("pdotq sturm: ")
+    assert err.count("\n") == 1
+
+
 def test_check_single_suite(capsys):
     code, out, _ = run(capsys, "check", "--suite", "genfun",
                        "--k", "0", "--bound", "20")
@@ -170,6 +198,15 @@ def test_check_flag_validation(capsys):
     code, _, err = run(capsys, "check", "--suite", "prime-family",
                        "--p", "7")
     assert code == 1 and "mod 6" in err
+
+
+def test_check_numeric_flag_ranges(capsys):
+    for suite, flag, value in (("powers-of-two", "--order", "0"),
+                               ("genfun", "--bound", "-1")):
+        code, out, err = run(capsys, "check", "--suite", suite, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("pdotq check: " + flag)
+        assert err.count("\n") == 1
 
 
 def test_check_all_aggregates(capsys, monkeypatch):

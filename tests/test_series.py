@@ -274,13 +274,64 @@ def test_dissect_inflate_roundtrip_random():
         assert a.inflate(m).dissect(m, 0) == a
 
 
-def test_packed_and_schoolbook_multiplication_agree():
-    from pdotq.series import _mul_packed, _mul_schoolbook
+def _multiply_cases(rng):
+    """(a, b, order, modulus) operand sets for the multiply backends."""
+    moduli = [2, 3, 32, 243, 256, 729, 10 ** 9 + 7]
 
-    rng = random.Random(99)
+    def dense(n, modulus):
+        return [rng.randrange(modulus) for _ in range(n)]
+
+    # random orders between the schoolbook and decimal crossovers
     for _ in range(60):
         modulus = rng.choice([2, 3, 8, 9, 32, 243, 256, 729, 1000])
         order = rng.randrange(130, 350)
-        a = [rng.randrange(modulus) for _ in range(order)]
-        b = [rng.randrange(modulus) for _ in range(order)]
-        assert _mul_packed(a, b, order, modulus) == _mul_schoolbook(a, b, order, modulus)
+        yield dense(order, modulus), dense(order, modulus), order, modulus
+    for i, modulus in enumerate(moduli):
+        # both sides of the packed and decimal crossovers, equal lengths
+        for order in (127, 128, 2047 + i % 3):
+            yield dense(order, modulus), dense(order, modulus), order, modulus
+        # unequal lengths, truncated below la + lb - 1 and padded above it
+        yield dense(2100, modulus), dense(300, modulus), 2200, modulus
+        yield dense(1500, modulus), dense(600, modulus), 4000, modulus
+        # worst-case field width: every coefficient M - 1
+        top = [modulus - 1] * 2048
+        yield top, top, 2048, modulus
+        # an all-zero operand
+        yield [0] * 2048, dense(2048, modulus), 2048, modulus
+        # pentagonal-sparse Euler factors, one of them against a dense
+        # operand, at orders near 5000
+        order = rng.randrange(4900, 5100)
+        f1 = list(euler_factor(1, 1, order, modulus).coeffs)
+        f6 = list(euler_factor(6, 1, order, modulus).coeffs)
+        yield f1, f6, order, modulus
+        yield dense(order, modulus), f6, order, modulus
+
+
+def test_schoolbook_packed_and_decimal_multiplication_agree():
+    from pdotq.series import _mul_decimal, _mul_packed, _mul_schoolbook
+
+    for a, b, order, modulus in _multiply_cases(random.Random(99)):
+        expected = _mul_schoolbook(a, b, order, modulus)
+        assert len(expected) == order
+        assert _mul_packed(a, b, order, modulus) == expected, (order, modulus)
+        assert _mul_decimal(a, b, order, modulus) == expected, (order, modulus)
+
+
+def test_newton_inversion_through_decimal_multiply():
+    rng = random.Random(5040)
+    a = rand_series(rng, 5000, 729, unit=True)
+    assert a * a.invert() == TruncSeries.one(5000, 729)
+
+
+def test_modulus_too_wide_for_int_str_conversion_uses_packed():
+    # with this modulus a decimal field would have over 4300 digits, which
+    # is more than int() may parse from a string by default
+    from pdotq.series import _mul_lists, _mul_schoolbook
+
+    modulus = 10 ** 2200 + 1
+    rng = random.Random(2200)
+    a = [rng.randrange(modulus) for _ in range(3)]
+    b = [rng.randrange(modulus) for _ in range(5)]
+    got = _mul_lists(a, b, 2048, modulus)
+    assert got == _mul_schoolbook(a, b, 2048, modulus)
+    assert got[7:] == [0] * (2048 - 7)
