@@ -1,15 +1,18 @@
-"""Time the two Kronecker-substitution multiplies of pdotq.series.
+"""Time the multiply backends of pdotq.series.
 
     PYTHONPATH=src python3 bench/multiply.py [--repeats 5] [--seed 1]
 
-For each length n and modulus M, two operands of length n are multiplied
-to order n by the byte-packed backend (`_mul_packed`) and by the decimal
-backend (`_mul_decimal`), and the two products are checked equal.  The
-operands are either both dense and uniformly random, or f_1 (pentagonal-
-sparse, as in the Euler factors) against a dense one.  Each row reports
-the best of --repeats `perf_counter` timings per backend.  These rows are
-the evidence for the order at which `_mul_lists` switches backends.  The
-result is printed as one JSON object.
+Residue rows: for each length n and modulus M, two operands of length n
+are multiplied to order n by the byte-packed backend (`_mul_packed`) and
+by the decimal backend (`_mul_decimal`).  Exact rows: the same over Z, by
+schoolbook (`_mul_schoolbook`) and by the decimal backend, with signed
+operands as wide as PDO_t(n) (about 200 bits at n = 3500).  In both, the
+operands are either both dense and random, or f_1 (pentagonal-sparse, as
+in the Euler factors) against a dense one, and the backends' products
+are checked equal.  Each row reports the best of --repeats `perf_counter`
+timings per backend.  These rows are the evidence for the orders at which
+`_mul_lists` switches backends.  The result is printed as one JSON
+object.
 """
 
 from __future__ import annotations
@@ -22,11 +25,17 @@ import random
 import sys
 import time
 
-from pdotq.series import _mul_decimal, _mul_packed, euler_factor
+from pdotq.partitions import pdo_t_series
+from pdotq.series import (
+    _mul_decimal, _mul_packed, _mul_schoolbook, euler_factor,
+)
 
 SIZES = (1000, 2000, 4000, 30000, 115000)
 MODULI = (2, 32, 243, 256, 729)
 BACKENDS = (("packed_s", _mul_packed), ("decimal_s", _mul_decimal))
+EXACT_SIZES = (128, 256, 512, 1500, 3500)
+EXACT_BACKENDS = (("schoolbook_s", _mul_schoolbook),
+                  ("decimal_s", _mul_decimal))
 
 
 def best_of(fn, a, b, n, modulus, repeats):
@@ -37,6 +46,24 @@ def best_of(fn, a, b, n, modulus, repeats):
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, out
+
+
+def signed(rng, n, bits):
+    """n integers of up to `bits` bits with random signs."""
+    return [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(n)]
+
+
+def timed_row(row, backends, a, b, n, modulus, repeats):
+    """Fill `row` with each backend's best time; False if they disagree."""
+    products = []
+    for key, fn in backends:
+        row[key], out = best_of(fn, a, b, n, modulus, repeats)
+        products.append(out)
+    if any(out != products[0] for out in products):
+        print(f"backends disagree at n={n} M={modulus} "
+              f"({row['operands']})", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -57,16 +84,23 @@ def main(argv=None) -> int:
             }
             for shape, a in shapes.items():
                 row = {"n": n, "modulus": modulus, "operands": shape}
-                products = []
-                for key, fn in BACKENDS:
-                    row[key], out = best_of(fn, a, other, n, modulus,
-                                            args.repeats)
-                    products.append(out)
-                if products[0] != products[1]:
-                    print(f"backends disagree at n={n} M={modulus} "
-                          f"({shape})", file=sys.stderr)
+                if not timed_row(row, BACKENDS, a, other, n, modulus,
+                                 args.repeats):
                     return 1
                 rows.append(row)
+    exact_rows = []
+    widths = pdo_t_series(max(EXACT_SIZES) + 1).coeffs
+    for n in EXACT_SIZES:
+        bits = widths[n].bit_length()
+        other = signed(rng, n, bits)
+        shapes = {"dense": signed(rng, n, bits),
+                  "f1": list(euler_factor(1, 1, n).coeffs)}
+        for shape, a in shapes.items():
+            row = {"n": n, "bits": bits, "operands": shape}
+            if not timed_row(row, EXACT_BACKENDS, a, other, n, None,
+                             args.repeats):
+                return 1
+            exact_rows.append(row)
     print(json.dumps({
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -74,6 +108,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "seed": args.seed,
         "rows": rows,
+        "exact_rows": exact_rows,
     }, indent=2))
     return 0
 

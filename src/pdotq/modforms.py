@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import NamedTuple
 
-from .series import TruncSeries, euler_factor
+from .series import TruncSeries, euler_factor, product
 
 
 def _divisors(n: int) -> list[int]:
@@ -216,13 +216,12 @@ def q_expansion(eq: EtaQuotient, order: int, modulus=None) -> TruncSeries:
             f"leading power q^{shift} is negative; not a power series"
         )
     body = max(order - shift, 0)
-    num = TruncSeries.one(body, modulus)
-    den = TruncSeries.one(body, modulus)
-    for delta, r in eq.exponents.items():
-        if r > 0:
-            num = num * euler_factor(delta, r, body, modulus)
-        else:
-            den = den * euler_factor(delta, -r, body, modulus)
+    num = product((euler_factor(delta, r, body, modulus)
+                   for delta, r in eq.exponents.items() if r > 0),
+                  body, modulus)
+    den = product((euler_factor(delta, -r, body, modulus)
+                   for delta, r in eq.exponents.items() if r < 0),
+                  body, modulus)
     result = (eq.scalar * (num * den.invert())).shift(shift)
     return result.truncate(order)
 

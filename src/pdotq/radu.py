@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import Optional
 
-from .series import TruncSeries, euler_factor
+from .series import TruncSeries, euler_factor, product
 
 
 class CriterionNotApplicable(ValueError):
@@ -306,13 +306,10 @@ def nu_bound(inst: RaduInstance, aux: AuxExponents) -> Fraction:
 
 def c_r_series(inst: RaduInstance, order: int, modulus=None) -> TruncSeries:
     """Expansion of prod_{delta | M} f_delta^(r_delta)."""
-    num = TruncSeries.one(order, modulus)
-    den = TruncSeries.one(order, modulus)
-    for d, v in inst.r.items():
-        if v > 0:
-            num = num * euler_factor(d, v, order, modulus)
-        else:
-            den = den * euler_factor(d, -v, order, modulus)
+    num = product((euler_factor(d, v, order, modulus)
+                   for d, v in inst.r.items() if v > 0), order, modulus)
+    den = product((euler_factor(d, -v, order, modulus)
+                   for d, v in inst.r.items() if v < 0), order, modulus)
     return num * den.invert()
 
 

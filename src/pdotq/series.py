@@ -7,23 +7,31 @@ The domain is either exact integers (modulus None) or the residue ring Z/MZ
 two series requires identical domains and truncates to the smaller order,
 since nothing past that point is determined by the operands.
 
-Multiplication dispatches on the domain and the product order.  Exact
-series, and residue-ring products below order 128, use schoolbook
-convolution that skips zero coefficients (the Euler factors built here are
-pentagonal-sparse, so this matters).  Longer residue-ring products use
-Kronecker substitution: each coefficient becomes a fixed-width field of one
-big number, a single big-number multiply does the whole convolution, and
-the fields of the product are the coefficients.  Below order 2048 the
-fields are byte-width limbs of a Python int, packed only where the
-coefficient is nonzero, so CPython's Karatsuba multiply does the work.
-From order 2048 up they are zero-padded base-10 fields of an integer
-`decimal.Decimal`, because libmpdec multiplies long operands with a
-number-theoretic transform, which is asymptotically faster.  This is still
-exact integer arithmetic, not floating point: both operands are integers
-with exponent 0, the context has precision MAX_PREC, and its Inexact and
-Rounded traps make any product that would need rounding raise instead.
-A modulus so large that a field would have more digits than the
-interpreter converts between int and str keeps the packed path.
+Multiplication dispatches on the domain and the product order.  Below
+order 128 it is schoolbook convolution that skips zero coefficients (the
+Euler factors built here are pentagonal-sparse, so this matters).  Longer
+products use Kronecker substitution: each coefficient becomes a fixed-width
+field of one big number, a single big-number multiply does the whole
+convolution, and the fields of the product are the coefficients.  Residue-
+ring products below order 2048 use byte-width limbs of a Python int, packed
+only where the coefficient is nonzero, so CPython's Karatsuba multiply does
+the work.  Exact products from order 128, and residue-ring products from
+order 2048, use zero-padded base-10 fields of an integer `decimal.Decimal`,
+because libmpdec multiplies long operands with a number-theoretic
+transform, which is asymptotically faster.  This is still exact integer
+arithmetic, not floating point: the operands are integers with exponent 0,
+the context has precision MAX_PREC, and its Inexact and Rounded traps make
+any result that would need rounding raise instead.
+Exact coefficients are signed.  A field holds c + A with A the largest |c|
+of its operand, and A times the repunit of the fields is subtracted again,
+so the big number carries the signed values.  After the multiply a bias
+H, no smaller than any |c| of the product, is added to every field, so
+each field lies in [0, 2H] and none borrows from its neighbour.
+A field with more digits than the interpreter converts between int and str
+is read back through a Decimal; such residue products (M above about
+10^2150) take the decimal path below order 2048 too.  A coefficient too
+long to be written out in decimal at all sends the product to the packed
+path whatever its order.
 Inversion is Newton iteration x -> x(2-ax), doubling the correct precision
 each step.
 """
@@ -77,36 +85,62 @@ def _mul_schoolbook(a, b, order, modulus):
         out = [c % modulus for c in out]
     return out
 
-_PACK_THRESHOLD = 128
+_SCHOOLBOOK_THRESHOLD = 128
+
+
+def _kronecker_layout(a, b, la, lb, modulus):
+    """Biases (A, B, H) and field bound for Kronecker substitution of
+    a[:la] * b[:lb].  Both backends pack field i of `a` as a[i] + A, then
+    subtract A times the repunit of the fields, so the big number carries
+    the signed value sum a[i] X^i; likewise B for `b`.  Product field k
+    holds c[k] + H, in [0, bound].  Residue coefficients lie in [0, M), so
+    there A = B = H = 0 and bound = min(la, lb) (M-1)^2.  Exact ones are
+    signed: A = max |a[i]|, B = max |b[j]|, and since every |c[k]| is at
+    most H = min(la, lb) A B, the fields lie in [0, 2H].  A bound of 0
+    means the product is zero."""
+    if modulus is not None:
+        return 0, 0, 0, min(la, lb) * (modulus - 1) * (modulus - 1)
+    bias_a = max(map(abs, a[:la]), default=0)
+    bias_b = max(map(abs, b[:lb]), default=0)
+    bias_h = min(la, lb) * bias_a * bias_b
+    return bias_a, bias_b, bias_h, 2 * bias_h
+
+
+def _packed_operand(coeffs, n, bias, limb):
+    buf = bytearray(limb * n)
+    for i in range(n):
+        c = coeffs[i] + bias
+        if c:
+            buf[i * limb:i * limb + limb] = c.to_bytes(limb, "little")
+    x = int.from_bytes(buf, "little")
+    if bias:
+        x -= int.from_bytes(bias.to_bytes(limb, "little") * n, "little")
+    return x
 
 
 def _mul_packed(a, b, order, modulus):
-    # Kronecker substitution: with coefficients in [0, M) the convolution
-    # entries are < min(len) * (M-1)^2, so a limb wide enough for that bound
-    # makes the big-integer product carry-free and exact.
+    # Kronecker substitution on Python ints: a limb wide enough for the
+    # field bound makes the big-integer product carry-free and exact.
     la = min(len(a), order)
     lb = min(len(b), order)
-    bound = min(la, lb) * (modulus - 1) * (modulus - 1)
+    bias_a, bias_b, bias_h, bound = _kronecker_layout(a, b, la, lb, modulus)
+    if not bound:
+        return [0] * order
     limb = (bound.bit_length() + 8) // 8
-    abuf = bytearray(limb * la)
-    for i in range(la):
-        c = a[i]
-        if c:
-            abuf[i * limb:i * limb + limb] = c.to_bytes(limb, "little")
-    bbuf = bytearray(limb * lb)
-    for i in range(lb):
-        c = b[i]
-        if c:
-            bbuf[i * limb:i * limb + limb] = c.to_bytes(limb, "little")
-    z = int.from_bytes(bytes(abuf), "little") * int.from_bytes(bytes(bbuf), "little")
+    z = (_packed_operand(a, la, bias_a, limb)
+         * _packed_operand(b, lb, bias_b, limb))
+    if bias_h:
+        z += int.from_bytes(
+            bias_h.to_bytes(limb, "little") * (la + lb - 1), "little")
     zb = z.to_bytes(limb * (la + lb), "little")
     n = min(order, la + lb - 1)
-    out = [
-        int.from_bytes(zb[k * limb:(k + 1) * limb], "little") % modulus
-        for k in range(n)
-    ]
-    if n < order:
-        out.extend([0] * (order - n))
+    if modulus is None:
+        out = [int.from_bytes(zb[k * limb:(k + 1) * limb], "little") - bias_h
+               for k in range(n)]
+    else:
+        out = [int.from_bytes(zb[k * limb:(k + 1) * limb], "little") % modulus
+               for k in range(n)]
+    out.extend([0] * (order - n))
     return out
 
 
@@ -119,37 +153,59 @@ _EXACT.traps[Inexact] = True
 _EXACT.traps[Rounded] = True
 
 
+def _repunit(value, w, n):
+    """value * (1 + 10^w + ... + 10^(w(n-1))), for 0 <= value < 10^w.
+    The digits come from a Decimal, so no int -> str limit applies."""
+    return Decimal(str(Decimal(value)).zfill(w) * n)
+
+
+def _decimal_operand(coeffs, n, bias, field, w):
+    top = coeffs[n - 1::-1]
+    if bias:
+        top = [c + bias for c in top]
+    x = Decimal((field * n) % tuple(top))
+    if bias:
+        x = _EXACT.subtract(x, _repunit(bias, w, n))
+    return x
+
+
 def _mul_decimal(a, b, order, modulus):
-    # Kronecker substitution in base 10^w, with w decimal digits enough for
-    # the same convolution bound as in _mul_packed.  Each temporary is
-    # dropped as soon as it is consumed, to keep peak memory down.
+    # Kronecker substitution in base 10^w, with w the digits of the field
+    # bound.  Each temporary is dropped as soon as it is consumed, to keep
+    # peak memory down.
     la = min(len(a), order)
     lb = min(len(b), order)
-    if not la or not lb:
+    bias_a, bias_b, bias_h, bound = _kronecker_layout(a, b, la, lb, modulus)
+    if not bound:
         return [0] * order
-    w = len(str(min(la, lb) * (modulus - 1) * (modulus - 1)))
+    w = Decimal(bound).adjusted() + 1
     field = "%0" + str(w) + "d"
-    digits = (field * la) % tuple(a[la - 1::-1])
-    x = Decimal(digits)
-    del digits
-    digits = (field * lb) % tuple(b[lb - 1::-1])
-    y = Decimal(digits)
-    del digits
+    x = _decimal_operand(a, la, bias_a, field, w)
+    y = _decimal_operand(b, lb, bias_b, field, w)
     z = _EXACT.multiply(x, y)
     del x, y
-    digits = str(z)
-    del z
-    # field k is digits[top - (k+1)w : top - kw]; fields past the leading
-    # digit are zero, so the string is never padded to full width
+    if bias_h:
+        z = _EXACT.add(z, _repunit(bias_h, w, la + lb - 1))
     n = min(order, la + lb - 1)
-    top = len(digits)
-    full = min(n, top // w)
-    out = [int(digits[i - w:i]) % modulus
-           for i in range(top, top - full * w, -w)]
-    if full < n and top % w:
-        out.append(int(digits[:top % w]) % modulus)
+    # field k is digits[top - (k+1)w : top - kw]; the fields above the
+    # leading digit are zero, so pad up to the n fields that are read
+    digits = str(z).zfill(n * w)
+    del z
+    stops = range(len(digits), len(digits) - n * w, -w)
+    if not _fits_int_str(bound):
+        # a field has more digits than int() may parse from a string
+        if modulus is None:
+            out = [int(Decimal(digits[i - w:i])) - bias_h for i in stops]
+        else:
+            m = Decimal(modulus)
+            out = [int(_EXACT.remainder(Decimal(digits[i - w:i]), m))
+                   for i in stops]
+    elif modulus is None:
+        out = [int(digits[i - w:i]) - bias_h for i in stops]
+    else:
+        out = [int(digits[i - w:i]) % modulus for i in stops]
     del digits
-    out.extend([0] * (order - len(out)))
+    out.extend([0] * (order - n))
     return out
 
 
@@ -165,10 +221,21 @@ def _mul_lists(a, b, order, modulus):
     """Product of coefficient lists, truncated to `order` coefficients."""
     if order <= 0:
         return []
-    if modulus is None or order < _PACK_THRESHOLD:
+    if order < _SCHOOLBOOK_THRESHOLD:
         return _mul_schoolbook(a, b, order, modulus)
-    if (order < _DECIMAL_THRESHOLD
-            or not _fits_int_str(order * (modulus - 1) * (modulus - 1))):
+    if modulus is None:
+        # an exact field holds c + max |c| <= 2 max |c|
+        widest = 2 * max(max(map(abs, a[:order]), default=0),
+                         max(map(abs, b[:order]), default=0))
+    else:
+        widest = modulus - 1
+        # below the decimal crossover the packed path is faster for narrow
+        # fields, but not for ones past the int/str limit (M > ~10^2150)
+        if (order < _DECIMAL_THRESHOLD
+                and _fits_int_str(order * widest * widest)):
+            return _mul_packed(a, b, order, modulus)
+    if not _fits_int_str(widest):
+        # a coefficient too long to write out as a decimal string
         return _mul_packed(a, b, order, modulus)
     return _mul_decimal(a, b, order, modulus)
 
@@ -295,15 +362,17 @@ class TruncSeries:
             return NotImplemented
         if exponent < 0:
             return (self ** (-exponent)).invert()
-        result = TruncSeries.one(self.order, self.modulus)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
+        if result is None:
+            return TruncSeries.one(self.order, self.modulus)
         return result
 
     def invert(self) -> "TruncSeries":
@@ -373,6 +442,18 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+
+def product(factors, order: int, modulus=None) -> TruncSeries:
+    """The product of the series in `factors`, left to right, or one (to
+    the given order) when there are none.  It starts from the first
+    factor, so no multiply by one is spent."""
+    result = None
+    for f in factors:
+        result = f if result is None else result * f
+    if result is None:
+        return TruncSeries.one(order, modulus)
+    return result
 
 
 def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSeries:

@@ -36,7 +36,9 @@ from .modforms import (
 )
 from .partitions import pdo_t_series
 from .radu import AuxExponents, RaduInstance, nu_bound, radu_verify
-from .series import TruncSeries, cubic_theta, euler_factor, jacobi_cube
+from .series import (
+    TruncSeries, cubic_theta, euler_factor, jacobi_cube, product,
+)
 
 
 @dataclass
@@ -138,13 +140,10 @@ def f_product(exponents: dict, order: int, modulus=None,
               scalar: int = 1, shift: int = 0) -> TruncSeries:
     """scalar * q^shift * prod f_step^exponent, truncated at `order` plus
     whatever the shift adds."""
-    num = TruncSeries.one(order, modulus)
-    den = TruncSeries.one(order, modulus)
-    for step, exponent in exponents.items():
-        if exponent > 0:
-            num = num * euler_factor(step, exponent, order, modulus)
-        elif exponent < 0:
-            den = den * euler_factor(step, -exponent, order, modulus)
+    num = product((euler_factor(step, e, order, modulus)
+                   for step, e in exponents.items() if e > 0), order, modulus)
+    den = product((euler_factor(step, -e, order, modulus)
+                   for step, e in exponents.items() if e < 0), order, modulus)
     out = num * den.invert()
     if scalar != 1:
         out = scalar * out

@@ -109,6 +109,52 @@ def test_series_residue_domain_consistent():
         assert pdo_t_series(order, modulus) == exact.reduce_mod(modulus)
 
 
+def _pentagonal(step, order):
+    """{index: sign} of f_step = prod_{j>=1} (1 - q^(j*step)) below order,
+    from Euler's pentagonal number theorem."""
+    terms = {0: 1}
+    k = 1
+    while step * k * (3 * k - 1) // 2 < order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if step * g < order:
+                terms[step * g] = -1 if k % 2 else 1
+        k += 1
+    return terms
+
+
+def _sparse_euler_recurrence(order):
+    """pdo_t(0..order-1) from q f2 f3^2 f12^2 / (f1^2 f6), one sparse
+    factor at a time: a multiply is a sum over the factor's few terms, and
+    a division solves the triangular recurrence against them."""
+    body = order - 1
+    c = [1] + [0] * (body - 1)
+    for step in (2, 3, 3, 12, 12):
+        terms = sorted(_pentagonal(step, body).items())
+        c = [sum(sign * c[n - g] for g, sign in terms if g <= n)
+             for n in range(body)]
+    for step in (1, 1, 6):
+        terms = [(g, sign) for g, sign in sorted(_pentagonal(step, body).items())
+                 if g]
+        for n in range(body):
+            c[n] -= sum(sign * c[n - g] for g, sign in terms if g <= n)
+    return [0] + c
+
+
+@pytest.fixture(scope="module")
+def exact_2500():
+    return pdo_t_series(2500)
+
+
+def test_long_exact_series_matches_sparse_recurrence(exact_2500):
+    # order 2500 runs the exact Kronecker multiply and Newton inversion
+    assert list(exact_2500.coeffs) == _sparse_euler_recurrence(2500)
+
+
+def test_long_exact_series_reduces_to_residue_expansions(exact_2500):
+    for modulus in (32, 243, 256, 729):
+        assert exact_2500.reduce_mod(modulus) == pdo_t_series(2500, modulus)
+
+
 def test_series_requires_positive_order():
     with pytest.raises(ValueError):
         pdo_t_series(0)

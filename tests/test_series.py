@@ -323,10 +323,11 @@ def test_newton_inversion_through_decimal_multiply():
     assert a * a.invert() == TruncSeries.one(5000, 729)
 
 
-def test_modulus_too_wide_for_int_str_conversion_uses_packed():
+def test_modulus_too_wide_for_int_str_conversion_decodes_through_decimal():
     # with this modulus a decimal field would have over 4300 digits, which
-    # is more than int() may parse from a string by default
-    from pdotq.series import _mul_lists, _mul_schoolbook
+    # is more than int() may parse from a string by default, so the
+    # decimal backend must read each field back through a Decimal
+    from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
 
     modulus = 10 ** 2200 + 1
     rng = random.Random(2200)
@@ -335,3 +336,99 @@ def test_modulus_too_wide_for_int_str_conversion_uses_packed():
     got = _mul_lists(a, b, 2048, modulus)
     assert got == _mul_schoolbook(a, b, 2048, modulus)
     assert got[7:] == [0] * (2048 - 7)
+    assert _mul_decimal(a, b, 2048, modulus) == got
+    # below order 2048 such fields go to the decimal backend as well
+    assert _mul_lists(a, b, 1024, modulus) == got[:1024]
+
+
+def _exact_multiply_cases(rng):
+    """(a, b, order) signed operand sets for the exact multiply backends."""
+    def signed(n, mag):
+        return [rng.randrange(-mag, mag + 1) for _ in range(n)]
+
+    for mag in (1, 10, 10 ** 30, 10 ** 300):
+        # both sides of the schoolbook crossover, random signs
+        for order in (127, 128, 129, 300):
+            yield signed(order, mag), signed(order, mag), order
+        # +-1 only against a dense operand
+        order = rng.randrange(128, 400)
+        units = [rng.choice((-1, 1)) for _ in range(order)]
+        yield units, signed(order, mag), order
+        yield units, units[::-1], order
+        # a single nonzero coefficient, either sign, anywhere
+        for _ in range(3):
+            lone = [0] * order
+            lone[rng.randrange(order)] = rng.choice((-1, 1)) * mag
+            yield lone, signed(order, mag), order
+            yield signed(order, mag), lone, order
+        # an all-zero operand
+        yield [0] * order, signed(order, mag), order
+        # unequal lengths, truncated below la + lb - 1 and padded above it
+        yield signed(700, mag), signed(90, mag), 600
+        yield signed(90, mag), signed(700, mag), 1000
+    # the extreme product field: every coefficient -mag times +mag
+    yield [-10 ** 30] * 256, [10 ** 30] * 256, 600
+    # pentagonal-sparse Euler factors against dense operands sized like
+    # PDO_t coefficients near n = 2500 (about 170 bits)
+    order = rng.randrange(2400, 2600)
+    f1 = list(euler_factor(1, 1, order).coeffs)
+    f6 = list(euler_factor(6, 1, order).coeffs)
+    yield f1, f6, order
+    yield f1, signed(order, 2 ** 170), order
+    yield signed(order, 2 ** 170), f6, order
+
+
+def test_exact_kronecker_multiplication_matches_schoolbook():
+    from pdotq.series import (
+        _mul_decimal, _mul_lists, _mul_packed, _mul_schoolbook,
+    )
+
+    for a, b, order in _exact_multiply_cases(random.Random(314)):
+        expected = _mul_schoolbook(a, b, order, None)
+        assert len(expected) == order
+        for backend in (_mul_decimal, _mul_packed, _mul_lists):
+            assert backend(a, b, order, None) == expected, (
+                backend.__name__, order, len(a), len(b))
+
+
+def test_exact_coefficients_past_int_str_limit():
+    # 2200-digit coefficients: the decimal fields pass the 4300-digit
+    # int/str limit and are read back through Decimal.  4400-digit ones
+    # cannot be written as decimal strings at all, so _mul_lists falls
+    # back to the packed backend.
+    from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
+
+    rng = random.Random(4400)
+    for mag in (10 ** 2200, 10 ** 4400):
+        a = [rng.randrange(-mag, mag + 1) for _ in range(4)]
+        b = [rng.randrange(-mag, mag + 1) for _ in range(6)]
+        expected = _mul_schoolbook(a, b, 200, None)
+        assert _mul_lists(a, b, 200, None) == expected
+        if mag == 10 ** 2200:
+            assert _mul_decimal(a, b, 200, None) == expected
+
+
+def test_newton_inversion_over_integers_through_kronecker():
+    rng = random.Random(3001)
+    # f1^2 f6 (the PDO_t denominator) times a dense small perturbation
+    # keeps the inverse's coefficients near the sizes PDO_t reaches
+    order = 3000
+    den = euler_factor(1, 2, order) * euler_factor(6, 1, order)
+    bump = TruncSeries([1] + [rng.randrange(-1, 2) for _ in range(order - 1)])
+    for a in (den, den * bump):
+        assert a * a.invert() == TruncSeries.one(order)
+
+
+def test_pow_and_product_start_from_the_first_factor():
+    from pdotq.series import product
+
+    rng = random.Random(77)
+    for modulus in (None, 243):
+        a = rand_series(rng, 40, modulus)
+        assert a ** 0 == TruncSeries.one(40, modulus)
+        assert a ** 1 == a
+        assert a ** 5 == a * a * a * a * a
+        assert product([], 40, modulus) == TruncSeries.one(40, modulus)
+        assert product([a], 40, modulus) is a
+        b = rand_series(rng, 40, modulus)
+        assert product(iter([a, b, a]), 40, modulus) == a * b * a
