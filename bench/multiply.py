@@ -11,8 +11,14 @@ operands are either both dense and random, or f_1 (pentagonal-sparse, as
 in the Euler factors) against a dense one, and the backends' products
 are checked equal.  Each row reports the best of --repeats `perf_counter`
 timings per backend.  These rows are the evidence for the orders at which
-`_mul_lists` switches backends.  The result is printed as one JSON
-object.
+`_mul_lists` switches backends.  Sparse rows: at n in 2000, 30000 and
+115000 (mod 32 and 729, and over Z at 2000), Euler factor times Euler
+factor, f_1 times an operand with random support sized for a given
+number of nonzero pairs per product coefficient, and f_1 times a dense
+operand, each by schoolbook and by the Kronecker backend `_mul_lists`
+uses for dense operands of that order, with the nonzero-pair count
+beside them.  They are the evidence for `_SPARSE_PAIRS_PER_COEFF`.  The
+result is printed as one JSON object.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import time
 
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
-    _mul_decimal, _mul_packed, _mul_schoolbook, euler_factor,
+    _DECIMAL_THRESHOLD, _mul_decimal, _mul_packed, _mul_schoolbook,
+    _nonzero_count, euler_factor,
 )
 
 SIZES = (1000, 2000, 4000, 30000, 115000)
@@ -36,6 +43,11 @@ BACKENDS = (("packed_s", _mul_packed), ("decimal_s", _mul_decimal))
 EXACT_SIZES = (128, 256, 512, 1500, 3500)
 EXACT_BACKENDS = (("schoolbook_s", _mul_schoolbook),
                   ("decimal_s", _mul_decimal))
+SPARSE_SIZES = (2000, 30000, 115000)
+SPARSE_MODULI = (32, 729)
+SPARSE_EXACT_SIZE = 2000
+# f_1 against random support giving this many nonzero pairs per coefficient
+PAIRS_PER_COEFF = (4, 16, 64)
 
 
 def best_of(fn, a, b, n, modulus, repeats):
@@ -64,6 +76,50 @@ def timed_row(row, backends, a, b, n, modulus, repeats):
               f"({row['operands']})", file=sys.stderr)
         return False
     return True
+
+
+def sparse_shapes(rng, n, modulus, bits):
+    """(name, a, b) operand pairs for the sparse rows: nonzero values are
+    residues mod `modulus`, or `bits`-bit signed integers over Z."""
+    def value():
+        if modulus is None:
+            return signed(rng, 1, bits)[0] or 1
+        return rng.randrange(1, modulus)
+
+    f1 = list(euler_factor(1, 1, n, modulus).coeffs)
+    shapes = [
+        ("f1*f1", f1, f1),
+        ("f3*f12", list(euler_factor(3, 1, n, modulus).coeffs),
+         list(euler_factor(12, 1, n, modulus).coeffs)),
+    ]
+    for pairs in PAIRS_PER_COEFF:
+        support = min(n, pairs * n // _nonzero_count(f1, n))
+        other = [0] * n
+        for i in rng.sample(range(n), support):
+            other[i] = value()
+        shapes.append((f"f1*sparse{pairs}", f1, other))
+    shapes.append(("f1*dense", f1, [value() for _ in range(n)]))
+    return shapes
+
+
+def sparse_rows(rng, repeats, widths):
+    rows = []
+    cases = [(n, m) for n in SPARSE_SIZES for m in SPARSE_MODULI]
+    cases.append((SPARSE_EXACT_SIZE, None))
+    for n, modulus in cases:
+        kronecker = (_mul_packed if modulus is not None
+                     and n < _DECIMAL_THRESHOLD else _mul_decimal)
+        bits = widths[n].bit_length() if modulus is None else None
+        for shape, a, b in sparse_shapes(rng, n, modulus, bits):
+            pairs = _nonzero_count(a, n) * _nonzero_count(b, n)
+            row = {"n": n, "modulus": modulus, "operands": shape,
+                   "pairs": pairs, "pairs_per_coeff": round(pairs / n, 2)}
+            backends = (("schoolbook_s", _mul_schoolbook),
+                        ("kronecker_s", kronecker))
+            if not timed_row(row, backends, a, b, n, modulus, repeats):
+                return None
+            rows.append(row)
+    return rows
 
 
 def main(argv=None) -> int:
@@ -101,6 +157,9 @@ def main(argv=None) -> int:
                              args.repeats):
                 return 1
             exact_rows.append(row)
+    rows_sparse = sparse_rows(rng, args.repeats, widths)
+    if rows_sparse is None:
+        return 1
     print(json.dumps({
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -109,6 +168,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "rows": rows,
         "exact_rows": exact_rows,
+        "sparse_rows": rows_sparse,
     }, indent=2))
     return 0
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
-from .partitions import pd, pd_t, pdo, pdo_t, pdo_t_series
+from .partitions import PDO_T_EXPONENTS, pd, pd_t, pdo, pdo_t, pdo_t_series
 from .radu import (
     AuxExponents,
     CriterionNotApplicable,
@@ -27,8 +27,6 @@ from .radu import (
     radu_verify,
 )
 from .verify import SUITES, emit_report
-
-PDO_T_EXPONENTS = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
 
 
 def parse_exponents(text: str) -> dict[int, int]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import NamedTuple
 
-from .series import TruncSeries, euler_factor, product
+from .series import TruncSeries, eta_product
 
 
 def _divisors(n: int) -> list[int]:
@@ -216,14 +216,8 @@ def q_expansion(eq: EtaQuotient, order: int, modulus=None) -> TruncSeries:
             f"leading power q^{shift} is negative; not a power series"
         )
     body = max(order - shift, 0)
-    num = product((euler_factor(delta, r, body, modulus)
-                   for delta, r in eq.exponents.items() if r > 0),
-                  body, modulus)
-    den = product((euler_factor(delta, -r, body, modulus)
-                   for delta, r in eq.exponents.items() if r < 0),
-                  body, modulus)
-    result = (eq.scalar * (num * den.invert())).shift(shift)
-    return result.truncate(order)
+    result = eq.scalar * eta_product(eq.exponents, body, modulus)
+    return result.shift(shift).truncate(order)
 
 
 def sturm_bound(wt: int, level: int, same_character: bool = True) -> int:

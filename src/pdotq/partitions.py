@@ -19,7 +19,10 @@ combinatorial count here and the product expansion check each other.
 
 from __future__ import annotations
 
-from .series import TruncSeries, euler_factor
+from .series import TruncSeries, eta_product
+
+# {d: r_d} of the PDO_t generating function q * prod_d f_d^(r_d)
+PDO_T_EXPONENTS = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
 
 
 def enumerate_partitions(n: int, odd_only: bool = False):
@@ -86,11 +89,4 @@ def pdo_t_series(order: int, modulus=None) -> TruncSeries:
     built as q * f2 * f3^2 * f12^2 / (f1^2 * f6)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    body = order - 1
-    num = (
-        euler_factor(2, 1, body, modulus)
-        * euler_factor(3, 2, body, modulus)
-        * euler_factor(12, 2, body, modulus)
-    )
-    den = euler_factor(1, 2, body, modulus) * euler_factor(6, 1, body, modulus)
-    return (num * den.invert()).shift(1)
+    return eta_product(PDO_T_EXPONENTS, order - 1, modulus).shift(1)

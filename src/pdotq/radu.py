@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import Optional
 
-from .series import TruncSeries, euler_factor, product
+from .series import TruncSeries, eta_product
 
 
 class CriterionNotApplicable(ValueError):
@@ -306,11 +306,7 @@ def nu_bound(inst: RaduInstance, aux: AuxExponents) -> Fraction:
 
 def c_r_series(inst: RaduInstance, order: int, modulus=None) -> TruncSeries:
     """Expansion of prod_{delta | M} f_delta^(r_delta)."""
-    num = product((euler_factor(d, v, order, modulus)
-                   for d, v in inst.r.items() if v > 0), order, modulus)
-    den = product((euler_factor(d, -v, order, modulus)
-                   for d, v in inst.r.items() if v < 0), order, modulus)
-    return num * den.invert()
+    return eta_product(inst.r, order, modulus)
 
 
 def radu_verify(

@@ -7,10 +7,13 @@ The domain is either exact integers (modulus None) or the residue ring Z/MZ
 two series requires identical domains and truncates to the smaller order,
 since nothing past that point is determined by the operands.
 
-Multiplication dispatches on the domain and the product order.  Below
-order 128 it is schoolbook convolution that skips zero coefficients (the
-Euler factors built here are pentagonal-sparse, so this matters).  Longer
-products use Kronecker substitution: each coefficient becomes a fixed-width
+Multiplication dispatches on the domain, the product order and the
+number of nonzero pairs.  Schoolbook convolution walks only the nonzero
+terms of both operands, so its cost is the count of nonzero pairs; it
+takes every product below order 128, and at any order a product whose
+operands have at most 16 nonzero pairs per product coefficient, such as
+one pentagonal-sparse Euler factor times another.  Other products use
+Kronecker substitution: each coefficient becomes a fixed-width
 field of one big number, a single big-number multiply does the whole
 convolution, and the fields of the product are the coefficients.  Residue-
 ring products below order 2048 use byte-width limbs of a Python int, packed
@@ -33,7 +36,14 @@ is read back through a Decimal; such residue products (M above about
 long to be written out in decimal at all sends the product to the packed
 path whatever its order.
 Inversion is Newton iteration x -> x(2-ax), doubling the correct precision
-each step.
+each step.  When x is right to half the new precision, ax is 1 plus q^half
+times an error e, so the step only appends the new half, -x e truncated to
+the remaining length; the known zero half of the error is never multiplied.
+
+Every eta product prod f_d^(r_d) is built by `eta_product`: it divides the
+steps by their gcd and inflates the result back, forms each f_d^r by
+inflating one f_1^|r| (shared by all steps with the same |r|), and inverts
+the product of the negative-exponent factors once, if there are any.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import sys
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded,
 )
-from math import isqrt
+from math import gcd, isqrt
 
 
 class DomainMismatchError(ValueError):
@@ -59,33 +69,51 @@ def _normalize(coeffs, modulus):
     return tuple(c % modulus for c in coeffs)
 
 
-def _nonzero_count(coeffs):
-    return sum(1 for c in coeffs if c)
+def _nonzero_count(coeffs, order):
+    """Nonzero entries among the first `order` coefficients, counted in C."""
+    if len(coeffs) > order:
+        coeffs = coeffs[:order]
+    return len(coeffs) - coeffs.count(0)
+
+
+def _nonzero_terms(coeffs, order):
+    return [(i, c) for i, c in enumerate(coeffs[:order]) if c]
 
 
 def _mul_schoolbook(a, b, order, modulus):
-    # outer loop over the operand with fewer nonzero terms
-    if _nonzero_count(a) > _nonzero_count(b):
-        a, b = b, a
+    # both operands as their nonzero (index, coefficient) pairs, so the
+    # work is one step per pair of nonzero terms that lands below `order`
+    terms_a = _nonzero_terms(a, order)
+    terms_b = _nonzero_terms(b, order)
+    if len(terms_a) > len(terms_b):
+        terms_a, terms_b = terms_b, terms_a
     out = [0] * order
-    for i, ai in enumerate(a):
-        if not ai or i >= order:
-            continue
-        jmax = min(order - i, len(b))
+    for i, ai in terms_a:
+        room = order - i
         if ai == 1:
-            for j in range(jmax):
-                out[i + j] += b[j]
-        elif ai == -1 and modulus is None:
-            for j in range(jmax):
-                out[i + j] -= b[j]
+            for j, bj in terms_b:
+                if j >= room:
+                    break
+                out[i + j] += bj
+        elif ai == -1:
+            for j, bj in terms_b:
+                if j >= room:
+                    break
+                out[i + j] -= bj
         else:
-            for j in range(jmax):
-                out[i + j] += ai * b[j]
+            for j, bj in terms_b:
+                if j >= room:
+                    break
+                out[i + j] += ai * bj
     if modulus is not None:
         out = [c % modulus for c in out]
     return out
 
+
 _SCHOOLBOOK_THRESHOLD = 128
+# at any order, schoolbook wins while the nonzero pairs number at most
+# this many per product coefficient (the sparse rows of bench/multiply.py)
+_SPARSE_PAIRS_PER_COEFF = 16
 
 
 def _kronecker_layout(a, b, la, lb, modulus):
@@ -221,7 +249,9 @@ def _mul_lists(a, b, order, modulus):
     """Product of coefficient lists, truncated to `order` coefficients."""
     if order <= 0:
         return []
-    if order < _SCHOOLBOOK_THRESHOLD:
+    if (order < _SCHOOLBOOK_THRESHOLD
+            or _nonzero_count(a, order) * _nonzero_count(b, order)
+            <= _SPARSE_PAIRS_PER_COEFF * order):
         return _mul_schoolbook(a, b, order, modulus)
     if modulus is None:
         # an exact field holds c + max |c| <= 2 max |c|
@@ -256,15 +286,18 @@ def _invert_list(a, order, modulus):
             raise NotInvertibleError(
                 f"constant term {c0} is not invertible mod {modulus}"
             ) from None
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
+    while len(x) < order:
+        # x is right below `half`, so a x = 1 + q^half e there and the
+        # step x (2 - a x) = x - q^half x e only appends its new half
+        half = len(x)
+        prec = min(2 * half, order)
         ax = _mul_lists(a[:prec], x, prec, modulus)
-        err = [-c for c in ax]
-        err[0] += 2
-        if modulus is not None:
-            err = [c % modulus for c in err]
-        x = _mul_lists(x, err, prec, modulus)
+        if modulus is None:
+            err = [-c for c in ax[half:]]
+        else:
+            err = [-c % modulus for c in ax[half:]]
+        del ax
+        x += _mul_lists(x, err, prec - half, modulus)
     return x
 
 
@@ -278,6 +311,15 @@ class TruncSeries:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.coeffs = _normalize(coeffs, modulus)
         self.modulus = modulus
+
+    @classmethod
+    def _reduced(cls, coeffs, modulus) -> "TruncSeries":
+        """A series from coefficients already in the domain (reduced into
+        [0, M) for a residue ring), without checking or reducing them."""
+        out = object.__new__(cls)
+        out.coeffs = tuple(coeffs)
+        out.modulus = modulus
+        return out
 
     @property
     def order(self) -> int:
@@ -351,7 +393,7 @@ class TruncSeries:
             return NotImplemented
         self._check_domain(other)
         n = min(self.order, other.order)
-        return TruncSeries(
+        return TruncSeries._reduced(
             _mul_lists(self.coeffs, other.coeffs, n, self.modulus), self.modulus
         )
 
@@ -379,9 +421,8 @@ class TruncSeries:
         """Multiplicative inverse; the constant term must be a unit."""
         if self.order == 0:
             return self
-        return TruncSeries(
-            _invert_list(list(self.coeffs), self.order, self.modulus),
-            self.modulus,
+        return TruncSeries._reduced(
+            _invert_list(self.coeffs, self.order, self.modulus), self.modulus
         )
 
     def inflate(self, m: int, order=None) -> "TruncSeries":
@@ -391,11 +432,8 @@ class TruncSeries:
             raise ValueError(f"inflation step must be >= 1, got {m}")
         n = m * self.order if order is None else min(order, m * self.order)
         out = [0] * n
-        for j, c in enumerate(self.coeffs):
-            if m * j >= n:
-                break
-            out[m * j] = c
-        return TruncSeries(out, self.modulus)
+        out[::m] = self.coeffs[:-(-n // m)]
+        return TruncSeries._reduced(out, self.modulus)
 
     def dissect(self, m: int, t: int) -> "TruncSeries":
         """Extract the arithmetic progression c[m*n + t] as a new series."""
@@ -403,7 +441,7 @@ class TruncSeries:
             raise ValueError(f"dissection step must be >= 1, got {m}")
         if not 0 <= t < m:
             raise ValueError(f"residue {t} out of range for step {m}")
-        return TruncSeries(self.coeffs[t::m], self.modulus)
+        return TruncSeries._reduced(self.coeffs[t::m], self.modulus)
 
     def reduce_mod(self, modulus: int) -> "TruncSeries":
         """Map into Z/MZ.  Defined from the exact domain, or from a residue
@@ -421,17 +459,17 @@ class TruncSeries:
         """Multiply by q^k (k >= 0, order grows by k) or divide by q^k
         (k < 0, dropping the leading coefficients)."""
         if k >= 0:
-            return TruncSeries((0,) * k + self.coeffs, self.modulus)
+            return TruncSeries._reduced((0,) * k + self.coeffs, self.modulus)
         if -k > self.order:
             raise ValueError(f"cannot shift order-{self.order} series by {k}")
-        return TruncSeries(self.coeffs[-k:], self.modulus)
+        return TruncSeries._reduced(self.coeffs[-k:], self.modulus)
 
     def truncate(self, order: int) -> "TruncSeries":
         if not 0 <= order <= self.order:
             raise ValueError(
                 f"cannot truncate order-{self.order} series to {order}"
             )
-        return TruncSeries(self.coeffs[:order], self.modulus)
+        return TruncSeries._reduced(self.coeffs[:order], self.modulus)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or None if all zero."""
@@ -486,6 +524,48 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
     if exponent == 1:
         return f
     return f ** exponent
+
+
+def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
+    """prod_d f_d^(r_d) for the map {d: r_d}, to the given order.
+
+    Entries with r_d = 0 are ignored.  With g the gcd of the remaining
+    steps, the product is the order-ceil(order/g) expansion for the steps
+    d/g, inflated by g.  Each f_d^r is f_1^|r| truncated to ceil(order/d)
+    and inflated by d (one f_1^|r| per distinct |r|, at the largest order
+    any step needs), so only f_1 powers are ever multiplied out.  The
+    factors with r < 0 are multiplied together and inverted once, and not
+    at all when there are none.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    steps = {d: r for d, r in exponents.items() if r}
+    for d in steps:
+        if d < 1:
+            raise ValueError(f"Euler factor step must be >= 1, got {d}")
+    g = gcd(*steps)
+    if g > 1:
+        body = eta_product({d // g: r for d, r in steps.items()},
+                           -(-order // g), modulus)
+        return body.inflate(g, order)
+    lengths = {}
+    for d, r in steps.items():
+        lengths[abs(r)] = max(lengths.get(abs(r), 0), -(-order // d))
+    powers = {e: euler_factor(1, e, n, modulus) for e, n in lengths.items()}
+
+    def factors(sign):
+        return (powers[abs(r)].truncate(-(-order // d)).inflate(d, order)
+                for d, r in steps.items() if (r > 0) == sign)
+
+    num = product(factors(True), order, modulus)
+    if all(r > 0 for r in steps.values()):
+        return num
+    den = product(factors(False), order, modulus)
+    del powers
+    inverse = den.invert()
+    if all(r < 0 for r in steps.values()):
+        return inverse
+    return num * inverse
 
 
 def jacobi_cube(order: int, modulus=None) -> TruncSeries:

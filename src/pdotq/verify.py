@@ -34,10 +34,10 @@ from .modforms import (
     sturm_bound,
     u_operator,
 )
-from .partitions import pdo_t_series
+from .partitions import PDO_T_EXPONENTS, pdo_t_series
 from .radu import AuxExponents, RaduInstance, nu_bound, radu_verify
 from .series import (
-    TruncSeries, cubic_theta, euler_factor, jacobi_cube, product,
+    TruncSeries, cubic_theta, eta_product, euler_factor, jacobi_cube,
 )
 
 
@@ -140,11 +140,7 @@ def f_product(exponents: dict, order: int, modulus=None,
               scalar: int = 1, shift: int = 0) -> TruncSeries:
     """scalar * q^shift * prod f_step^exponent, truncated at `order` plus
     whatever the shift adds."""
-    num = product((euler_factor(step, e, order, modulus)
-                   for step, e in exponents.items() if e > 0), order, modulus)
-    den = product((euler_factor(step, -e, order, modulus)
-                   for step, e in exponents.items() if e < 0), order, modulus)
-    out = num * den.invert()
+    out = eta_product(exponents, order, modulus)
     if scalar != 1:
         out = scalar * out
     if shift:
@@ -529,8 +525,6 @@ CERTIFICATE_ROWS = [
     (192, 47, 160, 155, 64), (192, 95, 160, 154, 128),
     (192, 143, 160, 154, 64), (192, 191, 160, 154, 256),
 ]
-
-PDO_T_EXPONENTS = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
 
 
 def certificate_table() -> Report:

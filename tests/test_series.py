@@ -432,3 +432,155 @@ def test_pow_and_product_start_from_the_first_factor():
         assert product([a], 40, modulus) is a
         b = rand_series(rng, 40, modulus)
         assert product(iter([a, b, a]), 40, modulus) == a * b * a
+
+
+# --- the eta-product engine and the paths under it ---
+
+def _pentagonal_terms(step, order):
+    """[(index, sign)] of f_step below order, constant term excluded, from
+    Euler's pentagonal number theorem."""
+    terms = []
+    k = 1
+    while step * k * (3 * k - 1) // 2 < order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if step * g < order:
+                terms.append((step * g, -1 if k % 2 else 1))
+        k += 1
+    return sorted(terms)
+
+
+def eta_recurrence(exponents, order, modulus):
+    """prod f_d^r_d one Euler factor at a time: multiplying by f_d adds
+    shifted copies of the series, one per pentagonal term, and dividing by
+    f_d solves the triangular recurrence against the same terms."""
+    c = [1] + [0] * (order - 1) if order else []
+    for step, r in exponents.items():
+        terms = _pentagonal_terms(step, order)
+        for _ in range(abs(r)):
+            if r > 0:
+                out = list(c)
+                for g, sign in terms:
+                    for n in range(g, order):
+                        out[n] += sign * c[n - g]
+                c = out
+            else:
+                for n in range(order):
+                    acc = c[n]
+                    for g, sign in terms:
+                        if g > n:
+                            break
+                        acc -= sign * c[n - g]
+                    c[n] = acc
+            if modulus is not None:
+                c = [x % modulus for x in c]
+    return c
+
+
+def _random_exponents(rng, count):
+    return {rng.randrange(1, 25): rng.randrange(-6, 7) for _ in range(count)}
+
+
+def _eta_cases(rng):
+    """(exponents, order, modulus) for the engine against the recurrence."""
+    domains = [None, 2, 32, 243, 256, 729]
+    fixed = [{6: 4}, {3: 2, 12: 2}, {4: -3, 8: 2, 20: 1}, {1: 0, 5: 3},
+             {7: 0}, {}, {1: 3, 2: 1, 24: 6}, {1: -2, 5: -1, 13: -4},
+             {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}]
+    for i, modulus in enumerate(domains):
+        for order in (0, 1, 127, 128, 129):
+            for _ in range(3):
+                yield _random_exponents(rng, rng.randrange(1, 5)), order, modulus
+        for exponents in fixed:
+            yield exponents, 300, modulus
+        yield _random_exponents(rng, 3), 2047 + i % 3, modulus
+        yield {6: 4}, 2048, modulus
+    for modulus in (None, 243):
+        yield {1: -2, 6: -1, 2: 1, 3: 2, 12: 2}, rng.randrange(4900, 5100), modulus
+        yield {3: 2, 12: -2}, rng.randrange(4900, 5100), modulus
+
+
+def test_eta_product_matches_sparse_euler_recurrence():
+    from pdotq.series import eta_product
+
+    for exponents, order, modulus in _eta_cases(random.Random(2024)):
+        got = eta_product(exponents, order, modulus)
+        assert got.modulus == modulus
+        assert list(got.coeffs) == eta_recurrence(exponents, order, modulus), (
+            exponents, order, modulus)
+
+
+def test_eta_product_rejects_bad_input():
+    from pdotq.series import eta_product
+
+    with pytest.raises(ValueError):
+        eta_product({1: 1}, -1)
+    with pytest.raises(ValueError):
+        eta_product({0: 2}, 10)
+    # a step with exponent zero is no factor at all
+    assert eta_product({0: 0, 2: 1}, 10) == euler_factor(2, 1, 10)
+
+
+def test_eta_product_without_negative_exponents_never_inverts(monkeypatch):
+    from pdotq import series
+
+    def forbidden(*args):
+        raise AssertionError("no exponent is negative")
+
+    expected = euler_factor(6, 4, 5000, 243)
+    monkeypatch.setattr(series, "_invert_list", forbidden)
+    assert series.eta_product({6: 4}, 5000, 243) == expected
+    assert series.eta_product({1: 2, 3: 1}, 700) == (
+        euler_factor(1, 2, 700) * euler_factor(3, 1, 700))
+
+
+def _sparse_operands(rng, order, modulus):
+    """Operand pairs with few enough nonzero pairs for schoolbook dispatch."""
+    f1 = list(euler_factor(1, 1, order, modulus).coeffs)
+    f3 = list(euler_factor(3, 1, order, modulus).coeffs)
+    f12 = list(euler_factor(12, 1, order, modulus).coeffs)
+    wide = 2 ** 200 if modulus is None else modulus
+    dense = [rng.randrange(wide) for _ in range(order)]
+    lone = [0] * order
+    lone[rng.randrange(order)] = rng.randrange(1, wide)
+    yield f1, f1
+    yield f3, f12
+    yield lone, dense
+    yield dense, lone
+    yield [0] * order, dense
+    yield dense, [0] * order
+
+
+def test_sparse_products_dispatch_to_schoolbook_and_agree(monkeypatch):
+    from pdotq import series
+
+    calls = []
+    schoolbook = series._mul_schoolbook
+
+    def counted(a, b, order, modulus):
+        calls.append(order)
+        return schoolbook(a, b, order, modulus)
+
+    monkeypatch.setattr(series, "_mul_schoolbook", counted)
+    rng = random.Random(30000)
+    for order in (2048, 30000):
+        for modulus in (None, 32, 729):
+            for a, b in _sparse_operands(rng, order, modulus):
+                calls.clear()
+                got = series._mul_lists(a, b, order, modulus)
+                assert calls == [order]
+                assert len(got) == order
+                assert got == series._mul_decimal(a, b, order, modulus)
+                assert got == series._mul_packed(a, b, order, modulus)
+
+
+def test_newton_round_trip_at_orders_off_powers_of_two():
+    rng = random.Random(20001)
+    for order in (3, 5, 1025, 5000, 20001):
+        for modulus in (2, 256, 729):
+            a = rand_series(rng, order, modulus, unit=True)
+            assert a * a.invert() == TruncSeries.one(order, modulus)
+        # over Z a random unit series has exponentially growing inverse
+        # coefficients; an eta quotient's grow like exp(C sqrt(n))
+        den = euler_factor(1, 2, order) * euler_factor(6, 1, order)
+        for a in (den, rand_series(rng, min(order, 1025), None, unit=True)):
+            assert a * a.invert() == TruncSeries.one(a.order)
