@@ -17,8 +17,10 @@ factor, f_1 times an operand with random support sized for a given
 number of nonzero pairs per product coefficient, and f_1 times a dense
 operand, each by schoolbook and by the Kronecker backend `_mul_lists`
 uses for dense operands of that order, with the nonzero-pair count
-beside them.  They are the evidence for `_SPARSE_PAIRS_PER_COEFF`.  The
-result is printed as one JSON object.
+beside them.  They are the evidence for `_SPARSE_PAIRS_PER_COEFF`.
+Series rows: one whole `pdo_t_series` expansion at each (order, modulus)
+of SERIES_ROWS, best of --repeats, the layer that sits between one
+multiply and a suite.  The result is printed as one JSON object.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ SPARSE_MODULI = (32, 729)
 SPARSE_EXACT_SIZE = 2000
 # f_1 against random support giving this many nonzero pairs per coefficient
 PAIRS_PER_COEFF = (4, 16, 64)
+# (order, modulus) of the eta-product expansions the suites run at
+SERIES_ROWS = ((20001, 256), (53137, 243), (115237, 32))
 
 
-def best_of(fn, a, b, n, modulus, repeats):
+def best_of(repeats, fn, *args):
     best = None
     for _ in range(repeats):
         started = time.perf_counter()
-        out = fn(a, b, n, modulus)
+        out = fn(*args)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, out
@@ -69,7 +73,7 @@ def timed_row(row, backends, a, b, n, modulus, repeats):
     """Fill `row` with each backend's best time; False if they disagree."""
     products = []
     for key, fn in backends:
-        row[key], out = best_of(fn, a, b, n, modulus, repeats)
+        row[key], out = best_of(repeats, fn, a, b, n, modulus)
         products.append(out)
     if any(out != products[0] for out in products):
         print(f"backends disagree at n={n} M={modulus} "
@@ -122,6 +126,12 @@ def sparse_rows(rng, repeats, widths):
     return rows
 
 
+def series_rows(repeats):
+    return [{"order": n, "modulus": modulus,
+             "pdo_t_series_s": best_of(repeats, pdo_t_series, n, modulus)[0]}
+            for n, modulus in SERIES_ROWS]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -169,6 +179,7 @@ def main(argv=None) -> int:
         "rows": rows,
         "exact_rows": exact_rows,
         "sparse_rows": rows_sparse,
+        "series_rows": series_rows(args.repeats),
     }, indent=2))
     return 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from typing import Optional
 
 from .series import TruncSeries, eta_product
@@ -254,21 +254,23 @@ def p_mr(inst: RaduInstance, delta: int) -> tuple[Fraction, int]:
         (1/24) sum_{d | M} r_d gcd(d (1 + kappa lambda delta), m delta)^2
                             / (d m),
 
-    returned with the attaining lambda."""
+    returned with the attaining lambda.  The sums are compared as integers
+    over the common denominator 24 L m, with L the lcm of the d."""
     m = inst.m
     kappa = inst.kappa
+    scale = lcm(*inst.r)
+    weights = [(d, v * (scale // d)) for d, v in inst.r.items()]
     best = None
     best_lambda = 0
     for lam in range(m):
-        total = Fraction(0)
-        for d, v in inst.r.items():
+        total = 0
+        for d, w in weights:
             g = gcd(d * (1 + kappa * lam * delta), m * delta)
-            total += Fraction(v * g * g, d * m)
-        total /= 24
+            total += w * g * g
         if best is None or total < best:
             best = total
             best_lambda = lam
-    return best, best_lambda
+    return Fraction(best, 24 * scale * m), best_lambda
 
 
 def p_star(aux: AuxExponents, delta: int) -> Fraction:
@@ -374,7 +376,7 @@ def radu_verify(
             raise ValueError(
                 f"supplied series has order {series.order}, need {order}"
             )
-        series = series.reduce_mod(u)
+        series = series.truncate(order).reduce_mod(u)
 
     checked = []
     failure = None

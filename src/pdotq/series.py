@@ -44,6 +44,20 @@ Every eta product prod f_d^(r_d) is built by `eta_product`: it divides the
 steps by their gcd and inflates the result back, forms each f_d^r by
 inflating one f_1^|r| (shared by all steps with the same |r|), and inverts
 the product of the negative-exponent factors once, if there are any.
+
+Before that it pulls out theta factors.  Ramanujan's phi(-q) = f_1^2/f_2
+= sum_k (-1)^k q^(k^2) and psi(q) = f_2^2/f_1 = sum_{n>=0} q^(n(n+1)/2)
+(Berndt, Ramanujan's Notebooks, Part III, Entry 22) have only about
+2 sqrt(order) and sqrt(2 order) nonzero terms, and are written down
+directly like `jacobi_cube`.  A pair of steps d, 2d with r_d = -2 r_2d
+is phi(-q^d)^(-r_2d), and one with r_2d = -2 r_d is psi(q^d)^(-r_d); the
+steps are paired in ascending order, each at most once.  A theta factor
+joins the numerator or the denominator by the sign of its exponent, like
+any other factor, so the sparse-product dispatch and the single inversion
+apply to it unchanged.  The PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is
+q phi(-q^3) f12^2/phi(-q): one sparse factor times f12^2, one inversion of
+a sparse series, and one dense product, where the Euler factors alone
+need four dense products.
 """
 
 from __future__ import annotations
@@ -66,7 +80,7 @@ class NotInvertibleError(ValueError):
 def _normalize(coeffs, modulus):
     if modulus is None:
         return tuple(coeffs)
-    return tuple(c % modulus for c in coeffs)
+    return tuple([c % modulus for c in coeffs])
 
 
 def _nonzero_count(coeffs, order):
@@ -531,11 +545,15 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
 
     Entries with r_d = 0 are ignored.  With g the gcd of the remaining
     steps, the product is the order-ceil(order/g) expansion for the steps
-    d/g, inflated by g.  Each f_d^r is f_1^|r| truncated to ceil(order/d)
-    and inflated by d (one f_1^|r| per distinct |r|, at the largest order
-    any step needs), so only f_1 powers are ever multiplied out.  The
-    factors with r < 0 are multiplied together and inverted once, and not
-    at all when there are none.
+    d/g, inflated by g.  Walking the steps in ascending order, a step d
+    whose partner 2d is unused becomes a theta factor with it:
+    f_d^(r_d) f_2d^(r_2d) is phi(-q^d)^(-r_2d) when r_d = -2 r_2d, and
+    psi(q^d)^(-r_d) when r_2d = -2 r_d.  Every other step is a factor
+    f_d^(r_d).  Each factor is its base series (f_1, phi(-q) or psi(q))
+    raised to |r| (one power per distinct base and |r|, at the largest
+    order any step needs), truncated to ceil(order/d) and inflated by d.
+    The factors with r < 0 are multiplied together and inverted once, and
+    not at all when there are none.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -548,24 +566,70 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
         body = eta_product({d // g: r for d, r in steps.items()},
                            -(-order // g), modulus)
         return body.inflate(g, order)
+    factors = []  # (base, step, exponent): base(q^step)^exponent
+    partners = set()
+    for d in sorted(steps):
+        if d in partners:
+            continue
+        r, r2 = steps[d], steps.get(2 * d, 0)
+        if r == -2 * r2:
+            factors.append((phi_minus, d, -r2))
+            partners.add(2 * d)
+        elif r2 == -2 * r:
+            factors.append((psi, d, -r))
+            partners.add(2 * d)
+        else:
+            factors.append((euler_factor, d, r))
     lengths = {}
-    for d, r in steps.items():
-        lengths[abs(r)] = max(lengths.get(abs(r), 0), -(-order // d))
-    powers = {e: euler_factor(1, e, n, modulus) for e, n in lengths.items()}
+    for base, d, r in factors:
+        key = base, abs(r)
+        lengths[key] = max(lengths.get(key, 0), -(-order // d))
+    powers = {(base, e): _base_power(base, e, n, modulus)
+              for (base, e), n in lengths.items()}
 
-    def factors(sign):
-        return (powers[abs(r)].truncate(-(-order // d)).inflate(d, order)
-                for d, r in steps.items() if (r > 0) == sign)
+    def inflated(sign):
+        return (powers[base, abs(r)].truncate(-(-order // d)).inflate(d, order)
+                for base, d, r in factors if (r > 0) == sign)
 
-    num = product(factors(True), order, modulus)
-    if all(r > 0 for r in steps.values()):
+    num = product(inflated(True), order, modulus)
+    if all(r > 0 for _, _, r in factors):
         return num
-    den = product(factors(False), order, modulus)
+    den = product(inflated(False), order, modulus)
     del powers
     inverse = den.invert()
-    if all(r < 0 for r in steps.values()):
+    if all(r < 0 for _, _, r in factors):
         return inverse
     return num * inverse
+
+
+def _base_power(base, exponent, order, modulus):
+    if base is euler_factor:
+        return euler_factor(1, exponent, order, modulus)
+    return base(order, modulus) ** exponent
+
+
+def phi_minus(order: int, modulus=None) -> TruncSeries:
+    """Ramanujan's phi(-q) = f_1^2/f_2 written directly as its theta series
+    sum over all integers k of (-1)^k q^(k^2)."""
+    out = [0] * order
+    if order > 0:
+        out[0] = 1
+    k = 1
+    while k * k < order:
+        out[k * k] = -2 if k % 2 else 2
+        k += 1
+    return TruncSeries(out, modulus)
+
+
+def psi(order: int, modulus=None) -> TruncSeries:
+    """Ramanujan's psi(q) = f_2^2/f_1 written directly as its theta series
+    sum_{n>=0} q^(n(n+1)/2)."""
+    out = [0] * order
+    n = 0
+    while n * (n + 1) // 2 < order:
+        out[n * (n + 1) // 2] = 1
+        n += 1
+    return TruncSeries(out, modulus)
 
 
 def jacobi_cube(order: int, modulus=None) -> TruncSeries:

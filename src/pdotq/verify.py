@@ -187,17 +187,15 @@ def _congruence_check(report: Report, name: str, lhs: TruncSeries,
 
 def _zero_progression_check(report: Report, series: TruncSeries, step: int,
                             offset: int, modulus: int, strength: str):
-    reduced = series.reduce_mod(modulus)
+    progression = series.dissect(step, offset).reduce_mod(modulus)
     name = f"pdo_t({step}n{f'+{offset}' if offset else ''}) == 0 mod {modulus}"
-    count = 0
-    for idx in range(offset, reduced.order, step):
-        if reduced.coeffs[idx] != 0:
+    for n, residue in enumerate(progression.coeffs):
+        if residue != 0:
             report.add(name, False,
-                       f"index {idx}: residue {reduced.coeffs[idx]}")
+                       f"index {step * n + offset}: residue {residue}")
             return
-        count += 1
-    report.add(name, True,
-               f"{strength}, {count} indices below {reduced.order}")
+    report.add(name, True, f"{strength}, {progression.order} indices "
+                           f"below {series.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +419,13 @@ def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
     master = master_series(12 * 3 ** k_max * n_max + 1, 3 ** (k_max + 2))
     for k in range(k_max + 1):
         modulus = 3 ** (k + 2)
-        reduced = master.reduce_mod(modulus)
         for a in (8, 12):
             step = a * 3 ** k
+            progression = master.dissect(step, 0).reduce_mod(modulus)
             bad = None
             for n in range(n_max + 1):
-                if reduced.coeffs[step * n] != 0:
-                    bad = (n, reduced.coeffs[step * n])
+                if progression.coeffs[n] != 0:
+                    bad = (n, progression.coeffs[n])
                     break
             report.add(
                 f"pdo_t({step}n) == 0 mod 3^{k + 2}",

@@ -6,6 +6,7 @@ instances before being asserted here.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from pdotq.radu import (
     sl2_index,
     squares_mod,
 )
-from pdotq.series import TruncSeries
+from pdotq.series import DomainMismatchError, TruncSeries
 
 # f_2 f_3^2 f_12^2 / (f_1^2 f_6): coefficient n is pdo_t(n + 1)
 PDO_T_R = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
@@ -141,6 +142,47 @@ def test_p_mr_frozen_values():
         assert p_mr(big, delta) == (Fraction(1, 192), 0)
 
 
+def p_mr_reference(inst, delta):
+    """The defining minimum of p_mr, summed term by term in Fractions;
+    the first lambda attaining it wins."""
+    best = None
+    for lam in range(inst.m):
+        total = Fraction(0)
+        for d, v in inst.r.items():
+            g = math.gcd(d * (1 + inst.kappa * lam * delta), inst.m * delta)
+            total += Fraction(v * g * g, d * inst.m)
+        total /= 24
+        if best is None or total < best[0]:
+            best = (total, lam)
+    return best
+
+
+def random_admissible_instances(rng, count):
+    """Admissible instances at levels 6..30 with steps m built from the
+    primes of the level and random exponents over the level's divisors."""
+    found = []
+    while len(found) < count:
+        level = rng.choice((6, 10, 12, 14, 15, 18, 20, 30))
+        primes = [p for p in (2, 3, 5, 7) if level % p == 0]
+        m = 1
+        for _ in range(rng.randrange(1, 5)):
+            m *= rng.choice(primes)
+        r = {d: rng.randrange(-6, 7) for d in divisors(level)
+             if rng.random() < 0.6}
+        inst = RaduInstance(m=m, M=level, level=level, r=r,
+                            t=rng.randrange(m))
+        if inst.r and all(delta_star_check(inst).values()):
+            found.append(inst)
+    return found
+
+
+def test_p_mr_matches_fraction_reference_on_random_admissible_instances():
+    for inst in random_admissible_instances(random.Random(5), 60):
+        for delta in divisors(inst.level):
+            assert p_mr(inst, delta) == p_mr_reference(inst, delta), (
+                inst, delta)
+
+
 def test_p_star_values():
     aux = AuxExponents(12, {1: 5})
     for delta in divisors(12):
@@ -242,6 +284,8 @@ def test_series_reuse_matches_fresh_computation():
     short = c_r_series(inst, 10, 4)
     with pytest.raises(ValueError):
         radu_verify(inst, aux, u=4, series=short)
+    with pytest.raises(DomainMismatchError, match="cannot reduce mod 4 from Z/6"):
+        radu_verify(inst, aux, u=4, series=c_r_series(inst, 64, 6))
 
 
 def test_min_depth_extends_checking():

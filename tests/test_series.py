@@ -16,6 +16,8 @@ from pdotq.series import (
     cubic_theta,
     euler_factor,
     jacobi_cube,
+    phi_minus,
+    psi,
 )
 
 
@@ -509,6 +511,55 @@ def test_eta_product_matches_sparse_euler_recurrence():
             exponents, order, modulus)
 
 
+def test_theta_builders_match_euler_quotients():
+    for modulus in (None, 2, 3, 32, 243, 729):
+        for order in (0, 1, 2, 3, 50, 1000):
+            f1 = euler_factor(1, 1, order, modulus)
+            f2 = euler_factor(2, 1, order, modulus)
+            inv_f1 = euler_factor(1, -1, order, modulus)
+            inv_f2 = euler_factor(2, -1, order, modulus)
+            assert phi_minus(order, modulus) == f1 * f1 * inv_f2
+            assert psi(order, modulus) == f2 * f2 * inv_f1
+
+
+def _theta_pair_cases():
+    """(exponents, order, modulus) for maps with exact theta pairs."""
+    maps = [
+        {1: -2, 2: 1, 3: 2, 6: -1, 12: 2},  # phi(-q^3) f12^2 / phi(-q)
+        {1: -4, 2: 2},                       # phi(-q)^-2
+        {3: 2, 6: -1},                       # phi(-q^3)
+        {9: -1, 18: 2},                      # psi(q^9)
+        {3: -8, 6: 4},                       # phi(-q^3)^-4
+        {1: 2, 2: -1, 5: 3, 7: -1},          # pairs next to leftover steps
+        {2: 4, 4: -2, 7: 3},
+        {1: -1, 2: 2, 3: 1, 6: -2},          # psi(q) / psi(q^3)
+        {6: 2, 12: -1, 18: 1},               # gcd 6: phi(-q) f3, inflated
+        {4: -1, 8: 2, 12: -3},
+        {1: -2, 2: 1, 4: -2},                # chained: 1 takes 2, 4 is left
+        {1: 3, 2: -6, 4: 12},
+        {2: -1, 4: 2, 8: -4, 16: 2},
+        {1: -2, 2: 1, 4: -2, 8: 1},          # two pairs in one chain
+    ]
+    for modulus in (None, 2, 3, 32, 243, 256, 729):
+        for exponents in maps:
+            for order in (0, 1, 2, 127, 128, 129):
+                yield exponents, order, modulus
+    for modulus in (None, 2, 243):
+        for exponents in ({1: -2, 2: 1, 3: 2, 6: -1, 12: 2}, {9: -1, 18: 2},
+                          {1: -2, 2: 1, 4: -2}):
+            yield exponents, 4999, modulus
+
+
+def test_eta_product_with_theta_pairs_matches_sparse_euler_recurrence():
+    from pdotq.series import eta_product
+
+    for exponents, order, modulus in _theta_pair_cases():
+        got = eta_product(exponents, order, modulus)
+        assert got.modulus == modulus
+        assert list(got.coeffs) == eta_recurrence(exponents, order, modulus), (
+            exponents, order, modulus)
+
+
 def test_eta_product_rejects_bad_input():
     from pdotq.series import eta_product
 
@@ -527,8 +578,14 @@ def test_eta_product_without_negative_exponents_never_inverts(monkeypatch):
         raise AssertionError("no exponent is negative")
 
     expected = euler_factor(6, 4, 5000, 243)
+    phi3 = euler_factor(3, 2, 5000, 243) * euler_factor(6, -1, 5000, 243)
+    psi9 = euler_factor(18, 2, 5000) * euler_factor(9, -1, 5000)
     monkeypatch.setattr(series, "_invert_list", forbidden)
     assert series.eta_product({6: 4}, 5000, 243) == expected
+    # f3^2/f6 and f18^2/f9 are the theta series phi(-q^3) and psi(q^9),
+    # built without a division
+    assert series.eta_product({3: 2, 6: -1}, 5000, 243) == phi3
+    assert series.eta_product({9: -1, 18: 2}, 5000) == psi9
     assert series.eta_product({1: 2, 3: 1}, 700) == (
         euler_factor(1, 2, 700) * euler_factor(3, 1, 700))
 

@@ -122,6 +122,33 @@ def test_powers_of_two_suite():
     assert len(evidence) == 12
 
 
+def test_progression_checks_report_the_failing_index(monkeypatch):
+    from pdotq import verify
+
+    coeffs = [0] * 50
+    coeffs[27] = 8
+    series = TruncSeries(coeffs, 256)
+    report = Report("t", {})
+    verify._zero_progression_check(report, series, 12, 3, 8, "evidence")
+    verify._zero_progression_check(report, series, 12, 3, 16, "evidence")
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        ("pdo_t(12n+3) == 0 mod 8", True, "evidence, 4 indices below 50"),
+        ("pdo_t(12n+3) == 0 mod 16", False, "index 27: residue 8"),
+    ]
+
+    coeffs = [0] * 1000
+    coeffs[24 * 5] = 18
+    monkeypatch.setattr(verify, "master_series",
+                        lambda order, modulus: TruncSeries(coeffs, modulus))
+    report = divisibility_suite(k_max=1, n_max=6)
+    assert [(c.ok, c.detail) for c in report.checks] == [
+        (True, "finite-depth evidence, n <= 6"),
+        (True, "finite-depth evidence, n <= 6"),
+        (False, "n=5: residue 18"),
+        (True, "finite-depth evidence, n <= 6"),
+    ]
+
+
 def test_genfun_suite():
     for k in (0, 1):
         report = genfun_congruences(k=k, bound=25)
