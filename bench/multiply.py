@@ -18,9 +18,10 @@ number of nonzero pairs per product coefficient, and f_1 times a dense
 operand, each by schoolbook and by the Kronecker backend `_mul_lists`
 uses for dense operands of that order, with the nonzero-pair count
 beside them.  They are the evidence for `_SPARSE_PAIRS_PER_COEFF`.
-Series rows: one whole `pdo_t_series` expansion at each (order, modulus)
-of SERIES_ROWS, best of --repeats, the layer that sits between one
-multiply and a suite.  The result is printed as one JSON object.
+Series rows: one whole `pdo_t_series` expansion at each (order, modulus,
+step) of SERIES_ROWS, best of --repeats, the layer that sits between one
+multiply and a suite; step 3 is the 3n series that `check --suite all`
+expands once.  The result is printed as one JSON object.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ SPARSE_MODULI = (32, 729)
 SPARSE_EXACT_SIZE = 2000
 # f_1 against random support giving this many nonzero pairs per coefficient
 PAIRS_PER_COEFF = (4, 16, 64)
-# (order, modulus) of the eta-product expansions the suites run at
-SERIES_ROWS = ((20001, 256), (53137, 243), (115237, 32))
+# (order, modulus, step) of eta-product expansions at the suites' sizes:
+# the full series, and the one 3n series of `check --suite all`
+SERIES_ROWS = ((20001, 256, 1), (53137, 243, 1), (115237, 32, 1),
+               (38341, 186624, 3))
 
 
 def best_of(repeats, fn, *args):
@@ -127,9 +130,10 @@ def sparse_rows(rng, repeats, widths):
 
 
 def series_rows(repeats):
-    return [{"order": n, "modulus": modulus,
-             "pdo_t_series_s": best_of(repeats, pdo_t_series, n, modulus)[0]}
-            for n, modulus in SERIES_ROWS]
+    return [{"order": n, "modulus": modulus, "step": step,
+             "pdo_t_series_s":
+                 best_of(repeats, pdo_t_series, n, modulus, step)[0]}
+            for n, modulus, step in SERIES_ROWS]
 
 
 def main(argv=None) -> int:

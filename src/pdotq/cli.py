@@ -26,7 +26,7 @@ from .radu import (
     RaduInstance,
     radu_verify,
 )
-from .verify import SUITES, emit_report
+from .verify import SUITES, emit_report, plan_suites
 
 
 def parse_exponents(text: str) -> dict[int, int]:
@@ -191,7 +191,8 @@ _SUITE_FLAGS = {
     "powers-of-two": {"order": "order", "kmax": "conj_k_max"},
 }
 
-# smallest value each numeric flag accepts; --p is checked by its suite
+# smallest value each numeric flag accepts; --p is checked by its suite,
+# which rejects anything but a prime p == 5 (mod 6)
 _FLAG_MIN = {"order": 1, "bound": 0, "k": 0, "kmax": 0, "nmax": 0,
              "ellmax": 0}
 
@@ -204,6 +205,7 @@ def _cmd_check(args, parser) -> int:
     if args.suite == "all":
         if provided:
             parser.error("numeric flags only apply to a single suite")
+        plan_suites(SUITES)
         reports = [fn() for fn in SUITES.values()]
     else:
         flags = _SUITE_FLAGS[args.suite]
@@ -222,8 +224,9 @@ def _cmd_check(args, parser) -> int:
         try:
             reports = [SUITES[args.suite](**kwargs)]
         except ValueError as exc:
+            # a suite raises ValueError only for parameters it cannot take
             print(f"pdotq check: {exc}", file=sys.stderr)
-            return 1
+            return 2
     passed = all(r.passed for r in reports)
     if args.json:
         if len(reports) == 1:

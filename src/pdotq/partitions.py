@@ -15,6 +15,10 @@ pdo_t is the statistic the rest of the package is about.  Its generating
 function is q * f2 * f3^2 * f12^2 / (f1^2 * f6) with f_m the Euler product
 over step m; pdo_t_series builds that via the series module, so the
 combinatorial count here and the product expansion check each other.
+The 3-dissection of 1/phi(-q) = f2/f1^2 (Hirschhorn and Sellers,
+"Arithmetic relations for overpartitions", JCMCC 53, 2005) gives its 3n
+progression, sum pdo_t(3n) q^n = 4q f2 f4^2 f6^3 / f1^4, a third as long
+for the same reach; pdo_t_series builds that one too.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .series import TruncSeries, eta_product
 
 # {d: r_d} of the PDO_t generating function q * prod_d f_d^(r_d)
 PDO_T_EXPONENTS = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
+# {d: r_d} of sum pdo_t(3n) q^n = 4q * prod_d f_d^(r_d)
+PDO_T_3N_EXPONENTS = {1: -4, 2: 1, 4: 2, 6: 3}
 
 
 def enumerate_partitions(n: int, odd_only: bool = False):
@@ -84,9 +90,14 @@ def pdo_t(n: int) -> int:
     return _designated_counts(n, odd_only=True)[1]
 
 
-def pdo_t_series(order: int, modulus=None) -> TruncSeries:
-    """The generating series sum_n pdo_t(n) q^n to the given order,
-    built as q * f2 * f3^2 * f12^2 / (f1^2 * f6)."""
+def pdo_t_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
+    """sum_n pdo_t(step n) q^n to the given order, for step 1 or 3: built
+    as q * f2 * f3^2 * f12^2 / (f1^2 * f6), or as 4q * f2 * f4^2 * f6^3 / f1^4."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return eta_product(PDO_T_EXPONENTS, order - 1, modulus).shift(1)
+    if step == 1:
+        return eta_product(PDO_T_EXPONENTS, order - 1, modulus).shift(1)
+    if step == 3:
+        body = eta_product(PDO_T_3N_EXPONENTS, order - 1, modulus)
+        return (4 * body).shift(1)
+    raise ValueError(f"step must be 1 or 3, got {step}")

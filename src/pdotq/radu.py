@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .series import TruncSeries, eta_product
 
@@ -317,12 +317,15 @@ def radu_verify(
     u: int,
     series: TruncSeries | None = None,
     min_depth: int = 0,
+    progression: Callable[[int, int], Sequence[int]] | None = None,
 ) -> Certificate:
     """Run the full criterion for c(m n + t') == 0 (mod u) over the orbit
-    of t.  A precomputed c_r expansion may be passed in `series` (its
-    modulus must be None or a multiple of u, its order large enough);
-    `min_depth` forces checking beyond floor(nu), which can only
-    strengthen the evidence.
+    of t.  The coefficients come from `progression(t', count)`, which
+    returns c(m n + t') for n < count as integers whose residues mod u are
+    the true ones; or from a precomputed c_r expansion passed in `series`
+    (its modulus must be None or a multiple of u, its order large enough);
+    or, with neither, from a fresh expansion mod u.  `min_depth` forces
+    checking beyond floor(nu), which can only strengthen the evidence.
 
     Raises a CriterionNotApplicable subclass when a precondition fails.
     Returns a Certificate whose verdict is False when a coefficient check
@@ -369,28 +372,33 @@ def radu_verify(
     depth = max(floor_nu, min_depth)
     order = inst.m * depth + max(orbit) + 1
 
-    if series is None:
-        series = c_r_series(inst, order, u)
-    else:
-        if series.order < order:
-            raise ValueError(
-                f"supplied series has order {series.order}, need {order}"
-            )
-        series = series.truncate(order).reduce_mod(u)
+    if progression is None:
+        if series is None:
+            series = c_r_series(inst, order, u)
+        else:
+            if series.order < order:
+                raise ValueError(
+                    f"supplied series has order {series.order}, need {order}"
+                )
+            series = series.truncate(order).reduce_mod(u)
+
+        def progression(offset, count):
+            return series.coeffs[offset:offset + inst.m * count:inst.m]
 
     checked = []
     failure = None
     verdict = True
     for t_prime in orbit:
+        values = progression(t_prime, depth + 1)
         for n in range(depth + 1):
-            idx = inst.m * n + t_prime
-            if series.coeffs[idx] % u != 0:
+            residue = values[n] % u
+            if residue != 0:
                 verdict = False
                 failure = {
                     "t": t_prime,
                     "n": n,
-                    "index": idx,
-                    "residue": series.coeffs[idx] % u,
+                    "index": inst.m * n + t_prime,
+                    "residue": residue,
                 }
                 break
             checked.append((t_prime, n))

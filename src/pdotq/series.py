@@ -51,13 +51,18 @@ Before that it pulls out theta factors.  Ramanujan's phi(-q) = f_1^2/f_2
 2 sqrt(order) and sqrt(2 order) nonzero terms, and are written down
 directly like `jacobi_cube`.  A pair of steps d, 2d with r_d = -2 r_2d
 is phi(-q^d)^(-r_2d), and one with r_2d = -2 r_d is psi(q^d)^(-r_d); the
-steps are paired in ascending order, each at most once.  A theta factor
-joins the numerator or the denominator by the sign of its exponent, like
-any other factor, so the sparse-product dispatch and the single inversion
-apply to it unchanged.  The PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is
-q phi(-q^3) f12^2/phi(-q): one sparse factor times f12^2, one inversion of
-a sparse series, and one dense product, where the Euler factors alone
-need four dense products.
+steps are paired in ascending order, each at most once.  Where neither
+holds but r_d is even and r_2d has the opposite sign, phi(-q^d)^(r_d/2)
+takes all of f_d^(r_d) and the rest, r_2d + r_d/2, stays on step 2d,
+which may then pair with 4d.  A theta factor joins the numerator or the
+denominator by the sign of its exponent, like any other factor, so the
+sparse-product dispatch and the single inversion apply to it unchanged.
+A power f_1^(3j) is (f_1^3)^j, starting from the sparse `jacobi_cube`.
+The PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is q phi(-q^3) f12^2/phi(-q):
+one sparse factor times f12^2, one inversion of a sparse series, and one
+dense product, where the Euler factors alone need four dense products.
+Its 3n progression 4q f2 f4^2 f6^3/f1^4 is 4q psi(q^2) f6^3/phi(-q)^2,
+built from three sparse series.
 """
 
 from __future__ import annotations
@@ -548,12 +553,15 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     d/g, inflated by g.  Walking the steps in ascending order, a step d
     whose partner 2d is unused becomes a theta factor with it:
     f_d^(r_d) f_2d^(r_2d) is phi(-q^d)^(-r_2d) when r_d = -2 r_2d, and
-    psi(q^d)^(-r_d) when r_2d = -2 r_d.  Every other step is a factor
-    f_d^(r_d).  Each factor is its base series (f_1, phi(-q) or psi(q))
-    raised to |r| (one power per distinct base and |r|, at the largest
-    order any step needs), truncated to ceil(order/d) and inflated by d.
-    The factors with r < 0 are multiplied together and inverted once, and
-    not at all when there are none.
+    psi(q^d)^(-r_d) when r_2d = -2 r_d.  Failing both, an even r_d whose
+    partner has the opposite sign becomes phi(-q^d)^(r_d/2), and step 2d
+    keeps the exponent r_2d + r_d/2 for its own turn, where it can still
+    pair with 4d.  Every other step is a factor f_d^(r_d).  Each factor is
+    its base series (f_1, phi(-q) or psi(q)) raised to |r| (one power per
+    distinct base and |r|, at the largest order any step needs; f_1^(3j)
+    is (f_1^3)^j from `jacobi_cube`), truncated to ceil(order/d) and
+    inflated by d.  The factors with r < 0 are multiplied together and
+    inverted once, and not at all when there are none.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -567,17 +575,22 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
                            -(-order // g), modulus)
         return body.inflate(g, order)
     factors = []  # (base, step, exponent): base(q^step)^exponent
-    partners = set()
+    left = dict(steps)  # exponents not yet taken by a factor
     for d in sorted(steps):
-        if d in partners:
+        r = left.pop(d, 0)
+        if not r:
             continue
-        r, r2 = steps[d], steps.get(2 * d, 0)
+        r2 = left.get(2 * d, 0)
         if r == -2 * r2:
             factors.append((phi_minus, d, -r2))
-            partners.add(2 * d)
+            del left[2 * d]
         elif r2 == -2 * r:
             factors.append((psi, d, -r))
-            partners.add(2 * d)
+            del left[2 * d]
+        elif r % 2 == 0 and r * r2 < 0:
+            # phi(-q^d)^(r/2) takes all of f_d^r; f_2d keeps the carry
+            factors.append((phi_minus, d, r // 2))
+            left[2 * d] = r2 + r // 2
         else:
             factors.append((euler_factor, d, r))
     lengths = {}
@@ -604,6 +617,9 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
 
 def _base_power(base, exponent, order, modulus):
     if base is euler_factor:
+        if exponent % 3 == 0:
+            # f_1^(3j) = (f_1^3)^j, and f_1^3 is the sparse Jacobi series
+            return jacobi_cube(order, modulus) ** (exponent // 3)
         return euler_factor(1, exponent, order, modulus)
     return base(order, modulus) ** exponent
 

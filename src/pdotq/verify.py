@@ -14,19 +14,29 @@ Checks fall into two strengths, stated in each detail string:
   * finite-depth evidence, where the statement ranges over infinitely
     many cases and the suite confirms a stated initial segment.
 
-The expansions all feed off one cached master series per coefficient
-ring, so running several suites in a process shares the heavy work.
+Every read of sum pdo_t(n) q^n is a progression request
+`master_progression(step, offset, count, modulus)`.  Requests whose
+indices are all multiples of 3 are served from the 3n series
+sum pdo_t(3n) q^n, a third as long; the rest (exact values, or a step
+such as 8) from the full series.  Both are cached.  Each suite first
+declares its requests to `plan_master_series`, which expands each source
+once, to the furthest index read and modulo the lcm of the moduli (over
+Z if a request is exact); `check --suite all` plans every suite's
+requests together through `plan_suites`, so the whole run makes one 3n
+expansion and at most one full one.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import threading
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, lcm
 
 from .modforms import (
     EtaQuotient,
+    _prime_factors,
     congruent_upto,
     kronecker_symbol,
     modularity_check,
@@ -35,7 +45,7 @@ from .modforms import (
     u_operator,
 )
 from .partitions import PDO_T_EXPONENTS, pdo_t_series
-from .radu import AuxExponents, RaduInstance, nu_bound, radu_verify
+from .radu import AuxExponents, RaduInstance, nu_bound, p_set, radu_verify
 from .series import (
     TruncSeries, cubic_theta, eta_product, euler_factor, jacobi_cube,
 )
@@ -102,38 +112,107 @@ def emit_report(report: Report, as_json: bool = False) -> str:
     return report.to_json() if as_json else report.to_text()
 
 
-_MASTER_CACHE: dict = {}
-_MASTER_LOCK = threading.Lock()
+_MASTER_CACHE: dict = {}  # (step, modulus) -> sum pdo_t(step n) q^n
+_MASTER_LOCK = threading.RLock()
 
 
-def master_series(order: int, modulus=None) -> TruncSeries:
-    """Cached expansion of sum pdo_t(n) q^n.  A request is served from any
-    cached series that is at least as long and whose modulus reduces onto
-    the requested one; otherwise the expansion is computed and kept."""
+def _cached_master(step: int, order: int, modulus):
+    """A cached sum pdo_t(step n) q^n of at least `order` terms whose ring
+    reduces onto Z/modulus (onto Z only from Z), preferring that very ring;
+    None if there is none."""
     with _MASTER_LOCK:
-        entry = _MASTER_CACHE.get(modulus)
+        entry = _MASTER_CACHE.get((step, modulus))
         if entry is not None and entry.order >= order:
-            return entry.truncate(order)
-        if modulus is not None:
-            source = None
-            for cached_mod, series in _MASTER_CACHE.items():
-                if series.order < order:
-                    continue
-                if cached_mod is None or cached_mod % modulus == 0:
-                    source = series
-                    break
-            if source is not None:
-                derived = source.truncate(order).reduce_mod(modulus)
-                _MASTER_CACHE[modulus] = derived
-                return derived
-        fresh = pdo_t_series(order, modulus)
-        _MASTER_CACHE[modulus] = fresh
-        return fresh
+            return entry
+        if modulus is None:
+            return None
+        for (cached_step, cached_mod), series in _MASTER_CACHE.items():
+            if (cached_step == step and series.order >= order
+                    and (cached_mod is None or cached_mod % modulus == 0)):
+                return series
+        return None
+
+
+def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
+    """Cached expansion of sum pdo_t(step n) q^n, for step 1 or 3.  A
+    request is served from any cached series of the same step that is at
+    least as long and whose modulus reduces onto the requested one;
+    otherwise the expansion is computed and kept."""
+    with _MASTER_LOCK:
+        source = _cached_master(step, order, modulus)
+        if source is not None and source.modulus == modulus:
+            return source.truncate(order)
+        if source is not None:
+            result = source.truncate(order).reduce_mod(modulus)
+        else:
+            result = pdo_t_series(order, modulus, step)
+        _MASTER_CACHE[step, modulus] = result
+        return result
 
 
 def clear_master_cache():
     with _MASTER_LOCK:
         _MASTER_CACHE.clear()
+
+
+def _source(step: int, offset: int, count: int, modulus):
+    """(source step, order) of the master series that serves
+    pdo_t(step n + offset) mod `modulus` for 0 <= n < count: the 3n series
+    when every index read is a multiple of 3 (residue rings only), the
+    full series otherwise, to the order the last index needs."""
+    source_step = 1
+    if modulus is not None and step % 3 == 0 and offset % 3 == 0:
+        source_step = 3
+    return source_step, (offset + step * (count - 1)) // source_step + 1
+
+
+def master_progression(step: int, offset: int, count: int,
+                       modulus=None) -> TruncSeries:
+    """pdo_t(step n + offset) for 0 <= n < count, as a series of order
+    `count` over Z or Z/modulus.  It is read from the cached 3n series when
+    3 divides step and offset and the ring is a residue ring, otherwise
+    from the full series; a source is expanded (through `master_series`)
+    only when no cached one reaches far enough, and only the coefficients
+    read are reduced."""
+    if step < 1 or offset < 0 or count < 0:
+        raise ValueError(
+            f"bad progression: step {step}, offset {offset}, count {count}")
+    if count == 0:
+        return TruncSeries._reduced((), modulus)
+    source_step, order = _source(step, offset, count, modulus)
+    source = _cached_master(source_step, order, modulus)
+    if source is None:
+        source = master_series(order, modulus, source_step)
+    coeffs = source.coeffs[offset // source_step:order:step // source_step]
+    if source.modulus != modulus:
+        coeffs = [c % modulus for c in coeffs]
+    return TruncSeries._reduced(coeffs, modulus)
+
+
+def plan_master_series(requests):
+    """Expand, once each, the master series that the progression requests
+    (step, offset, count, modulus) will read: the 3n series to the order
+    its readers reach, modulo the lcm of their moduli, and the full series
+    likewise, over Z if any reader needs exact values.  Sources already
+    cached are not expanded again."""
+    orders, rings = {}, {}  # per source step
+    for step, offset, count, modulus in requests:
+        if count > 0:
+            source_step, order = _source(step, offset, count, modulus)
+            orders[source_step] = max(orders.get(source_step, 0), order)
+            rings.setdefault(source_step, set()).add(modulus)
+    for source_step, order in orders.items():
+        moduli = rings[source_step]
+        modulus = None if None in moduli else lcm(*moduli)
+        if _cached_master(source_step, order, modulus) is None:
+            master_series(order, modulus, source_step)
+
+
+def _first_nonzero(step: int, offset: int, count: int, modulus: int):
+    """The first n < count with pdo_t(step n + offset) nonzero mod
+    `modulus`, as (n, residue), or None when there is none."""
+    coeffs = master_progression(step, offset, count, modulus).coeffs
+    return next(((n, c) for n, c in enumerate(coeffs) if c), None)
 
 
 def f_product(exponents: dict, order: int, modulus=None,
@@ -185,17 +264,18 @@ def _congruence_check(report: Report, name: str, lhs: TruncSeries,
         )
 
 
-def _zero_progression_check(report: Report, series: TruncSeries, step: int,
+def _zero_progression_check(report: Report, order: int, step: int,
                             offset: int, modulus: int, strength: str):
-    progression = series.dissect(step, offset).reduce_mod(modulus)
+    """pdo_t(step n + offset) == 0 mod `modulus` on every index below
+    `order`."""
+    count = len(range(offset, order, step))
     name = f"pdo_t({step}n{f'+{offset}' if offset else ''}) == 0 mod {modulus}"
-    for n, residue in enumerate(progression.coeffs):
-        if residue != 0:
-            report.add(name, False,
-                       f"index {step * n + offset}: residue {residue}")
-            return
-    report.add(name, True, f"{strength}, {progression.order} indices "
-                           f"below {series.order}")
+    bad = _first_nonzero(step, offset, count, modulus)
+    if bad:
+        n, residue = bad
+        report.add(name, False, f"index {step * n + offset}: residue {residue}")
+    else:
+        report.add(name, True, f"{strength}, {count} indices below {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,38 +357,49 @@ def dissection_suite(order: int = 500, binom_order: int = 300) -> Report:
 # infinite families from a quadratic nonresidue prime
 
 
+# (modulus, a, b): pdo_t(3^ell (a p^2 n + a k p + b p^2)) == 0 mod modulus
+_PRIME_FAMILY_CHECKS = ((8, 6, 3), (32, 24, 12))
+
+
+def _prime_family_progressions(p: int, ell: int, a: int, b: int):
+    """(k, step, offset) of pdo_t(3^ell (a p^2 n + a k p + b p^2)) for
+    k = 1..p-1."""
+    scale = 3 ** ell
+    return [(k, scale * a * p * p, scale * (a * k * p + b * p * p))
+            for k in range(1, p)]
+
+
+def _prime_family_reads(p: int, n_max: int, ell_max: int):
+    return [(step, offset, n_max + 1, modulus)
+            for ell in range(ell_max + 1)
+            for modulus, a, b in _PRIME_FAMILY_CHECKS
+            for _, step, offset in _prime_family_progressions(p, ell, a, b)]
+
+
 def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Report:
     """For a prime p == 5 (mod 6), the vanishing of pdo_t on
     3^ell (6 p^2 n + 6 k p + 3 p^2) mod 8 and 3^ell (24 p^2 n + 24 k p
     + 12 p^2) mod 32, for k = 1..p-1, checked for n <= n_max and
     ell <= ell_max."""
-    if p < 5 or p % 6 != 5:
+    if p < 5 or p % 6 != 5 or _prime_factors(p) != [p]:
         raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
     report = Report("prime-family",
                     {"p": p, "n_max": n_max, "ell_max": ell_max})
     report.add(f"-3 is a quadratic nonresidue mod {p}",
                kronecker_symbol(-3, p) == -1, "hypothesis on p")
-
-    top = 3 ** ell_max * (24 * p * p * n_max + 24 * (p - 1) * p + 12 * p * p)
-    master = master_series(top + 1, 32)
-    mod8 = master.reduce_mod(8)
+    plan_master_series(_prime_family_reads(p, n_max, ell_max))
 
     for ell in range(ell_max + 1):
-        scale = 3 ** ell
-        for modulus, series, a, b in (
-            (8, mod8, 6, 3), (32, master, 24, 12),
-        ):
+        for modulus, a, b in _PRIME_FAMILY_CHECKS:
             bad = None
             count = 0
-            for k in range(1, p):
-                for n in range(n_max + 1):
-                    idx = scale * (a * p * p * n + a * k * p + b * p * p)
-                    if series.coeffs[idx] != 0:
-                        bad = (k, n, idx, series.coeffs[idx])
-                        break
-                    count += 1
-                if bad:
+            for k, step, offset in _prime_family_progressions(p, ell, a, b):
+                hit = _first_nonzero(step, offset, n_max + 1, modulus)
+                if hit:
+                    n, residue = hit
+                    bad = (k, n, step * n + offset, residue)
                     break
+                count += n_max + 1
             name = (f"pdo_t(3^{ell} ({a}p^2 n + {a}kp + {b}p^2)) "
                     f"== 0 mod {modulus}")
             if bad:
@@ -338,15 +429,11 @@ POWER_OF_TWO_ROWS = [
 ]
 
 
-def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
-    """The proved power-of-two progressions, then the conjectural
-    extension to every k, checked on all indices below `order`."""
-    report = Report("powers-of-two",
-                    {"order": order, "conj_k_max": conj_k_max})
-    master = master_series(order, 256)
-    for step, offset, modulus in POWER_OF_TWO_ROWS:
-        _zero_progression_check(report, master, step, offset, modulus,
-                                "proved progression")
+def _powers_of_two_progressions(conj_k_max: int):
+    """(step, offset, modulus, strength) of every check, in report order:
+    the proved rows, then the conjectural families for k <= conj_k_max."""
+    rows = [(step, offset, modulus, "proved progression")
+            for step, offset, modulus in POWER_OF_TWO_ROWS]
     for k in range(conj_k_max + 1):
         modulus = 2 ** (k + 2)
         families = [
@@ -355,9 +442,27 @@ def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
             (3 * 2 ** (k + 2), 3 * 2 ** k),
             (3 * 2 ** (k + 2), 9 * 2 ** k),
         ]
-        for step, offset in families:
-            _zero_progression_check(report, master, step, offset, modulus,
-                                    "finite-depth evidence")
+        rows += [(step, offset, modulus, "finite-depth evidence")
+                 for step, offset in families]
+    return rows
+
+
+def _powers_of_two_reads(order: int, conj_k_max: int):
+    return [(step, offset, len(range(offset, order, step)), modulus)
+            for step, offset, modulus, _ in
+            _powers_of_two_progressions(conj_k_max)]
+
+
+def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
+    """The proved power-of-two progressions, then the conjectural
+    extension to every k, checked on all indices below `order`."""
+    report = Report("powers-of-two",
+                    {"order": order, "conj_k_max": conj_k_max})
+    plan_master_series(_powers_of_two_reads(order, conj_k_max))
+    for step, offset, modulus, strength in (
+            _powers_of_two_progressions(conj_k_max)):
+        _zero_progression_check(report, order, step, offset, modulus,
+                                strength)
     return report
 
 
@@ -377,6 +482,12 @@ def _companion_twelve(k: int, order: int, modulus: int) -> TruncSeries:
     return f_product({6: 4}, order, modulus, scalar=scalar, shift=1)
 
 
+def _genfun_reads(k: int, bound: int):
+    modulus = 3 ** (k + 3)
+    return [(a * 3 ** k, 0, bound + 1, m)
+            for a in (8, 12) for m in (modulus, modulus // 3)]
+
+
 def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
     """The two closed forms mod 3^(k+3): pdo_t(8 3^k n) against
     2^(k+2) 3^(k+2) q (f1 f2 f3 f6)^2 and pdo_t(12 3^k n) against
@@ -386,28 +497,32 @@ def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
         raise ValueError(f"k must be >= 0, got {k}")
     report = Report("genfun", {"k": k, "bound": bound})
     modulus = 3 ** (k + 3)
-    master = master_series(12 * 3 ** k * bound + 1, modulus)
+    plan_master_series(_genfun_reads(k, bound))
 
-    lhs8 = master.dissect(8 * 3 ** k, 0).truncate(bound + 1)
+    lhs8 = master_progression(8 * 3 ** k, 0, bound + 1, modulus)
     _congruence_check(report, f"pdo_t({8 * 3 ** k}n) closed form",
                       lhs8, _companion_eight(k, bound + 1, modulus),
                       modulus, bound, "finite-depth evidence")
-    lhs12 = master.dissect(12 * 3 ** k, 0).truncate(bound + 1)
+    lhs12 = master_progression(12 * 3 ** k, 0, bound + 1, modulus)
     _congruence_check(report, f"pdo_t({12 * 3 ** k}n) closed form",
                       lhs12, _companion_twelve(k, bound + 1, modulus),
                       modulus, bound, "finite-depth evidence")
 
     div = 3 ** (k + 2)
-    for label, series in ((8, lhs8), (12, lhs12)):
-        bad = next((i for i, c in enumerate(series.coeffs)
-                    if c % div != 0), None)
+    for label in (8, 12):
+        bad = _first_nonzero(label * 3 ** k, 0, bound + 1, div)
         report.add(
             f"pdo_t({label * 3 ** k}n) divisible by 3^{k + 2}",
             bad is None,
             f"forced by the closed form through q^{bound}" if bad is None
-            else f"index {bad}: residue {series.coeffs[bad] % div}",
+            else f"index {bad[0]}: residue {bad[1]}",
         )
     return report
+
+
+def _divisibility_reads(k_max: int, n_max: int):
+    return [(a * 3 ** k, 0, n_max + 1, 3 ** (k + 2))
+            for k in range(k_max + 1) for a in (8, 12)]
 
 
 def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
@@ -416,17 +531,11 @@ def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     report = Report("divisibility", {"k_max": k_max, "n_max": n_max})
-    master = master_series(12 * 3 ** k_max * n_max + 1, 3 ** (k_max + 2))
+    plan_master_series(_divisibility_reads(k_max, n_max))
     for k in range(k_max + 1):
-        modulus = 3 ** (k + 2)
         for a in (8, 12):
             step = a * 3 ** k
-            progression = master.dissect(step, 0).reduce_mod(modulus)
-            bad = None
-            for n in range(n_max + 1):
-                if progression.coeffs[n] != 0:
-                    bad = (n, progression.coeffs[n])
-                    break
+            bad = _first_nonzero(step, 0, n_max + 1, 3 ** (k + 2))
             report.add(
                 f"pdo_t({step}n) == 0 mod 3^{k + 2}",
                 bad is None,
@@ -440,42 +549,47 @@ def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
 # the small exact forms and stepping stones
 
 
+# (name, step, offset, modulus, exponents, scalar, shift): pdo_t(step n +
+# offset) against scalar q^shift prod f_d^(r_d), as an exact identity
+# (modulus None) or a congruence
+_INTERMEDIATE_FORMS = (
+    ("pdo_t(4n) exact form", 4, 0, None, {2: 3, 3: 2, 6: 3, 1: -6}, 6, 1),
+    ("pdo_t(6n) exact form", 6, 0, None, {2: 4, 3: 3, 4: 4, 1: -9}, 16, 1),
+    ("pdo_t(8n) exact form", 8, 0, None, {2: 8, 3: 7, 1: -13}, 36, 1),
+    ("pdo_t(3n) mod 8", 3, 0, 8, {2: 3, 6: 3}, 4, 1),
+    ("pdo_t(6n+3) mod 8", 6, 3, 8, {1: 3, 3: 3}, 4, 0),
+    ("pdo_t(9n) mod 8", 9, 0, 8, {2: 3, 6: 3}, 4, 1),
+    ("pdo_t(12n) mod 32", 12, 0, 32, {2: 3, 6: 3}, 16, 1),
+    ("pdo_t(36n) mod 32", 36, 0, 32, {2: 3, 6: 3}, 16, 1),
+)
+
+
+def _intermediate_reads(bound: int):
+    return [(step, offset, bound + 1, modulus)
+            for _, step, offset, modulus, *_ in _INTERMEDIATE_FORMS]
+
+
 def intermediate_steps(bound: int = 200) -> Report:
     """Exact closed forms for the 4n, 6n and 8n subsequences and the mod-8
     and mod-32 congruences for the 3n, 6n+3, 9n, 12n and 36n ones."""
     report = Report("intermediate", {"bound": bound})
-    exact = master_series(8 * bound + 1)
-
-    pairs = [
-        ("pdo_t(4n) exact form", exact.dissect(4, 0),
-         f_product({2: 3, 3: 2, 6: 3, 1: -6}, bound, scalar=6, shift=1)),
-        ("pdo_t(6n) exact form", exact.dissect(6, 0),
-         f_product({2: 4, 3: 3, 4: 4, 1: -9}, bound, scalar=16, shift=1)),
-        ("pdo_t(8n) exact form", exact.dissect(8, 0),
-         f_product({2: 8, 3: 7, 1: -13}, bound, scalar=36, shift=1)),
-    ]
-    for name, lhs, rhs in pairs:
-        _equal_check(report, name, lhs.truncate(bound + 1),
-                     rhs.truncate(bound + 1), "exact identity")
-
-    congruences = [
-        ("pdo_t(3n) mod 8", 3, 0, 8,
-         f_product({2: 3, 6: 3}, bound + 1, 8, scalar=4, shift=1)),
-        ("pdo_t(6n+3) mod 8", 6, 3, 8,
-         f_product({1: 3, 3: 3}, bound + 1, 8, scalar=4)),
-        ("pdo_t(9n) mod 8", 9, 0, 8,
-         f_product({2: 3, 6: 3}, bound + 1, 8, scalar=4, shift=1)),
-        ("pdo_t(12n) mod 32", 12, 0, 32,
-         f_product({2: 3, 6: 3}, bound + 1, 32, scalar=16, shift=1)),
-        ("pdo_t(36n) mod 32", 36, 0, 32,
-         f_product({2: 3, 6: 3}, bound + 1, 32, scalar=16, shift=1)),
-    ]
-    big = master_series(36 * bound + 4, 32)
-    for name, step, offset, modulus, rhs in congruences:
-        lhs = big.dissect(step, offset).truncate(bound + 1)
-        _congruence_check(report, name, lhs, rhs.truncate(bound + 1),
-                          modulus, bound, "finite-depth evidence")
+    plan_master_series(_intermediate_reads(bound))
+    for (name, step, offset, modulus, exponents, scalar,
+         shift) in _INTERMEDIATE_FORMS:
+        lhs = master_progression(step, offset, bound + 1, modulus)
+        rhs = f_product(exponents, bound + 1 - shift, modulus,
+                        scalar=scalar, shift=shift)
+        if modulus is None:
+            _equal_check(report, name, lhs, rhs, "exact identity")
+        else:
+            _congruence_check(report, name, lhs, rhs, modulus, bound,
+                              "finite-depth evidence")
     return report
+
+
+def _coexistence_reads(k_max: int, bound: int):
+    return [(a * 3 ** k, 0, bound + 1, 3 ** (k + 3))
+            for k in range(k_max + 1) for a in (8, 12)]
 
 
 def coexistence(k_max: int = 3, bound: int = 200) -> Report:
@@ -485,16 +599,16 @@ def coexistence(k_max: int = 3, bound: int = 200) -> Report:
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     report = Report("coexistence", {"k_max": k_max, "bound": bound})
-    master = master_series(12 * 3 ** k_max * bound + 1, 3 ** (k_max + 3))
+    plan_master_series(_coexistence_reads(k_max, bound))
     for k in range(k_max + 1):
         modulus = 3 ** (k + 3)
         alpha = 2 * k + 3 if k % 2 == 1 else 0
-        lhs8 = master.dissect(8 * 3 ** k, 0).truncate(bound + 1)
-        lhs12 = master.dissect(12 * 3 ** k, 0).truncate(bound + 1)
+        lhs8 = master_progression(8 * 3 ** k, 0, bound + 1, modulus)
+        lhs12 = master_progression(12 * 3 ** k, 0, bound + 1, modulus)
         left = (2 ** alpha * f_product({2: 4}, bound + 1, modulus)
-                * lhs8.reduce_mod(modulus))
+                * lhs8)
         right = (2 ** (k + 2) * f_product({1: 8}, bound + 1, modulus)
-                 * lhs12.reduce_mod(modulus))
+                 * lhs12)
         _congruence_check(
             report,
             f"2^{alpha} f2^4 pdo_t({8 * 3 ** k}n) == "
@@ -525,26 +639,40 @@ CERTIFICATE_ROWS = [
 ]
 
 
-def certificate_table() -> Report:
-    """Run the full certificate for every progression row, sharing one
-    master expansion mod 256 across all of them."""
-    report = Report("table", {"rows": len(CERTIFICATE_ROWS)})
-
-    prepared = []
-    top = 0
+def _certificate_instances():
+    """(instance, auxiliary exponents, u, depth, floor(nu)) per row."""
     for m, t, rp1, depth, u in CERTIFICATE_ROWS:
         inst = RaduInstance(m=m, M=12, level=12,
                             r=dict(PDO_T_EXPONENTS), t=t)
         aux = AuxExponents(12, {1: rp1})
-        floor_nu = floor(nu_bound(inst, aux))
-        need = m * max(floor_nu, depth) + t + 1
-        top = max(top, need)
-        prepared.append((inst, aux, u, depth, floor_nu))
+        yield inst, aux, u, depth, floor(nu_bound(inst, aux))
 
-    shared = master_series(top + 1, 256).shift(-1)
 
-    for (inst, aux, u, depth, floor_nu) in prepared:
-        cert = radu_verify(inst, aux, u, series=shared, min_depth=depth)
+def _certificate_reads():
+    # c(m n + t') = pdo_t(m n + t' + 1) for t' in the orbit of t and
+    # n <= max(floor(nu), depth), the coefficients radu_verify checks
+    return [(inst.m, t_prime + 1, max(floor_nu, depth) + 1, u)
+            for inst, _, u, depth, floor_nu in _certificate_instances()
+            for t_prime in p_set(inst)]
+
+
+def _shifted_progression(m: int, u: int):
+    """c(m n + t') = pdo_t(m n + t' + 1) mod u, for radu_verify."""
+    def progression(offset, count):
+        return master_progression(m, offset + 1, count, u).coeffs
+    return progression
+
+
+def certificate_table() -> Report:
+    """Run the full certificate for every progression row, each reading
+    its orbit's progressions from the shared master series."""
+    report = Report("table", {"rows": len(CERTIFICATE_ROWS)})
+    plan_master_series(_certificate_reads())
+
+    for inst, aux, u, depth, floor_nu in _certificate_instances():
+        cert = radu_verify(inst, aux, u,
+                           progression=_shifted_progression(inst.m, u),
+                           min_depth=depth)
         name = f"pdo_t({inst.m}n+{inst.t + 1}) == 0 mod {u}"
         if cert.verdict:
             note = ""
@@ -577,6 +705,19 @@ def eta_families(k: int):
     return a1, b1, a2, b2
 
 
+def _sturm_closure(quotient: EtaQuotient, level: int, power: int):
+    """(weight, Sturm bound, modulus 3^power) of one closure."""
+    weight = sum(quotient.exponents.values()) // 2
+    return weight, sturm_bound(weight, level), 3 ** power
+
+
+def _sturm_reads(k18: int, k36: int):
+    _, bound18, mod18 = _sturm_closure(eta_families(k18)[0], 18, k18 + 3)
+    _, bound36, mod36 = _sturm_closure(eta_families(k36)[2], 36, k36 + 2)
+    return [(8 * 3 ** k18, 0, bound18 + 1, mod18),
+            (4 * 3 ** k36, 0, bound36 + 1, mod36)]
+
+
 def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
     """Close the two deepest congruences by the Sturm argument: apply the
     level-respecting U(3) operator k times to the holomorphic quotient
@@ -584,20 +725,12 @@ def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
     weight and level.  Agreement there proves agreement everywhere, and
     the master-series dissections must then show the same congruences."""
     report = Report("sturm", {"k18": k18, "k36": k36})
+    plan_master_series(_sturm_reads(k18, k36))
 
     a1, b1, _, _ = eta_families(k18)
     _, _, a2, b2 = eta_families(k36)
-    weight18 = sum(a1.exponents.values()) // 2
-    weight36 = sum(a2.exponents.values()) // 2
-    bound18 = sturm_bound(weight18, 18)
-    bound36 = sturm_bound(weight36, 36)
-    mod18 = 3 ** (k18 + 3)
-    mod36 = 3 ** (k36 + 2)
-    need18 = 8 * 3 ** k18 * bound18 + 1
-    need36 = 4 * 3 ** k36 * bound36 + 1
-    if mod18 == mod36:
-        # one expansion serves both dissection cross-checks
-        master_series(max(need18, need36), mod18)
+    weight18, bound18, mod18 = _sturm_closure(a1, 18, k18 + 3)
+    weight36, bound36, mod36 = _sturm_closure(a2, 36, k36 + 2)
 
     for eq, label in ((a1, "dissection side"), (b1, "companion side")):
         verdict = modularity_check(eq)
@@ -621,10 +754,10 @@ def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
     _congruence_check(
         report, "level-18 companion == scalar q (f1 f2 f3 f6)^2",
         b18, companion8, mod18, bound18, "binomial congruence")
-    lhs8 = master_series(need18, mod18).dissect(8 * 3 ** k18, 0)
+    lhs8 = master_progression(8 * 3 ** k18, 0, bound18 + 1, mod18)
     _congruence_check(
         report, f"pdo_t({8 * 3 ** k18}n) matches the level-18 closure",
-        lhs8.truncate(bound18 + 1), companion8, mod18, bound18,
+        lhs8, companion8, mod18, bound18,
         f"closure check at Sturm bound {bound18}")
 
     for eq, label in ((a2, "dissection side"), (b2, "companion side")):
@@ -651,17 +784,17 @@ def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
     _congruence_check(
         report, "level-36 companion == scalar q f6^4",
         b36, companion4, mod36, bound36, "binomial congruence")
-    lhs4 = master_series(need36, mod36).dissect(4 * 3 ** k36, 0)
+    lhs4 = master_progression(4 * 3 ** k36, 0, bound36 + 1, mod36)
     _congruence_check(
         report, f"pdo_t({4 * 3 ** k36}n) matches the level-36 closure",
-        lhs4.truncate(bound36 + 1), companion4, mod36, bound36,
+        lhs4, companion4, mod36, bound36,
         f"closure check at Sturm bound {bound36}")
 
     return report
 
 
-# "all" runs these in order; expansions early in the list warm the
-# master cache for later ones
+# "all" runs these in order, after `plan_suites` has expanded the master
+# series that all of them read
 SUITES = {
     "dissection": dissection_suite,
     "sturm": sturm_suite,
@@ -673,3 +806,27 @@ SUITES = {
     "certificates": certificate_table,
     "powers-of-two": powers_of_two_suite,
 }
+
+# suite name -> its master-series reads, as a function of the suite's
+# keyword arguments
+_READS = {
+    "sturm": _sturm_reads,
+    "genfun": _genfun_reads,
+    "divisibility": _divisibility_reads,
+    "coexistence": _coexistence_reads,
+    "prime-family": _prime_family_reads,
+    "intermediate": _intermediate_reads,
+    "certificates": _certificate_reads,
+    "powers-of-two": _powers_of_two_reads,
+}
+
+
+def plan_suites(names):
+    """Expand, once for the whole run, the master series that the named
+    suites read when run with their default parameters."""
+    requests = []
+    for name in names:
+        if name in _READS:
+            params = inspect.signature(SUITES[name]).parameters.values()
+            requests += _READS[name](**{p.name: p.default for p in params})
+    plan_master_series(requests)

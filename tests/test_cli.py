@@ -194,10 +194,14 @@ def test_check_flag_validation(capsys):
         main(["check", "--suite", "all", "--order", "10"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # inapplicable parameters surface as a failed run, not a traceback
-    code, _, err = run(capsys, "check", "--suite", "prime-family",
-                       "--p", "7")
-    assert code == 1 and "mod 6" in err
+    # a p the suite cannot take is a usage error, not a failed run or a
+    # traceback: 7 is not 5 mod 6, and 35 is 5 mod 6 but not prime
+    for p in ("7", "35"):
+        code, out, err = run(capsys, "check", "--suite", "prime-family",
+                             "--p", p)
+        assert code == 2 and out == "", p
+        assert err == (f"pdotq check: prime p == 5 (mod 6) required, "
+                       f"got {p}\n")
 
 
 def test_check_numeric_flag_ranges(capsys):

@@ -159,3 +159,35 @@ def test_series_requires_positive_order():
     with pytest.raises(ValueError):
         pdo_t_series(0)
     assert pdo_t_series(1).coeffs == (0,)
+    with pytest.raises(ValueError):
+        pdo_t_series(0, step=3)
+    for step in (0, 2, 6):
+        with pytest.raises(ValueError):
+            pdo_t_series(10, step=step)
+
+
+def test_3n_series_is_the_3n_progression_exactly():
+    # Hirschhorn and Sellers: sum pdo_t(3n) q^n = 4q f2 f4^2 f6^3 / f1^4
+    assert pdo_t_series(12, step=3).coeffs == tuple(
+        pdo_t(3 * n) for n in range(12))
+    full = pdo_t_series(3 * 3001)
+    assert pdo_t_series(3001, step=3) == full.dissect(3, 0)
+    for modulus in (32, 243, 256, 729, 186624):
+        assert pdo_t_series(3001, modulus, 3) == (
+            full.dissect(3, 0).reduce_mod(modulus))
+
+
+# (order, modulus) of the full expansions `check --suite all` read before
+# the 3n series served it, and the single 3n expansion that replaced them
+SUITE_EXPANSIONS = ((115021, 32), (64801, 729), (53137, 243), (29809, 256))
+SUITE_3N_EXPANSION = (38341, 186624)
+
+
+def test_3n_series_matches_the_full_series_at_the_suite_orders():
+    shared = pdo_t_series(*SUITE_3N_EXPANSION, step=3)
+    assert shared.order == SUITE_3N_EXPANSION[0]
+    for order, modulus in SUITE_EXPANSIONS:
+        progression = pdo_t_series(order, modulus).dissect(3, 0)
+        assert pdo_t_series(progression.order, modulus, 3) == progression
+        assert shared.truncate(progression.order).reduce_mod(modulus) == (
+            progression)

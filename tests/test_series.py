@@ -560,6 +560,57 @@ def test_eta_product_with_theta_pairs_matches_sparse_euler_recurrence():
             exponents, order, modulus)
 
 
+def _carry_and_cube_cases():
+    """(exponents, order, modulus) for maps that take the carried phi rule
+    or build f_1^(3j) from Jacobi's cube."""
+    maps = [
+        {1: -4, 2: 1, 4: 2, 6: 3},    # phi(-q)^-2 psi(q^2) f6^3: the 3n map
+        {6: 2, 12: -2},               # gcd 6: phi(-q) f2^-1, inflated
+        {1: -4, 2: 3},                # phi(-q)^-2 f2
+        {1: 4, 2: -1},                # phi(-q)^2 f2
+        {1: -2, 2: 5},                # phi(-q)^-1 f2^4
+        {1: -4, 2: 1, 4: 2},          # odd carry -1 on step 2 pairs with 4
+        {1: 6, 2: -1, 4: -1},         # carry 2 on step 2: phi(-q^2)
+        {1: 2, 2: -4, 4: 1},          # odd carry -3 on step 2 stays there
+        {1: 2, 2: -3, 4: 3},          # carry -2 on step 2 carries -1 to 4
+        {2: -6, 4: 1, 8: 4, 5: 3},    # chain 2 -> 4 -> 8 beside a cube
+        {1: 4, 2: 2},                 # same signs: no pairing
+        {1: 3}, {1: -3}, {1: 6}, {1: -6}, {3: 3, 7: -6}, {1: 9, 2: -3},
+    ]
+    for modulus in (None, 2, 3, 32, 243, 256, 729, 186624):
+        for exponents in maps:
+            for order in (0, 1, 2, 127, 128, 129):
+                yield exponents, order, modulus
+            if modulus in (None, 186624):
+                yield exponents, 700, modulus
+    for modulus in (None, 186624):
+        for exponents in ({1: -4, 2: 1, 4: 2, 6: 3}, {1: 2, 2: -3, 4: 3},
+                          {1: -6}):
+            yield exponents, 2049, modulus
+
+
+def test_eta_product_with_carries_and_cubes_matches_sparse_euler_recurrence():
+    from pdotq.series import eta_product
+
+    for exponents, order, modulus in _carry_and_cube_cases():
+        got = eta_product(exponents, order, modulus)
+        assert got.modulus == modulus
+        assert list(got.coeffs) == eta_recurrence(exponents, order, modulus), (
+            exponents, order, modulus)
+
+
+def test_3n_map_is_built_from_theta_and_jacobi_series_alone(monkeypatch):
+    from pdotq import series
+
+    def forbidden(*args):
+        raise AssertionError("every factor has a sparse theta form")
+
+    expected = eta_recurrence({1: -4, 2: 1, 4: 2, 6: 3}, 3000, 186624)
+    monkeypatch.setattr(series, "euler_factor", forbidden)
+    got = series.eta_product({1: -4, 2: 1, 4: 2, 6: 3}, 3000, 186624)
+    assert list(got.coeffs) == expected
+
+
 def test_eta_product_rejects_bad_input():
     from pdotq.series import eta_product
 

@@ -26,6 +26,26 @@ from pdotq.verify import (
     SUITES,
 )
 from pdotq.modforms import modularity_check
+from pdotq.radu import AuxExponents, RaduInstance, nu_bound, radu_verify
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Every fresh master expansion as (order, modulus, step), from a cold
+    cache."""
+    from pdotq import verify
+
+    made = []
+    real = verify.pdo_t_series
+
+    def counted(order, modulus=None, step=1):
+        made.append((order, modulus, step))
+        return real(order, modulus, step)
+
+    monkeypatch.setattr(verify, "pdo_t_series", counted)
+    clear_master_cache()
+    yield made
+    clear_master_cache()
 
 
 def test_report_mechanics():
@@ -75,6 +95,126 @@ def test_master_cache_reuse_and_derivation():
     clear_master_cache()
 
 
+def test_master_progression_reads_every_kind_of_progression(expansions):
+    from pdotq.verify import master_progression
+
+    exact = pdo_t_series(400)
+    cases = [
+        (8, 0, 41), (7, 5, 30), (1, 0, 400), (4, 9, 3),   # 3 does not divide step
+        (6, 3, 60), (3, 0, 133), (12, 27, 10), (9, 6, 44),  # 3 | step, offset
+        (6, 4, 50), (3, 1, 20),                            # 3 | step only
+        (5, 12, 1), (9, 30, 1), (2, 7, 0), (3, 0, 0),      # count 1 or 0
+        (1, 399, 1), (150, 195, 2),                        # offset >= step
+    ]
+    for modulus in (None, 8, 243, 256, 729):
+        for step, offset, count in cases:
+            got = master_progression(step, offset, count, modulus)
+            want = exact.coeffs[offset::step][:count]
+            if modulus is not None:
+                want = tuple(c % modulus for c in want)
+            assert got.modulus == modulus
+            assert got.coeffs == want, (step, offset, count, modulus)
+    with pytest.raises(ValueError):
+        master_progression(0, 0, 5)
+    with pytest.raises(ValueError):
+        master_progression(3, -3, 5, 8)
+    with pytest.raises(ValueError):
+        master_progression(3, 0, -1, 8)
+    assert all(step in (1, 3) for _, _, step in expansions)
+
+
+def test_master_progression_picks_its_source(expansions):
+    from pdotq.verify import master_progression
+
+    # indices 3n + 0 in a residue ring: the 3n series, to index 90 / 3
+    master_progression(6, 3, 15, 32)
+    assert expansions == [(30, 32, 3)]
+    # served from it: a shorter read, a divisor of the modulus
+    master_progression(9, 0, 4, 8)
+    assert expansions == [(30, 32, 3)]
+    # 3 does not divide the step, or the offset, or the ring is Z: the
+    # full series, to the largest index read
+    master_progression(4, 0, 5, 32)
+    master_progression(3, 1, 5, 32)
+    master_progression(3, 0, 5)
+    assert expansions == [(30, 32, 3), (17, 32, 1), (13, None, 1)]
+    # a longer 3n read expands the 3n series again
+    master_progression(3, 0, 31, 32)
+    assert expansions[-1] == (31, 32, 3)
+
+
+def test_plan_expands_each_source_once(expansions):
+    from pdotq.verify import master_progression, plan_master_series
+
+    requests = [(6, 3, 15, 32), (12, 0, 20, 243), (8, 0, 41, 9),
+                (4, 0, 7, None), (3, 0, 0, 5)]
+    plan_master_series(requests)
+    # 3n reads reach index 228 mod lcm(32, 243); the exact read sends the
+    # full series to Z, as far as index 320
+    assert sorted(expansions) == [(77, 7776, 3), (321, None, 1)]
+    plan_master_series(requests)
+    exact = pdo_t_series(321)
+    for step, offset, count, modulus in requests:
+        got = master_progression(step, offset, count, modulus)
+        want = TruncSeries(exact.coeffs[offset::step][:count], modulus)
+        assert got == want, (step, offset, count, modulus)
+    assert len(expansions) == 2
+
+
+def test_certificates_from_progressions_equal_the_plain_ones():
+    from pdotq.verify import (
+        CERTIFICATE_ROWS, PDO_T_EXPONENTS, _shifted_progression,
+        master_progression,
+    )
+
+    clear_master_cache()
+    top = 0
+    rows = []
+    for m, t, rp1, depth, u in CERTIFICATE_ROWS:
+        inst = RaduInstance(m=m, M=12, level=12,
+                            r=dict(PDO_T_EXPONENTS), t=t)
+        aux = AuxExponents(12, {1: rp1})
+        top = max(top, m * max(int(nu_bound(inst, aux)), depth) + m)
+        rows.append((inst, aux, u, depth))
+    plain = pdo_t_series(top + 2, 256).shift(-1)
+    for inst, aux, u, depth in rows:
+        from_series = radu_verify(inst, aux, u, series=plain, min_depth=depth)
+        read = _shifted_progression(inst.m, u)
+        assert read(inst.t, 3) == master_progression(
+            inst.m, inst.t + 1, 3, u).coeffs
+        from_reads = radu_verify(inst, aux, u, progression=read,
+                                 min_depth=depth)
+        assert from_reads.to_dict() == from_series.to_dict()
+        assert from_reads.verdict
+    clear_master_cache()
+
+
+def test_check_all_makes_one_3n_expansion_and_one_full_one(
+        expansions, capsys):
+    import hashlib
+    from pathlib import Path
+
+    from pdotq.cli import main
+
+    assert main(["check", "--suite", "all", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(step for _, _, step in expansions) == [1, 3]
+    # one 3n expansion, modulo the lcm of every residue read, and the
+    # full series only where intermediate's exact forms need it
+    assert sorted(expansions) == [(1601, None, 1), (38341, 186624, 3)]
+    digests = json.loads((Path(__file__).resolve().parent.parent
+                          / "perfbench" / "digests.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        digests["check --suite all --json"])
+
+
+def test_single_suite_plans_only_its_own_reads(expansions):
+    report = genfun_congruences(k=0, bound=30)
+    assert report.passed
+    # 8n needs the full series, 12n only the 3n one
+    assert sorted(expansions) == [(121, 27, 3), (241, 27, 1)]
+
+
 def test_f_product_inverse_pairs():
     rng = random.Random(911)
     one = TruncSeries.one(40)
@@ -111,6 +251,12 @@ def test_prime_family_suite():
         nonresidue_prime_family(p=7)
     with pytest.raises(ValueError):
         nonresidue_prime_family(p=4)
+    # 5 mod 6 but composite: -3 may still be a nonresidue (mod 35 it is
+    # not a square), yet the family is only stated for primes
+    for composite in (35, 65, 125):
+        with pytest.raises(ValueError, match="prime p == 5"):
+            nonresidue_prime_family(p=composite, n_max=0, ell_max=0)
+    assert nonresidue_prime_family(p=11, n_max=1, ell_max=0).passed
 
 
 def test_powers_of_two_suite():
@@ -122,15 +268,26 @@ def test_powers_of_two_suite():
     assert len(evidence) == 12
 
 
+def _fake_progressions(monkeypatch, coeffs):
+    """Serve every master progression from the fake coefficients."""
+    from pdotq import verify
+
+    def fake(step, offset, count, modulus):
+        return TruncSeries(coeffs[offset::step][:count], modulus)
+
+    monkeypatch.setattr(verify, "master_progression", fake)
+    monkeypatch.setattr(verify, "plan_master_series", lambda requests: None)
+
+
 def test_progression_checks_report_the_failing_index(monkeypatch):
     from pdotq import verify
 
     coeffs = [0] * 50
     coeffs[27] = 8
-    series = TruncSeries(coeffs, 256)
+    _fake_progressions(monkeypatch, coeffs)
     report = Report("t", {})
-    verify._zero_progression_check(report, series, 12, 3, 8, "evidence")
-    verify._zero_progression_check(report, series, 12, 3, 16, "evidence")
+    verify._zero_progression_check(report, 50, 12, 3, 8, "evidence")
+    verify._zero_progression_check(report, 50, 12, 3, 16, "evidence")
     assert [(c.name, c.ok, c.detail) for c in report.checks] == [
         ("pdo_t(12n+3) == 0 mod 8", True, "evidence, 4 indices below 50"),
         ("pdo_t(12n+3) == 0 mod 16", False, "index 27: residue 8"),
@@ -138,8 +295,7 @@ def test_progression_checks_report_the_failing_index(monkeypatch):
 
     coeffs = [0] * 1000
     coeffs[24 * 5] = 18
-    monkeypatch.setattr(verify, "master_series",
-                        lambda order, modulus: TruncSeries(coeffs, modulus))
+    _fake_progressions(monkeypatch, coeffs)
     report = divisibility_suite(k_max=1, n_max=6)
     assert [(c.ok, c.detail) for c in report.checks] == [
         (True, "finite-depth evidence, n <= 6"),
