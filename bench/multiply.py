@@ -21,7 +21,11 @@ beside them.  They are the evidence for `_SPARSE_PAIRS_PER_COEFF`.
 Series rows: one whole `pdo_t_series` expansion at each (order, modulus,
 step) of SERIES_ROWS, best of --repeats, the layer that sits between one
 multiply and a suite; step 3 is the 3n series that `check --suite all`
-expands once.  The result is printed as one JSON object.
+expands once.  Quotient rows: the `q_expansion` of the Sturm suite's
+level-18 and level-36 quotients at the depths and modulus it expands
+them to, best of --repeats; modulo the prime power 243, `eta_product`
+lowers their exponents by the binomial congruence first.  The result is
+printed as one JSON object.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import random
 import sys
 import time
 
+from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
     _DECIMAL_THRESHOLD, _mul_decimal, _mul_packed, _mul_schoolbook,
@@ -55,6 +60,11 @@ PAIRS_PER_COEFF = (4, 16, 64)
 # the full series, and the one 3n series of `check --suite all`
 SERIES_ROWS = ((20001, 256, 1), (53137, 243, 1), (115237, 32, 1),
                (38341, 186624, 3))
+
+# (level, exponents, order, modulus) of the Sturm suite's dissection-side
+# quotients at its defaults k18 = 2 and k36 = 3: order 3^k (bound + 1)
+QUOTIENT_ROWS = ((18, {1: 230, 2: 8, 3: -74}, 2223, 243),
+                 (36, {1: 237, 2: 3, 3: -79, 6: 3}, 13311, 243))
 
 
 def best_of(repeats, fn, *args):
@@ -136,6 +146,14 @@ def series_rows(repeats):
             for n, modulus, step in SERIES_ROWS]
 
 
+def quotient_rows(repeats):
+    return [{"level": level, "exponents": exps,
+             "order": n, "modulus": modulus,
+             "q_expansion_s": best_of(repeats, q_expansion,
+                                      EtaQuotient(level, exps), n, modulus)[0]}
+            for level, exps, n, modulus in QUOTIENT_ROWS]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -184,6 +202,7 @@ def main(argv=None) -> int:
         "exact_rows": exact_rows,
         "sparse_rows": rows_sparse,
         "series_rows": series_rows(args.repeats),
+        "quotient_rows": quotient_rows(args.repeats),
     }, indent=2))
     return 0
 

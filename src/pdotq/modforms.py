@@ -27,25 +27,11 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import NamedTuple
 
-from .series import TruncSeries, eta_product
+from .series import TruncSeries, eta_product, prime_factors
 
 
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 
@@ -134,13 +120,11 @@ def _character_exponents(eq: EtaQuotient) -> dict[int, int]:
     """s = prod delta^(r_delta) in factored form {prime: exponent}."""
     out: dict[int, int] = {}
     for delta, r in eq.exponents.items():
-        d = delta
-        p = 2
-        while d > 1:
+        for p in prime_factors(delta):
+            d = delta
             while d % p == 0:
                 d //= p
                 out[p] = out.get(p, 0) + r
-            p += 1 if p == 2 else 2
     return {p: e for p, e in sorted(out.items()) if e != 0}
 
 
@@ -228,11 +212,11 @@ def sturm_bound(wt: int, level: int, same_character: bool = True) -> int:
         raise ValueError(f"need weight >= 1 and level >= 1, got {wt}, {level}")
     if same_character:
         value = Fraction(wt * level, 12)
-        for p in _prime_factors(level):
+        for p in prime_factors(level):
             value *= 1 + Fraction(1, p)
     else:
         value = Fraction(wt * level * level, 12)
-        for p in _prime_factors(level):
+        for p in prime_factors(level):
             value *= 1 - Fraction(1, p * p)
     return floor(value)
 

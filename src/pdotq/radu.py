@@ -26,10 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import floor, gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .series import TruncSeries, eta_product
+from .series import TruncSeries, eta_product, prime_factors
 
 
 class CriterionNotApplicable(ValueError):
@@ -63,27 +64,8 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(n % (p * p) for p in prime_factors(n))
 
 
 def _frac_str(x: Fraction) -> str:
@@ -195,8 +177,10 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
+@cache
 def squares_mod(m: int) -> list[int]:
-    """Squares of units in Z/mZ, sorted."""
+    """Squares of units in Z/mZ, sorted.  Each table is computed once and
+    the same list returned after that, so callers must not change it."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     return sorted({x * x % m for x in range(1, m + 1) if gcd(x, m) == 1})
@@ -236,7 +220,7 @@ def delta_star_check(inst: RaduInstance) -> dict[str, bool]:
             s2 % 2 == 0 and (1 - j) * N % 8 == 0
         )
     return {
-        "primes_of_m_divide_level": all(N % p == 0 for p in _prime_divisors(m)),
+        "primes_of_m_divide_level": all(N % p == 0 for p in prime_factors(m)),
         "exponent_divisors_divide_m_level": all(
             (m * N) % d == 0 for d in inst.r
         ),
@@ -286,7 +270,7 @@ def p_star(aux: AuxExponents, delta: int) -> Fraction:
 def sl2_index(level: int) -> int:
     """Index of Gamma_0(level) in the full modular group."""
     value = Fraction(level)
-    for p in _prime_divisors(level):
+    for p in prime_factors(level):
         value *= 1 + Fraction(1, p)
     return int(value)
 

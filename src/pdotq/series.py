@@ -40,10 +40,18 @@ each step.  When x is right to half the new precision, ax is 1 plus q^half
 times an error e, so the step only appends the new half, -x e truncated to
 the remaining length; the known zero half of the error is never multiplied.
 
-Every eta product prod f_d^(r_d) is built by `eta_product`: it divides the
-steps by their gcd and inflates the result back, forms each f_d^r by
-inflating one f_1^|r| (shared by all steps with the same |r|), and inverts
-the product of the negative-exponent factors once, if there are any.
+Every eta product prod f_d^(r_d) is built by `eta_product`.  Modulo a
+power p^a of one prime it first lowers the exponents by the binomial
+congruence (1 - x)^(p^a) == (1 - x^p)^(p^(a-1)) (mod p^a), so
+f_d^(p^a) == f_pd^(p^(a-1)): walking the steps in ascending order, r_d
+loses the multiple j p^a nearest it (the smaller |j| on a tie) and r_pd
+gains j p^(a-1) (`binomial_reduce`).  Modulo 243 the Sturm quotient
+f1^237 f2^3 f3^-79 f6^3 becomes f1^-6 f2^3 f3^2 f6^3, and modulo 2 the
+PDO_t map becomes f24.  Over Z and modulo a composite nothing changes.
+Then it divides the steps by their gcd and inflates the result back,
+forms each f_d^r by inflating one f_1^|r| (shared by all steps with the
+same |r|), and inverts the product of the negative-exponent factors once,
+if there are any.
 
 Before that it pulls out theta factors.  Ramanujan's phi(-q) = f_1^2/f_2
 = sum_k (-1)^k q^(k^2) and psi(q) = f_2^2/f_1 = sum_{n>=0} q^(n(n+1)/2)
@@ -548,20 +556,23 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
 def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     """prod_d f_d^(r_d) for the map {d: r_d}, to the given order.
 
-    Entries with r_d = 0 are ignored.  With g the gcd of the remaining
-    steps, the product is the order-ceil(order/g) expansion for the steps
-    d/g, inflated by g.  Walking the steps in ascending order, a step d
-    whose partner 2d is unused becomes a theta factor with it:
+    Entries with r_d = 0 are ignored.  Modulo a prime power p^a the map is
+    first lowered by f_d^(p^a) == f_pd^(p^(a-1)) (`binomial_reduce`), so
+    every |r_d| is at most p^a/2, and a map that reduces to nothing gives
+    one; over Z or modulo a composite it is used as given.  With g the gcd
+    of the remaining steps, the product is the order-ceil(order/g) expansion
+    for the steps d/g, inflated by g.  Walking the steps in ascending order,
+    a step d whose partner 2d is unused becomes a theta factor with it:
     f_d^(r_d) f_2d^(r_2d) is phi(-q^d)^(-r_2d) when r_d = -2 r_2d, and
     psi(q^d)^(-r_d) when r_2d = -2 r_d.  Failing both, an even r_d whose
     partner has the opposite sign becomes phi(-q^d)^(r_d/2), and step 2d
     keeps the exponent r_2d + r_d/2 for its own turn, where it can still
     pair with 4d.  Every other step is a factor f_d^(r_d).  Each factor is
     its base series (f_1, phi(-q) or psi(q)) raised to |r| (one power per
-    distinct base and |r|, at the largest order any step needs; f_1^(3j)
-    is (f_1^3)^j from `jacobi_cube`), truncated to ceil(order/d) and
-    inflated by d.  The factors with r < 0 are multiplied together and
-    inverted once, and not at all when there are none.
+    distinct base and |r|, at the largest order any step needs; f_1^(3j) is
+    (f_1^3)^j from `jacobi_cube`), truncated to ceil(order/d) and inflated
+    by d.  The factors with r < 0 are multiplied together and inverted once,
+    and not at all when there are none.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -569,6 +580,7 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     for d in steps:
         if d < 1:
             raise ValueError(f"Euler factor step must be >= 1, got {d}")
+    steps = binomial_reduce(steps, modulus)
     g = gcd(*steps)
     if g > 1:
         body = eta_product({d // g: r for d, r in steps.items()},
@@ -613,6 +625,52 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     if all(r < 0 for _, _, r in factors):
         return inverse
     return num * inverse
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def binomial_reduce(exponents: dict, modulus=None) -> dict:
+    """The exponent map {d: r_d} with each r_d brought into
+    [-p^a/2, p^a/2] by f_d^(p^a) == f_pd^(p^(a-1)) (mod p^a), when the
+    modulus is a power p^a of one prime; otherwise the map unchanged.
+
+    The steps are walked in ascending order.  Each r_d loses j p^a, with
+    j the integer nearest r_d/p^a (the smaller |j| on a tie, so
+    r_d = +-p^a/2 stays), and r_pd gains j p^(a-1), in time for its own
+    turn.  Zero exponents are dropped.  Nothing is reduced over Z or
+    modulo a composite, and a map with every |r_d| <= M/2 is returned
+    before M is factored, since no step would change."""
+    steps = {d: r for d, r in exponents.items() if r}
+    if modulus is None or all(2 * abs(r) <= modulus for r in steps.values()):
+        return steps
+    primes = prime_factors(modulus)
+    if len(primes) != 1:
+        return steps
+    p = primes[0]
+    done = {}
+    while steps:
+        d = min(steps)
+        j, rest = divmod(steps.pop(d), modulus)
+        if 2 * rest > modulus or (2 * rest == modulus and j < 0):
+            j, rest = j + 1, rest - modulus
+        if j:
+            steps[p * d] = steps.get(p * d, 0) + j * (modulus // p)
+        if rest:
+            done[d] = rest
+    return done
 
 
 def _base_power(base, exponent, order, modulus):

@@ -36,7 +36,6 @@ from math import floor, lcm
 
 from .modforms import (
     EtaQuotient,
-    _prime_factors,
     congruent_upto,
     kronecker_symbol,
     modularity_check,
@@ -48,6 +47,7 @@ from .partitions import PDO_T_EXPONENTS, pdo_t_series
 from .radu import AuxExponents, RaduInstance, nu_bound, p_set, radu_verify
 from .series import (
     TruncSeries, cubic_theta, eta_product, euler_factor, jacobi_cube,
+    prime_factors,
 )
 
 
@@ -339,13 +339,15 @@ def dissection_suite(order: int = 500, binom_order: int = 300) -> Report:
     _equal_check(report, "f1^3 signed odd-triangular expansion",
                  f_product({1: 3}, T), jacobi_cube(T), "exact identity")
 
+    # eta_product itself reduces exponents by these congruences modulo a
+    # prime power, so the left sides are expanded over Z and then reduced
     for p in (2, 3, 5):
-        lhs = f_product({1: p}, binom_order, p)
+        lhs = f_product({1: p}, binom_order).reduce_mod(p)
         rhs = euler_factor(p, 1, binom_order, p)
         _equal_check(report, f"f1^{p} == f{p} mod {p}", lhs, rhs,
                      "binomial congruence")
         sq = p * p
-        lhs = f_product({1: sq}, binom_order, sq)
+        lhs = f_product({1: sq}, binom_order).reduce_mod(sq)
         rhs = euler_factor(p, p, binom_order, sq)
         _equal_check(report, f"f1^{sq} == f{p}^{p} mod {sq}", lhs, rhs,
                      "binomial congruence")
@@ -381,7 +383,7 @@ def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Re
     3^ell (6 p^2 n + 6 k p + 3 p^2) mod 8 and 3^ell (24 p^2 n + 24 k p
     + 12 p^2) mod 32, for k = 1..p-1, checked for n <= n_max and
     ell <= ell_max."""
-    if p < 5 or p % 6 != 5 or _prime_factors(p) != [p]:
+    if p < 5 or p % 6 != 5 or prime_factors(p) != [p]:
         raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
     report = Report("prime-family",
                     {"p": p, "n_max": n_max, "ell_max": ell_max})

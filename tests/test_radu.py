@@ -32,7 +32,7 @@ from pdotq.radu import (
     sl2_index,
     squares_mod,
 )
-from pdotq.series import DomainMismatchError, TruncSeries
+from pdotq.series import DomainMismatchError, TruncSeries, eta_product
 
 # f_2 f_3^2 f_12^2 / (f_1^2 f_6): coefficient n is pdo_t(n + 1)
 PDO_T_R = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
@@ -208,6 +208,15 @@ def test_nu_bound_anchors():
     assert nu_bound(pdo_t_instance(12, 11), aux10) == Fraction(127, 12)
     aux160 = AuxExponents(12, {1: 160})
     assert nu_bound(pdo_t_instance(192, 191), aux160) == Fraction(463, 3)
+
+
+def test_c_r_series_mod_2_is_f24():
+    # f1^-2 f2 = phi(-q)^-1 == 1, f3^2 f6^-1 == 1 and f12^2 == f24 mod 2
+    inst = pdo_t_instance(6, 2)
+    for order in (0, 1, 24, 25, 3000):
+        got = c_r_series(inst, order, 2)
+        assert got == eta_product({24: 1}, order, 2)
+        assert got == c_r_series(inst, order).reduce_mod(2)
 
 
 def test_c_r_series_counts_tagged_partitions():

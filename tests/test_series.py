@@ -692,3 +692,109 @@ def test_newton_round_trip_at_orders_off_powers_of_two():
         den = euler_factor(1, 2, order) * euler_factor(6, 1, order)
         for a in (den, rand_series(rng, min(order, 1025), None, unit=True)):
             assert a * a.invert() == TruncSeries.one(a.order)
+
+
+# --- binomial exponent reduction modulo a prime power ---
+
+# (M, p) for every prime power tried; exponents go up to +-3M
+_PRIME_POWERS = ((2, 2), (4, 2), (8, 2), (32, 2), (256, 2),
+                 (3, 3), (9, 3), (243, 3), (729, 3), (25, 5))
+
+
+def _wide_exponents(rng, modulus, count):
+    steps = rng.sample(range(1, 13), count)
+    return {d: rng.randrange(-3 * modulus, 3 * modulus + 1) for d in steps}
+
+
+def test_binomial_reduction_matches_an_unreduced_ring_and_the_recurrence():
+    from pdotq.series import eta_product
+
+    rng = random.Random(7243)
+    for modulus, p in _PRIME_POWERS:
+        # a ring M q with q another prime is composite, so nothing in it
+        # is reduced; its expansion reduced mod M is the unreduced one
+        wide = modulus * (3 if p == 2 else 2)
+        for order in (0, 1, 2, 129, 700):
+            exponents = _wide_exponents(rng, modulus, rng.randrange(1, 4))
+            got = eta_product(exponents, order, modulus)
+            assert got.modulus == modulus
+            assert got == eta_product(exponents, order, wide).reduce_mod(
+                modulus), (exponents, order, modulus)
+        # the recurrence takes one pass per unit of |r|, so it runs short
+        order = 100 if modulus < 243 else 30
+        for _ in range(3):
+            exponents = _wide_exponents(rng, modulus, 2)
+            assert list(eta_product(exponents, order, modulus).coeffs) == (
+                eta_recurrence(exponents, order, modulus)), (
+                exponents, modulus)
+
+
+def test_binomial_reduction_leaves_composite_moduli_and_integers_alone():
+    from pdotq.series import binomial_reduce
+
+    rng = random.Random(186624)
+    for modulus in (None, 6, 12, 186624):
+        for _ in range(40):
+            exponents = _wide_exponents(rng, modulus or 1000, 3)
+            exponents[rng.randrange(1, 13)] = 0
+            kept = {d: r for d, r in exponents.items() if r}
+            assert binomial_reduce(exponents, modulus) == kept
+
+
+def test_binomial_reduction_frozen_maps():
+    from pdotq.series import binomial_reduce
+
+    # the Sturm quotients mod 243 become the paper's PDO_t(4n) and
+    # PDO_t(8n) quotients; PDO_t's own map is f24 mod 2
+    assert binomial_reduce({1: 237, 2: 3, 3: -79, 6: 3}, 243) == {
+        1: -6, 2: 3, 3: 2, 6: 3}
+    assert binomial_reduce({1: 230, 2: 8, 3: -74}, 243) == {
+        1: -13, 2: 8, 3: 7}
+    assert binomial_reduce({1: -2, 2: 1, 3: 2, 6: -1, 12: 2}, 2) == {24: 1}
+    # carries chain upward: f1^8 = f2^4 = f4^2 = f8 mod 2
+    assert binomial_reduce({1: 8}, 2) == {8: 1}
+    assert binomial_reduce({1: 9, 3: -3}, 9) == {}
+    assert binomial_reduce({1: 26, 5: 1}, 25) == {1: 1, 5: 6}
+
+
+def test_binomial_reduction_keeps_ties_at_half_the_modulus():
+    from pdotq.series import binomial_reduce
+
+    for modulus in (2, 4, 8, 256):
+        half = modulus // 2
+        for r in (half, -half):
+            assert binomial_reduce({1: r, 3: 1}, modulus) == {1: r, 3: 1}
+        # 3M/2 is as near M as 2M: the smaller carry is taken
+        assert binomial_reduce({1: 3 * half}, modulus) == {1: half, 2: half}
+        assert binomial_reduce({1: -3 * half}, modulus) == {
+            1: -half, 2: -half}
+    assert binomial_reduce({1: -2, 2: 1, 3: 2, 6: -1, 12: 2}, 4) == {
+        1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
+
+
+def test_binomial_reduction_is_idempotent_and_bounded():
+    from pdotq.series import binomial_reduce
+
+    rng = random.Random(2187)
+    for modulus, _ in _PRIME_POWERS:
+        for _ in range(60):
+            # steps 1, 2, 4, ... and 1, 3, 9, ... make carries chain
+            exponents = _wide_exponents(rng, modulus, rng.randrange(1, 6))
+            once = binomial_reduce(exponents, modulus)
+            assert binomial_reduce(once, modulus) == once, (exponents, modulus)
+            assert all(0 < 2 * abs(r) <= modulus for r in once.values())
+    assert binomial_reduce({1: 5, 2: 1}, 2) == {1: 1, 2: 1, 4: 1}
+    assert binomial_reduce({1: 7, 3: 2}, 3) == {1: 1, 3: 1, 9: 1}
+
+
+def test_binomial_reduction_of_phi_mod_2_is_one(monkeypatch):
+    from pdotq import series
+
+    def forbidden(*args):
+        raise AssertionError("phi(-q) == 1 mod 2 has no factor to build")
+
+    monkeypatch.setattr(series, "_base_power", forbidden)
+    assert series.binomial_reduce({1: 2, 2: -1}, 2) == {}
+    for order in (0, 1, 50):
+        assert series.eta_product({1: 2, 2: -1}, order, 2) == (
+            TruncSeries.one(order, 2))

@@ -242,6 +242,27 @@ def test_dissection_suite():
     assert report.passed
 
 
+def test_dissection_binomial_checks_do_not_use_the_reduction(monkeypatch):
+    from pdotq import series
+
+    # eta_product reduces f1^p mod p to f_p by the very congruence the
+    # suite checks; its left sides must not come from that reduction
+    reduce = series.binomial_reduce
+
+    def unchanged(exponents, modulus=None):
+        out = reduce(exponents, modulus)
+        assert out == {d: r for d, r in exponents.items() if r}, (
+            exponents, modulus)
+        return out
+
+    monkeypatch.setattr(series, "binomial_reduce", unchanged)
+    report = dissection_suite(order=40, binom_order=60)
+    assert [c.name for c in report.checks if "binomial" in c.detail] == [
+        "f1^2 == f2 mod 2", "f1^4 == f2^2 mod 4", "f1^3 == f3 mod 3",
+        "f1^9 == f3^3 mod 9", "f1^5 == f5 mod 5", "f1^25 == f5^5 mod 25"]
+    assert report.passed
+
+
 def test_prime_family_suite():
     report = nonresidue_prime_family(p=5, n_max=2, ell_max=1)
     assert report.suite == "prime-family"
