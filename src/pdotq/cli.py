@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
 from .partitions import PDO_T_EXPONENTS, pd, pd_t, pdo, pdo_t, pdo_t_series
@@ -136,6 +137,10 @@ def _cmd_radu(args) -> int:
     except ValueError as exc:
         print(f"pdotq radu: {exc}", file=sys.stderr)
         return 2
+    if args.min_depth < 0:
+        print(f"pdotq radu: --min-depth must be >= 0, got {args.min_depth}",
+              file=sys.stderr)
+        return 2
     try:
         cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth)
     except CriterionNotApplicable as exc:
@@ -242,7 +247,11 @@ def _cmd_check(args, parser) -> int:
     return 0 if passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared after that:
+    parse_args returns a fresh Namespace each call, and no default is
+    mutable, so one parse cannot leak into the next."""
     parser = argparse.ArgumentParser(
         prog="pdotq",
         description="Exact q-series verification of designated-summand "

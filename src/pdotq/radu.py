@@ -308,8 +308,13 @@ def radu_verify(
     returns c(m n + t') for n < count as integers whose residues mod u are
     the true ones; or from a precomputed c_r expansion passed in `series`
     (its modulus must be None or a multiple of u, its order large enough);
-    or, with neither, from a fresh expansion mod u.  `min_depth` forces
-    checking beyond floor(nu), which can only strengthen the evidence.
+    or, with neither, from a fresh expansion mod u.  That expansion is
+    made first only to the head 2 m + t0 + 1, with t0 the first orbit
+    residue, which holds c(m n + t0) for n <= 2: a nonzero there within
+    the checking depth is the scan's first failure, and only when there
+    is none is the series expanded again to the full order (unless the
+    head already reaches it).  `min_depth` forces checking beyond
+    floor(nu), which can only strengthen the evidence.
 
     Raises a CriterionNotApplicable subclass when a precondition fails.
     Returns a Certificate whose verdict is False when a coefficient check
@@ -358,7 +363,13 @@ def radu_verify(
 
     if progression is None:
         if series is None:
-            series = c_r_series(inst, order, u)
+            # a truncated expansion is a prefix of a longer one, so a
+            # nonzero in the head is the scan's first failure at any order
+            head = min(order, 2 * inst.m + orbit[0] + 1)
+            series = c_r_series(inst, head, u)
+            if head < order and not any(
+                    series.coeffs[orbit[0]::inst.m][:depth + 1]):
+                series = c_r_series(inst, order, u)
         else:
             if series.order < order:
                 raise ValueError(

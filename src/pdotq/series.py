@@ -44,8 +44,10 @@ Every eta product prod f_d^(r_d) is built by `eta_product`.  Modulo a
 power p^a of one prime it first lowers the exponents by the binomial
 congruence (1 - x)^(p^a) == (1 - x^p)^(p^(a-1)) (mod p^a), so
 f_d^(p^a) == f_pd^(p^(a-1)): walking the steps in ascending order, r_d
-loses the multiple j p^a nearest it (the smaller |j| on a tie) and r_pd
-gains j p^(a-1) (`binomial_reduce`).  Modulo 243 the Sturm quotient
+loses the multiple j p^a nearest it (the smaller |j| on a tie), or the
+largest one below it when no exponent is negative, so a product never
+becomes a quotient, and r_pd gains j p^(a-1) (`binomial_reduce`).
+Modulo 243 the Sturm quotient
 f1^237 f2^3 f3^-79 f6^3 becomes f1^-6 f2^3 f3^2 f6^3, and modulo 2 the
 PDO_t map becomes f24.  Over Z and modulo a composite nothing changes.
 Then it divides the steps by their gcd and inflates the result back,
@@ -558,9 +560,10 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
 
     Entries with r_d = 0 are ignored.  Modulo a prime power p^a the map is
     first lowered by f_d^(p^a) == f_pd^(p^(a-1)) (`binomial_reduce`), so
-    every |r_d| is at most p^a/2, and a map that reduces to nothing gives
-    one; over Z or modulo a composite it is used as given.  With g the gcd
-    of the remaining steps, the product is the order-ceil(order/g) expansion
+    every |r_d| is at most p^a/2 (every r_d below p^a for a map with no
+    negative exponent), and a map that reduces to nothing gives one; over
+    Z or modulo a composite it is used as given.  With g the gcd of the
+    remaining steps, the product is the order-ceil(order/g) expansion
     for the steps d/g, inflated by g.  Walking the steps in ascending order,
     a step d whose partner 2d is unused becomes a theta factor with it:
     f_d^(r_d) f_2d^(r_2d) is phi(-q^d)^(-r_2d) when r_d = -2 r_2d, and
@@ -646,13 +649,16 @@ def binomial_reduce(exponents: dict, modulus=None) -> dict:
     """The exponent map {d: r_d} with each r_d brought into
     [-p^a/2, p^a/2] by f_d^(p^a) == f_pd^(p^(a-1)) (mod p^a), when the
     modulus is a power p^a of one prime; otherwise the map unchanged.
+    A map with no negative exponent has each r_d brought into [0, p^a)
+    instead, so a product stays a product and needs no inversion.
 
     The steps are walked in ascending order.  Each r_d loses j p^a, with
     j the integer nearest r_d/p^a (the smaller |j| on a tie, so
-    r_d = +-p^a/2 stays), and r_pd gains j p^(a-1), in time for its own
-    turn.  Zero exponents are dropped.  Nothing is reduced over Z or
-    modulo a composite, and a map with every |r_d| <= M/2 is returned
-    before M is factored, since no step would change."""
+    r_d = +-p^a/2 stays), or j = floor(r_d/p^a) when no exponent is
+    negative, and r_pd gains j p^(a-1), in time for its own turn.  Zero
+    exponents are dropped.  Nothing is reduced over Z or modulo a
+    composite, and a map with every |r_d| <= M/2 is returned before M is
+    factored, since no step would change."""
     steps = {d: r for d, r in exponents.items() if r}
     if modulus is None or all(2 * abs(r) <= modulus for r in steps.values()):
         return steps
@@ -660,11 +666,13 @@ def binomial_reduce(exponents: dict, modulus=None) -> dict:
     if len(primes) != 1:
         return steps
     p = primes[0]
+    nearest = min(steps.values()) < 0
     done = {}
     while steps:
         d = min(steps)
         j, rest = divmod(steps.pop(d), modulus)
-        if 2 * rest > modulus or (2 * rest == modulus and j < 0):
+        if nearest and (2 * rest > modulus
+                        or (2 * rest == modulus and j < 0)):
             j, rest = j + 1, rest - modulus
         if j:
             steps[p * d] = steps.get(p * d, 0) + j * (modulus // p)

@@ -139,6 +139,11 @@ def test_radu_pass_fail_and_errors(capsys):
                        "--rprime", "1:5", "--u", "1")
     assert code == 2 and "u must be" in err
 
+    code, out, err = run(capsys, "radu", "--m", "6", "--t", "2",
+                         "--rprime", "1:5", "--u", "4", "--min-depth", "-3")
+    assert code == 2 and out == ""
+    assert err == "pdotq radu: --min-depth must be >= 0, got -3\n"
+
 
 def test_radu_json(capsys):
     code, out, _ = run(capsys, "radu", "--m", "6", "--t", "2",
@@ -214,6 +219,9 @@ def test_check_numeric_flag_ranges(capsys):
 
 
 def test_check_all_aggregates(capsys, monkeypatch):
+    # the parser is built once per process and takes its --suite choices
+    # from the suites at that time, so build it before they are replaced
+    build_parser()
     good = Report("alpha", {})
     good.add("a", True)
     bad = Report("beta", {})
@@ -240,3 +248,27 @@ def test_parser_metadata():
 
 def test_format_exponents_sorted():
     assert format_exponents({12: 2, 1: -2, 3: 2}) == "1:-2,3:2,12:2"
+
+
+def test_parser_is_built_once_and_parses_afresh(capsys):
+    assert build_parser() is build_parser()
+    radu = ["radu", "--m", "6", "--t", "2", "--rprime", "1:5", "--u", "4"]
+    code, out, _ = run(capsys, *radu, "--json")
+    assert code == 0 and json.loads(out)["verdict"] is True
+    # --json from the call before does not carry over
+    code, out, _ = run(capsys, *radu)
+    assert code == 0 and out.startswith("instance: m=6 ")
+    # nor does a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["radu", "--m", "6"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, *radu, "--min-depth", "8")
+    assert code == 0 and "checked 9 coefficients" in out
+    # nor a numeric flag given to a single suite
+    code, _, _ = run(capsys, "check", "--suite", "genfun", "--k", "0",
+                     "--bound", "20")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "all", "--k", "1"])
+    assert exc.value.code == 2

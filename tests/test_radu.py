@@ -8,6 +8,7 @@ instances before being asserted here.
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from pdotq.radu import (
     squares_mod,
 )
 from pdotq.series import DomainMismatchError, TruncSeries, eta_product
+from pdotq.verify import CERTIFICATE_ROWS
 
 # f_2 f_3^2 f_12^2 / (f_1^2 f_6): coefficient n is pdo_t(n + 1)
 PDO_T_R = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
@@ -321,3 +323,110 @@ def test_certificate_json_roundtrip():
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+# --- the fresh expansion: a head first, the full order only if needed ---
+
+# orbit {2, 3}; c(5n + 2) is 0 mod 2 for n <= 4 and 1 at n = 5, past the
+# head of n <= 2
+PAST_HEAD = (RaduInstance(m=5, M=20, level=20,
+                          r={1: -1, 2: -2, 5: 1, 10: 5, 20: 3}, t=3),
+             AuxExponents(20, {1: 24}))
+
+
+def full_expansion_certificate(inst, aux, u, min_depth=0):
+    """The certificate from a c_r expansion made up front to the whole
+    order the bound needs, which bypasses the head expansion."""
+    depth = max(math.floor(nu_bound(inst, aux)), min_depth)
+    order = inst.m * depth + max(p_set(inst)) + 1
+    return radu_verify(inst, aux, u, series=eta_product(inst.r, order, u),
+                       min_depth=min_depth)
+
+
+def test_fresh_certificates_match_a_full_expansion_on_the_table():
+    verdicts = Counter()
+    for m, t, rp1, depth, u in CERTIFICATE_ROWS:
+        inst = pdo_t_instance(m, t)
+        aux = AuxExponents(12, {1: rp1})
+        for modulus in (u, 2 * u):
+            fresh = radu_verify(inst, aux, modulus, min_depth=depth)
+            assert fresh.to_dict() == full_expansion_certificate(
+                inst, aux, modulus, depth).to_dict(), (m, t, modulus)
+            verdicts[fresh.verdict] += 1
+    # every row holds at its u, and 15 of them also at 2u
+    assert verdicts == {True: 37, False: 7}
+
+
+def test_fresh_certificates_match_a_full_expansion_on_a_seeded_grid():
+    rng = random.Random(418)
+    verdicts = Counter()
+    while sum(verdicts.values()) < 40:
+        m = rng.choice((6, 12, 24, 48, 96))
+        inst = pdo_t_instance(m, rng.randrange(m))
+        aux = AuxExponents(12, {1: rng.choice((5, 10, 20, 40, 80))})
+        u = 2 ** rng.randrange(1, 9)
+        try:
+            fresh = radu_verify(inst, aux, u)
+        except CriterionNotApplicable:
+            continue
+        assert fresh.to_dict() == full_expansion_certificate(
+            inst, aux, u).to_dict(), (inst, aux, u)
+        verdicts[fresh.verdict] += 1
+    assert min(verdicts.values()) >= 10
+
+
+def test_fresh_certificate_failing_past_the_head():
+    inst, aux = PAST_HEAD
+    cert = radu_verify(inst, aux, 2)
+    assert cert.p_set == [2, 3]
+    assert cert.failure == {"t": 2, "n": 5, "index": 27, "residue": 1}
+    assert cert.to_dict() == full_expansion_certificate(inst, aux, 2).to_dict()
+
+
+def test_fresh_certificate_failing_in_a_later_orbit_residue(monkeypatch):
+    # no c_r series of a random admissible instance was found to fail
+    # first in a later orbit residue, so a made-up series stands in: its
+    # one nonzero, c(3), is n = 0 of residue 3 and inside the head
+    def made_up(inst, order, modulus=None):
+        return TruncSeries([int(n == 3) for n in range(order)], modulus)
+
+    inst, aux = PAST_HEAD
+    monkeypatch.setattr("pdotq.radu.c_r_series", made_up)
+    cert = radu_verify(inst, aux, 2)
+    assert cert.failure == {"t": 3, "n": 0, "index": 3, "residue": 1}
+    assert cert.checked == [(2, n) for n in range(43)]
+    assert cert == radu_verify(inst, aux, 2, series=made_up(inst, 214, 2))
+
+
+def test_fresh_expansion_orders(monkeypatch):
+    orders = []
+
+    def counted(inst, order, modulus=None):
+        orders.append(order)
+        return eta_product(inst.r, order, modulus)
+
+    monkeypatch.setattr("pdotq.radu.c_r_series", counted)
+    n2_fail = RaduInstance(m=5, M=15, level=15,
+                           r={1: -2, 3: 1, 5: -4, 15: 2}, t=1)
+    short = RaduInstance(m=3, M=6, level=6, r={3: 2, 6: -6}, t=2)
+    cases = [
+        # FAILs at n = 0 and n = 2 of orbit[0] are settled in the head,
+        # 2 m + orbit[0] + 1 long
+        (pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 8, False, [15]),
+        (n2_fail, AuxExponents(15, {1: 24}), 2, False, [12]),
+        # a FAIL past the head and a PASS expand the head, then the full
+        # order m floor(nu) + max(orbit) + 1
+        (*PAST_HEAD, 2, False, [13, 214]),
+        (pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 4, True, [15, 39]),
+        # floor(nu) = 2 and a one-residue orbit: the head is the full order
+        (short, AuxExponents(6, {1: 10}), 2, True, [9]),
+    ]
+    for inst, aux, u, verdict, want in cases:
+        orders.clear()
+        assert radu_verify(inst, aux, u).verdict is verdict
+        assert orders == want, (inst, u)
+    # a supplied series is read as it is
+    orders.clear()
+    radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 8,
+                series=eta_product(PDO_T_R, 39, 8))
+    assert orders == []

@@ -639,6 +639,11 @@ def test_eta_product_without_negative_exponents_never_inverts(monkeypatch):
     assert series.eta_product({9: -1, 18: 2}, 5000) == psi9
     assert series.eta_product({1: 2, 3: 1}, 700) == (
         euler_factor(1, 2, 700) * euler_factor(3, 1, 700))
+    # modulo 2^a a power stays a power: f1^7 mod 8 is not taken to f2^4/f1
+    for exponents, modulus in (({1: 7}, 8), ({1: 15}, 16),
+                               ({1: 23, 3: 5}, 8)):
+        got = series.eta_product(exponents, 600, modulus)
+        assert list(got.coeffs) == eta_recurrence(exponents, 600, modulus)
 
 
 def _sparse_operands(rng, order, modulus):
@@ -755,6 +760,11 @@ def test_binomial_reduction_frozen_maps():
     assert binomial_reduce({1: 8}, 2) == {8: 1}
     assert binomial_reduce({1: 9, 3: -3}, 9) == {}
     assert binomial_reduce({1: 26, 5: 1}, 25) == {1: 1, 5: 6}
+    # with no negative exponent each r_d only loses whole multiples of p^a
+    assert binomial_reduce({1: 7}, 8) == {1: 7}
+    assert binomial_reduce({1: 15}, 16) == {1: 15}
+    assert binomial_reduce({1: 23}, 8) == {1: 7, 4: 4}
+    assert binomial_reduce({1: 23, 3: -1}, 8) == {1: -1, 2: 4, 3: -1, 4: 4}
 
 
 def test_binomial_reduction_keeps_ties_at_half_the_modulus():
@@ -782,7 +792,10 @@ def test_binomial_reduction_is_idempotent_and_bounded():
             exponents = _wide_exponents(rng, modulus, rng.randrange(1, 6))
             once = binomial_reduce(exponents, modulus)
             assert binomial_reduce(once, modulus) == once, (exponents, modulus)
-            assert all(0 < 2 * abs(r) <= modulus for r in once.values())
+            if min(exponents.values()) < 0:
+                assert all(0 < 2 * abs(r) <= modulus for r in once.values())
+            else:
+                assert all(0 < r < modulus for r in once.values())
     assert binomial_reduce({1: 5, 2: 1}, 2) == {1: 1, 2: 1, 4: 1}
     assert binomial_reduce({1: 7, 3: 2}, 3) == {1: 1, 3: 1, 9: 1}
 
