@@ -24,7 +24,14 @@ multiply and a suite; step 3 is the 3n series that `check --suite all`
 expands once.  Quotient rows: the `q_expansion` of the Sturm suite's
 level-18 and level-36 quotients at the depths and modulus it expands
 them to, best of --repeats; modulo the prime power 243, `eta_product`
-lowers their exponents by the binomial congruence first.  The result is
+lowers their exponents by the binomial congruence first.  Division rows:
+the numerator phi(-q^3) f12^2 of the PDO_t quotient divided by each
+denominator of DIVISION_ROWS, from the sparse phi(-q) to the dense f1^6,
+at orders 1000, 3535 and 7600, over Z and mod 4, 32 and 256, by the sparse
+recurrence (`_divide_sparse`) and by Newton inversion and one product,
+with the denominator's nonzero count beside them; best of --repeats, the
+quotients checked equal.  They are the evidence for the nonzero-count
+limits at which `_divide_list` leaves the recurrence.  The result is
 printed as one JSON object.
 """
 
@@ -41,8 +48,9 @@ import time
 from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
-    _DECIMAL_THRESHOLD, _mul_decimal, _mul_packed, _mul_schoolbook,
-    _nonzero_count, euler_factor,
+    _DECIMAL_THRESHOLD, _divide_sparse, _invert_list, _mul_decimal,
+    _mul_lists, _mul_packed, _mul_schoolbook, _nonzero_count, eta_product,
+    euler_factor,
 )
 
 SIZES = (1000, 2000, 4000, 30000, 115000)
@@ -65,6 +73,15 @@ SERIES_ROWS = ((20001, 256, 1), (53137, 243, 1), (115237, 32, 1),
 # quotients at its defaults k18 = 2 and k36 = 3: order 3^k (bound + 1)
 QUOTIENT_ROWS = ((18, {1: 230, 2: 8, 3: -74}, 2223, 243),
                  (36, {1: 237, 2: 3, 3: -79, 6: 3}, 13311, 243))
+
+# (name, exponents) of the division rows' denominators, sparse to dense,
+# divided into the numerator phi(-q^3) f12^2 of the PDO_t quotient
+DIVISION_ROWS = (("phi(-q)", {1: 2, 2: -1}), ("f1", {1: 1}),
+                 ("f1^3", {1: 3}), ("phi(-q)^2", {1: 4, 2: -2}),
+                 ("f1^2", {1: 2}), ("f1^6", {1: 6}))
+DIVISION_NUMERATOR = {3: 2, 6: -1, 12: 2}
+DIVISION_ORDERS = (1000, 3535, 7600)
+DIVISION_MODULI = (None, 4, 32, 256)
 
 
 def best_of(repeats, fn, *args):
@@ -154,6 +171,29 @@ def quotient_rows(repeats):
             for level, exps, n, modulus in QUOTIENT_ROWS]
 
 
+def newton_quotient(num, den, order, modulus):
+    return _mul_lists(num, _invert_list(den, order, modulus), order, modulus)
+
+
+def division_rows(repeats):
+    """Rows of recurrence and Newton division times; None if they differ."""
+    rows = []
+    for modulus in DIVISION_MODULI:
+        for n in DIVISION_ORDERS:
+            num = eta_product(DIVISION_NUMERATOR, n, modulus).coeffs
+            for name, exponents in DIVISION_ROWS:
+                den = eta_product(exponents, n, modulus).coeffs
+                row = {"n": n, "modulus": modulus, "operands": name,
+                       "nonzero": _nonzero_count(den, n)}
+                backends = (("recurrence_s", _divide_sparse),
+                            ("newton_s", newton_quotient))
+                if not timed_row(row, backends, num, den, n, modulus,
+                                 repeats):
+                    return None
+                rows.append(row)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -192,6 +232,9 @@ def main(argv=None) -> int:
     rows_sparse = sparse_rows(rng, args.repeats, widths)
     if rows_sparse is None:
         return 1
+    rows_division = division_rows(args.repeats)
+    if rows_division is None:
+        return 1
     print(json.dumps({
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -203,6 +246,7 @@ def main(argv=None) -> int:
         "sparse_rows": rows_sparse,
         "series_rows": series_rows(args.repeats),
         "quotient_rows": quotient_rows(args.repeats),
+        "division_rows": rows_division,
     }, indent=2))
     return 0
 

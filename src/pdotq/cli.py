@@ -17,16 +17,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
-from .partitions import PDO_T_EXPONENTS, pd, pd_t, pdo, pdo_t, pdo_t_series
+from .partitions import (
+    PD_EXPONENTS, PDO_EXPONENTS, PDO_T_EXPONENTS, pd, pd_t, pdo, pdo_t,
+    pdo_t_series,
+)
 from .radu import (
     AuxExponents,
     CriterionNotApplicable,
     RaduInstance,
     radu_verify,
 )
+from .series import eta_product
 from .verify import SUITES, emit_report, plan_suites
 
 
@@ -105,6 +109,10 @@ def _cmd_expand(args) -> int:
 
 
 _COUNTERS = {"pd": pd, "pd-tagged": pd_t, "pdo": pdo, "pdo-tagged": pdo_t}
+# sum c(n) q^n to a given order, for each counter with a generating function
+_SERIES = {"pd": partial(eta_product, PD_EXPONENTS),
+           "pdo": partial(eta_product, PDO_EXPONENTS),
+           "pdo-tagged": pdo_t_series}
 
 
 def _cmd_pdot(args) -> int:
@@ -112,11 +120,11 @@ def _cmd_pdot(args) -> int:
     if values and values[0] < 0:
         print("pdotq pdot: n must be >= 0", file=sys.stderr)
         return 2
-    if args.method == "enum" or args.counter != "pdo-tagged":
+    if args.method == "enum" or args.counter not in _SERIES:
         counter = _COUNTERS[args.counter]
         pairs = [(n, counter(n)) for n in values]
     else:
-        series = pdo_t_series(values[-1] + 1) if values else None
+        series = _SERIES[args.counter](values[-1] + 1)
         pairs = [(n, series.coeffs[n]) for n in values]
     if args.json:
         print(json.dumps({"counter": args.counter,
@@ -278,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default pdo-tagged)")
     p_pdot.add_argument("--method", choices=("series", "enum"),
                         default="series",
-                        help="pdo-tagged only: generating function or "
-                             "direct enumeration (default series)")
+                        help="generating function or direct enumeration "
+                             "(default series; pd-tagged is always "
+                             "enumerated)")
     p_pdot.add_argument("--json", action="store_true")
 
     p_radu = sub.add_parser(

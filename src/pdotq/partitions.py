@@ -11,6 +11,8 @@ per distinct size).  The four counting functions are
     pdo(n)    same as pd but only odd part sizes allowed
     pdo_t(n)  same as pd_t but only odd part sizes allowed
 
+pd and pdo have the eta-quotient generating functions PD_EXPONENTS and
+PDO_EXPONENTS; pd_t is only enumerated here.
 pdo_t is the statistic the rest of the package is about.  Its generating
 function is q * f2 * f3^2 * f12^2 / (f1^2 * f6) with f_m the Euler product
 over step m; pdo_t_series builds that via the series module, so the
@@ -29,6 +31,11 @@ from .series import TruncSeries, eta_product
 PDO_T_EXPONENTS = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
 # {d: r_d} of sum pdo_t(3n) q^n = 4q * prod_d f_d^(r_d)
 PDO_T_3N_EXPONENTS = {1: -4, 2: 1, 4: 2, 6: 3}
+# {d: r_d} of sum pd(n) q^n = f6/(f1 f2 f3) and sum pdo(n) q^n =
+# f4 f6^2/(f1 f3 f12) (Andrews, Lewis and Lovejoy, "Partitions with
+# designated summands", Acta Arith. 105, 2002)
+PD_EXPONENTS = {1: -1, 2: -1, 3: -1, 6: 1}
+PDO_EXPONENTS = {1: -1, 3: -1, 4: 1, 6: 2, 12: -1}
 
 
 def enumerate_partitions(n: int, odd_only: bool = False):

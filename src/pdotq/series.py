@@ -35,10 +35,19 @@ is read back through a Decimal; such residue products (M above about
 10^2150) take the decimal path below order 2048 too.  A coefficient too
 long to be written out in decimal at all sends the product to the packed
 path whatever its order.
-Inversion is Newton iteration x -> x(2-ax), doubling the correct precision
-each step.  When x is right to half the new precision, ax is 1 plus q^half
-times an error e, so the step only appends the new half, -x e truncated to
-the remaining length; the known zero half of the error is never multiplied.
+Division num/den, and inversion as the division of one, dispatches on the
+domain and the number of nonzero terms of den.  A sparse den, such as
+phi(-q) with about 2 sqrt(order) nonzero terms, is divided out in one
+pass of the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i],
+one step per nonzero den[i], so the work is nnz(den) steps per
+coefficient with no inverse and no product formed.  A den with more than
+128 nonzero terms over Z, or 32 in a residue ring, would make that
+quadratic in the order; it is inverted by Newton iteration
+x -> x(2-ax), doubling the correct precision each step, and the inverse
+is multiplied by num.  When x is right to half the new precision, ax is
+1 plus q^half times an error e, so the step only appends the new half,
+-x e truncated to the remaining length; the known zero half of the error
+is never multiplied.
 
 Every eta product prod f_d^(r_d) is built by `eta_product`.  Modulo a
 power p^a of one prime it first lowers the exponents by the binomial
@@ -52,8 +61,8 @@ f1^237 f2^3 f3^-79 f6^3 becomes f1^-6 f2^3 f3^2 f6^3, and modulo 2 the
 PDO_t map becomes f24.  Over Z and modulo a composite nothing changes.
 Then it divides the steps by their gcd and inflates the result back,
 forms each f_d^r by inflating one f_1^|r| (shared by all steps with the
-same |r|), and inverts the product of the negative-exponent factors once,
-if there are any.
+same |r|), and divides the product of the positive-exponent factors by
+that of the negative-exponent ones, if there are any.
 
 Before that it pulls out theta factors.  Ramanujan's phi(-q) = f_1^2/f_2
 = sum_k (-1)^k q^(k^2) and psi(q) = f_2^2/f_1 = sum_{n>=0} q^(n(n+1)/2)
@@ -66,11 +75,12 @@ holds but r_d is even and r_2d has the opposite sign, phi(-q^d)^(r_d/2)
 takes all of f_d^(r_d) and the rest, r_2d + r_d/2, stays on step 2d,
 which may then pair with 4d.  A theta factor joins the numerator or the
 denominator by the sign of its exponent, like any other factor, so the
-sparse-product dispatch and the single inversion apply to it unchanged.
+sparse-product dispatch and the single division apply to it unchanged.
 A power f_1^(3j) is (f_1^3)^j, starting from the sparse `jacobi_cube`.
 The PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is q phi(-q^3) f12^2/phi(-q):
-one sparse factor times f12^2, one inversion of a sparse series, and one
-dense product, where the Euler factors alone need four dense products.
+one sparse factor times f12^2, divided by the sparse phi(-q) in one
+recurrence pass, where the Euler factors alone need four dense products
+and an inversion.
 Its 3n progression 4q f2 f4^2 f6^3/f1^4 is 4q psi(q^2) f6^3/phi(-q)^2,
 built from three sparse series.
 """
@@ -299,22 +309,26 @@ def _mul_lists(a, b, order, modulus):
     return _mul_decimal(a, b, order, modulus)
 
 
-def _invert_list(a, order, modulus):
-    """Newton iteration for 1/a, given a unit constant term."""
+def _unit_inverse(a, modulus):
+    """The inverse of the constant term of `a`, which must be a unit."""
     c0 = a[0] if a else 0
     if modulus is None:
         if c0 not in (1, -1):
             raise NotInvertibleError(
                 f"constant term {c0} is not a unit over the integers"
             )
-        x = [c0]
-    else:
-        try:
-            x = [pow(c0, -1, modulus)]
-        except ValueError:
-            raise NotInvertibleError(
-                f"constant term {c0} is not invertible mod {modulus}"
-            ) from None
+        return c0
+    try:
+        return pow(c0, -1, modulus)
+    except ValueError:
+        raise NotInvertibleError(
+            f"constant term {c0} is not invertible mod {modulus}"
+        ) from None
+
+
+def _invert_list(a, order, modulus):
+    """Newton iteration for 1/a, given a unit constant term."""
+    x = [_unit_inverse(a, modulus)]
     while len(x) < order:
         # x is right below `half`, so a x = 1 + q^half e there and the
         # step x (2 - a x) = x - q^half x e only appends its new half
@@ -328,6 +342,49 @@ def _invert_list(a, order, modulus):
         del ax
         x += _mul_lists(x, err, prec - half, modulus)
     return x
+
+
+# the most nonzero terms a denominator may have for the recurrence, which
+# costs that many steps per coefficient.  In the division rows of
+# bench/multiply.py it beats Newton inversion and a product over Z 3-8x up
+# to 143 nonzero terms, about ties at 330 and loses from 482; mod 32 and
+# 256 it wins up to 51, ties near 60-100 and loses from 123 on.  Mod 4
+# Newton's iterates for phi(-q) stay sparse: the recurrence loses there by
+# 0.7 ms at 32 nonzero terms and 4x from 60.
+_SPARSE_DIVISOR_TERMS = 128
+_SPARSE_DIVISOR_TERMS_RESIDUE = 32
+
+
+def _divide_sparse(num, den, order, modulus):
+    """num/den from den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], one
+    step per nonzero den[i] with i <= n, given a unit constant term."""
+    inv0 = _unit_inverse(den, modulus)
+    terms = _nonzero_terms(den, order)[1:]
+    y = []
+    for n in range(order):
+        acc = num[n] if n < len(num) else 0
+        for i, c in terms:
+            if i > n:
+                break
+            acc -= c * y[n - i]
+        y.append(acc * inv0 if modulus is None else acc * inv0 % modulus)
+    return y
+
+
+def _divide_list(num, den, order, modulus):
+    """num/den truncated to `order` coefficients, given a unit constant
+    term in den: by the recurrence when den is sparse, otherwise by Newton
+    inversion and one product (none when num is one)."""
+    if order <= 0:
+        return []
+    limit = (_SPARSE_DIVISOR_TERMS if modulus is None
+             else _SPARSE_DIVISOR_TERMS_RESIDUE)
+    if _nonzero_count(den, order) <= limit:
+        return _divide_sparse(num, den, order, modulus)
+    inverse = _invert_list(den, order, modulus)
+    if _nonzero_count(num, order) == 1 and num[0] == 1:
+        return inverse
+    return _mul_lists(num, inverse, order, modulus)
 
 
 class TruncSeries:
@@ -448,10 +505,9 @@ class TruncSeries:
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; the constant term must be a unit."""
-        if self.order == 0:
-            return self
         return TruncSeries._reduced(
-            _invert_list(self.coeffs, self.order, self.modulus), self.modulus
+            _divide_list((1,), self.coeffs, self.order, self.modulus),
+            self.modulus,
         )
 
     def inflate(self, m: int, order=None) -> "TruncSeries":
@@ -574,8 +630,9 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     its base series (f_1, phi(-q) or psi(q)) raised to |r| (one power per
     distinct base and |r|, at the largest order any step needs; f_1^(3j) is
     (f_1^3)^j from `jacobi_cube`), truncated to ceil(order/d) and inflated
-    by d.  The factors with r < 0 are multiplied together and inverted once,
-    and not at all when there are none.
+    by d.  The factors with r > 0 are multiplied together, and so are
+    those with r < 0; the first product (one, when there are none) is
+    divided by the second once, and not at all when there is no r < 0.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -624,10 +681,8 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
         return num
     den = product(inflated(False), order, modulus)
     del powers
-    inverse = den.invert()
-    if all(r < 0 for _, _, r in factors):
-        return inverse
-    return num * inverse
+    return TruncSeries._reduced(
+        _divide_list(num.coeffs, den.coeffs, order, modulus), modulus)
 
 
 def prime_factors(n: int) -> list[int]:

@@ -113,6 +113,41 @@ def test_pdot_series_matches_enum(capsys):
     assert code == 0
     assert json.loads(out) == {"counter": "pdo-tagged",
                                "values": [[3, 4], [8, 36]]}
+    for counter in ("pd", "pdo"):
+        code, fast, _ = run(capsys, "pdot", "--n", *map(str, range(31)),
+                            "--counter", counter)
+        assert code == 0
+        code, slow, _ = run(capsys, "pdot", "--n", *map(str, range(31)),
+                            "--counter", counter, "--method", "enum")
+        assert code == 0
+        assert fast == slow
+
+
+def test_pdot_pd_and_pdo_by_series_never_enumerate(capsys, monkeypatch):
+    from pdotq import partitions
+    from pdotq.series import euler_factor
+
+    def forbidden(*args):
+        raise AssertionError("pd and pdo have generating functions")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", forbidden)
+    order = 2001
+
+    def f(step, exponent):
+        return euler_factor(step, exponent, order)
+
+    # pd: f6/(f1 f2 f3), pdo: f4 f6^2/(f1 f3 f12), as plain Euler products
+    expected = {"pd": f(6, 1) * (f(1, 1) * f(2, 1) * f(3, 1)).invert(),
+                "pdo": f(4, 1) * f(6, 2) * (f(1, 1) * f(3, 1)
+                                            * f(12, 1)).invert()}
+    for counter, series in expected.items():
+        code, out, _ = run(capsys, "pdot", "--n", "2000", "--counter",
+                           counter, "--json")
+        assert code == 0
+        assert json.loads(out) == {"counter": counter,
+                                   "values": [[2000, series[2000]]]}
+    with pytest.raises(AssertionError):
+        run(capsys, "pdot", "--n", "5", "--counter", "pd-tagged")
 
 
 def test_radu_pass_fail_and_errors(capsys):

@@ -6,6 +6,7 @@ numbers, and brute-force lattice counting for the cubic theta series.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -697,6 +698,205 @@ def test_newton_round_trip_at_orders_off_powers_of_two():
         den = euler_factor(1, 2, order) * euler_factor(6, 1, order)
         for a in (den, rand_series(rng, min(order, 1025), None, unit=True)):
             assert a * a.invert() == TruncSeries.one(a.order)
+
+
+# --- division: the sparse recurrence beside Newton inversion ---
+
+_DIVISION_RINGS = (None, 2, 4, 8, 32, 243, 256, 729, 186624)
+
+
+def _divisor_limit(modulus):
+    """The most nonzero terms a denominator has on the recurrence path."""
+    from pdotq import series
+
+    if modulus is None:
+        return series._SPARSE_DIVISOR_TERMS
+    return series._SPARSE_DIVISOR_TERMS_RESIDUE
+
+
+def _newton_quotient(num, den, order, modulus):
+    """num/den as Newton inversion and one product, the dense path."""
+    from pdotq.series import _invert_list, _mul_lists
+
+    return _mul_lists(num, _invert_list(den, order, modulus), order, modulus)
+
+
+def _random_unit(rng, modulus):
+    if modulus is None:
+        return rng.choice((1, -1))
+    while True:
+        c = rng.randrange(1, modulus)
+        if gcd(c, modulus) == 1:
+            return c
+
+
+def _random_divisor(rng, order, modulus, nonzero, c0=None):
+    """A unit constant term (or c0) and nonzero - 1 more terms at random
+    indices below `order`."""
+    den = [0] * order
+    den[0] = _random_unit(rng, modulus) if c0 is None else c0
+    for i in rng.sample(range(1, order), min(nonzero, order) - 1):
+        den[i] = ((rng.randrange(-9, 10) or 1) if modulus is None
+                  else rng.randrange(1, modulus))
+    return den
+
+
+def _random_numerator(rng, order, modulus):
+    if modulus is None:
+        return [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(order)]
+    return [rng.randrange(modulus) for _ in range(order)]
+
+
+def _crossover_orders(base, limit, modulus):
+    """The two orders at which base(order) has limit and limit + 1 nonzero
+    terms."""
+    from pdotq.series import _nonzero_terms
+
+    big = 8000
+    cross = _nonzero_terms(base(big, modulus).coeffs, big)[limit][0] + 1
+    return cross - 1, cross
+
+
+def _division_cases(rng):
+    """(num, den, order, modulus) with denominators on both sides of the
+    dispatch limit: random support, and phi(-q) and f1 at the orders where
+    their nonzero count passes the limit."""
+    from pdotq.series import phi_minus
+
+    def f1(order, modulus):
+        return euler_factor(1, 1, order, modulus)
+
+    for modulus in _DIVISION_RINGS:
+        limit = _divisor_limit(modulus)
+        for order in (1, 2, 127, 128, 129, 300):
+            for nonzero in (1, 2, limit, limit + 1):
+                yield (_random_numerator(rng, order, modulus),
+                       _random_divisor(rng, order, modulus, nonzero),
+                       order, modulus)
+        # below 8000, phi(-q) has fewer than 128 nonzero terms, and none
+        # past its constant term mod 2
+        bases = (f1,) if modulus in (None, 2) else (phi_minus, f1)
+        for base in bases:
+            for order in _crossover_orders(base, limit, modulus):
+                yield (_random_numerator(rng, order, modulus),
+                       list(base(order, modulus).coeffs), order, modulus)
+        order = rng.randrange(4900, 5100)
+        num = _random_numerator(rng, order, modulus)
+        for den in (phi_minus(order, modulus),
+                    euler_factor(1, 2, order, modulus)):
+            yield num, list(den.coeffs), order, modulus
+
+
+def test_division_paths_agree_with_newton_and_a_product():
+    from pdotq.series import _divide_list, _divide_sparse, _nonzero_count
+
+    for num, den, order, modulus in _division_cases(random.Random(3535)):
+        expected = _newton_quotient(num, den, order, modulus)
+        assert _divide_list(num, den, order, modulus) == expected, (
+            order, modulus)
+        # the recurrence is right on a dense divisor too, only slow
+        sparse = _nonzero_count(den, order) <= _divisor_limit(modulus)
+        if order <= 300 or sparse:
+            assert _divide_sparse(num, den, order, modulus) == expected, (
+                order, modulus)
+    for modulus in _DIVISION_RINGS:
+        assert _divide_list([], [], 0, modulus) == []
+        assert TruncSeries([], modulus).invert().coeffs == ()
+
+
+def _negative_exponents(rng):
+    """A random map {d: r_d} with at least one negative exponent."""
+    exponents = _random_exponents(rng, rng.randrange(1, 4))
+    exponents[rng.randrange(1, 13)] = -rng.randrange(1, 4)
+    return exponents
+
+
+def test_division_of_eta_products_matches_sparse_euler_recurrence():
+    from pdotq.series import _divide_list, _divide_sparse, eta_product
+
+    rng = random.Random(901)
+    for modulus in _DIVISION_RINGS:
+        for order in (0, 1, 2, 127, 128, 129, 600):
+            for _ in range(2):
+                exponents = _negative_exponents(rng)
+                expected = eta_recurrence(exponents, order, modulus)
+                num = eta_product({d: r for d, r in exponents.items()
+                                   if r > 0}, order, modulus).coeffs
+                den = eta_product({d: -r for d, r in exponents.items()
+                                   if r < 0}, order, modulus).coeffs
+                divides = (_divide_list, _divide_sparse, _newton_quotient)
+                for divide in divides if order else ():
+                    assert divide(num, den, order, modulus) == expected, (
+                        divide.__name__, exponents, order, modulus)
+                assert list(eta_product(exponents, order, modulus).coeffs) == (
+                    expected)
+    for modulus in (None, 243):
+        # the PDO_t quotient phi(-q^3) f12^2 / phi(-q), recurrence path
+        order = rng.randrange(4900, 5100)
+        exponents = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
+        assert list(eta_product(exponents, order, modulus).coeffs) == (
+            eta_recurrence(exponents, order, modulus))
+
+
+def test_division_with_a_short_numerator_and_a_negative_unit():
+    from pdotq.series import _divide_list, _divide_sparse
+
+    rng = random.Random(1729)
+    for modulus in (None, 32, 243):
+        c0 = -1 if modulus is None else modulus - 1
+        for nonzero in (3, _divisor_limit(modulus) + 5):
+            den = _random_divisor(rng, 400, modulus, nonzero, c0)
+            for num in ((1,), _random_numerator(rng, 40, modulus)):
+                padded = list(num) + [0] * (400 - len(num))
+                expected = _newton_quotient(padded, den, 400, modulus)
+                assert _divide_list(num, den, 400, modulus) == expected
+                assert _divide_sparse(num, den, 400, modulus) == expected
+            assert list(TruncSeries(den, modulus).invert().coeffs) == (
+                _newton_quotient([1], den, 400, modulus))
+
+
+def test_division_by_a_non_unit_constant_term_raises_on_both_paths():
+    from pdotq.series import _divide_list
+
+    rng = random.Random(2)
+    for modulus, c0, message in (
+            (None, 2, "constant term 2 is not a unit over the integers"),
+            (None, 0, "constant term 0 is not a unit over the integers"),
+            (8, 2, "constant term 2 is not invertible mod 8"),
+            (243, 3, "constant term 3 is not invertible mod 243")):
+        for nonzero in (2, _divisor_limit(modulus) + 1):
+            den = _random_divisor(rng, 300, modulus, nonzero, c0)
+            with pytest.raises(NotInvertibleError, match=f"^{message}$"):
+                _divide_list([1, 2, 3], den, 300, modulus)
+            with pytest.raises(NotInvertibleError, match=f"^{message}$"):
+                TruncSeries(den, modulus).invert()
+
+
+def test_division_dispatches_on_the_nonzero_count_of_the_divisor(monkeypatch):
+    from pdotq import series
+    from pdotq.partitions import PDO_T_3N_EXPONENTS, PDO_T_EXPONENTS
+
+    calls = []
+
+    def spy(name):
+        original = getattr(series, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    for name in ("_divide_sparse", "_invert_list"):
+        monkeypatch.setattr(series, name, spy(name))
+    # phi(-q) has 60 nonzero terms below 3535: one recurrence pass
+    series.eta_product(PDO_T_EXPONENTS, 3535)
+    assert calls == ["_divide_sparse"]
+    # f1^24 and phi(-q)^2 are dense: Newton inversion, never the recurrence
+    for exponents, order, modulus in (({1: -24}, 5000, None),
+                                      (PDO_T_3N_EXPONENTS, 38340, 186624)):
+        calls.clear()
+        series.eta_product(exponents, order, modulus)
+        assert calls == ["_invert_list"], (exponents, order, modulus)
 
 
 # --- binomial exponent reduction modulo a prime power ---
