@@ -27,12 +27,13 @@ them to, best of --repeats; modulo the prime power 243, `eta_product`
 lowers their exponents by the binomial congruence first.  Division rows:
 the numerator phi(-q^3) f12^2 of the PDO_t quotient divided by each
 denominator of DIVISION_ROWS, from the sparse phi(-q) to the dense f1^6,
-at orders 1000, 3535 and 7600, over Z and mod 4, 32 and 256, by the sparse
-recurrence (`_divide_sparse`) and by Newton inversion and one product,
-with the denominator's nonzero count beside them; best of --repeats, the
-quotients checked equal.  They are the evidence for the nonzero-count
-limits at which `_divide_list` leaves the recurrence.  The result is
-printed as one JSON object.
+at orders 250, 500, 1000, 3535 and 7600, over Z and mod 4, 32 and 256,
+by the sparse recurrence (`_divide_sparse`) and by Newton inversion and
+one product, with the denominator's nonzero count beside them; best of
+--repeats, the quotients checked equal.  They are the evidence for the
+nonzero-count limits at which `_divide_list` leaves the recurrence (over
+Z a limit that grows with the order).  The result is printed as one JSON
+object.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ DIVISION_ROWS = (("phi(-q)", {1: 2, 2: -1}), ("f1", {1: 1}),
                  ("f1^3", {1: 3}), ("phi(-q)^2", {1: 4, 2: -2}),
                  ("f1^2", {1: 2}), ("f1^6", {1: 6}))
 DIVISION_NUMERATOR = {3: 2, 6: -1, 12: 2}
-DIVISION_ORDERS = (1000, 3535, 7600)
+DIVISION_ORDERS = (250, 500, 1000, 3535, 7600)
 DIVISION_MODULI = (None, 4, 32, 256)
 
 

@@ -36,18 +36,17 @@ is read back through a Decimal; such residue products (M above about
 long to be written out in decimal at all sends the product to the packed
 path whatever its order.
 Division num/den, and inversion as the division of one, dispatches on the
-domain and the number of nonzero terms of den.  A sparse den, such as
-phi(-q) with about 2 sqrt(order) nonzero terms, is divided out in one
-pass of the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i],
+domain, the order and the number of nonzero terms of den.  A sparse den,
+such as phi(-q) with about 2 sqrt(order) nonzero terms, is divided out in
+one pass of the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i],
 one step per nonzero den[i], so the work is nnz(den) steps per
 coefficient with no inverse and no product formed.  A den with more than
-128 nonzero terms over Z, or 32 in a residue ring, would make that
-quadratic in the order; it is inverted by Newton iteration
-x -> x(2-ax), doubling the correct precision each step, and the inverse
-is multiplied by num.  When x is right to half the new precision, ax is
-1 plus q^half times an error e, so the step only appends the new half,
--x e truncated to the remaining length; the known zero half of the error
-is never multiplied.
+10 sqrt(order) nonzero terms over Z, or 32 in a residue ring, would make
+that slower than Newton iteration x -> x(2-ax), which doubles the correct
+precision each step; its inverse is then multiplied by num.  When x is
+right to half the new precision, ax is 1 plus q^half times an error e, so
+the step only appends the new half, -x e truncated to the remaining
+length; the known zero half of the error is never multiplied.
 
 Every eta product prod f_d^(r_d) is built by `eta_product`.  Modulo a
 power p^a of one prime it first lowers the exponents by the binomial
@@ -345,13 +344,24 @@ def _invert_list(a, order, modulus):
 
 
 # the most nonzero terms a denominator may have for the recurrence, which
-# costs that many steps per coefficient.  In the division rows of
-# bench/multiply.py it beats Newton inversion and a product over Z 3-8x up
-# to 143 nonzero terms, about ties at 330 and loses from 482; mod 32 and
-# 256 it wins up to 51, ties near 60-100 and loses from 123 on.  Mod 4
-# Newton's iterates for phi(-q) stay sparse: the recurrence loses there by
-# 0.7 ms at 32 nonzero terms and 4x from 60.
-_SPARSE_DIVISOR_TERMS = 128
+# costs that many steps per coefficient.  Over Z the limit is 10 sqrt(order),
+# five times the density of phi(-q), since Newton inversion and a product
+# cost more per coefficient as the order and the coefficients grow.  In the
+# division rows of bench/multiply.py the recurrence wins on every
+# denominator of up to 153 nonzero terms at order 250, 177 at 500 and 330
+# at 1000, and 3-7x on the sparse rows (up to 143 terms) at 3535 and 7600;
+# it loses on f1^2 (258 terms at 500, 482 at 1000) and on every row of
+# 1047 terms or more.  The rule picks the slower path only near a tie:
+# phi(-q)^2 at 1000 (330 terms; 11 ms by the recurrence, 13 by Newton) and
+# f1^6 at 250, 500 and 1000 (under 1 ms each).  In a residue ring the
+# product stays cheap and the crossover does not grow: mod 32 and 256 the
+# recurrence wins up to about 50-100 terms at every order, and mod 4,
+# where Newton's iterates for phi(-q) stay sparse, it loses on phi(-q)
+# from order 1000 (32 terms) on.  32 keeps it off phi(-q) mod 4; between 33
+# and about 100 terms mod 32 and 256 that costs up to 4 ms per division.
+# perfbench's certify-batch sends about 200 of its 215 residue divisions
+# down the recurrence.
+_SPARSE_DIVISOR_SCALE = 10
 _SPARSE_DIVISOR_TERMS_RESIDUE = 32
 
 
@@ -377,7 +387,7 @@ def _divide_list(num, den, order, modulus):
     inversion and one product (none when num is one)."""
     if order <= 0:
         return []
-    limit = (_SPARSE_DIVISOR_TERMS if modulus is None
+    limit = (_SPARSE_DIVISOR_SCALE * isqrt(order) if modulus is None
              else _SPARSE_DIVISOR_TERMS_RESIDUE)
     if _nonzero_count(den, order) <= limit:
         return _divide_sparse(num, den, order, modulus)
@@ -503,12 +513,17 @@ class TruncSeries:
             return TruncSeries.one(self.order, self.modulus)
         return result
 
-    def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
+    def invert(self, times=None) -> "TruncSeries":
+        """Multiplicative inverse, or with `times` the quotient times/self,
+        formed by one division without the inverse; the constant term must
+        be a unit."""
+        if times is None:
+            num, n = (1,), self.order
+        else:
+            self._check_domain(times)
+            num, n = times.coeffs, min(self.order, times.order)
         return TruncSeries._reduced(
-            _divide_list((1,), self.coeffs, self.order, self.modulus),
-            self.modulus,
-        )
+            _divide_list(num, self.coeffs, n, self.modulus), self.modulus)
 
     def inflate(self, m: int, order=None) -> "TruncSeries":
         """Substitute q -> q^m.  The result is known to order m*T, every
@@ -681,8 +696,7 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
         return num
     den = product(inflated(False), order, modulus)
     del powers
-    return TruncSeries._reduced(
-        _divide_list(num.coeffs, den.coeffs, order, modulus), modulus)
+    return den.invert(times=num)
 
 
 def prime_factors(n: int) -> list[int]:

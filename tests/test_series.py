@@ -6,7 +6,7 @@ numbers, and brute-force lattice counting for the cubic theta series.
 """
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -705,12 +705,12 @@ def test_newton_round_trip_at_orders_off_powers_of_two():
 _DIVISION_RINGS = (None, 2, 4, 8, 32, 243, 256, 729, 186624)
 
 
-def _divisor_limit(modulus):
+def _divisor_limit(order, modulus):
     """The most nonzero terms a denominator has on the recurrence path."""
     from pdotq import series
 
     if modulus is None:
-        return series._SPARSE_DIVISOR_TERMS
+        return series._SPARSE_DIVISOR_SCALE * isqrt(order)
     return series._SPARSE_DIVISOR_TERMS_RESIDUE
 
 
@@ -747,37 +747,42 @@ def _random_numerator(rng, order, modulus):
     return [rng.randrange(modulus) for _ in range(order)]
 
 
-def _crossover_orders(base, limit, modulus):
-    """The two orders at which base(order) has limit and limit + 1 nonzero
-    terms."""
-    from pdotq.series import _nonzero_terms
-
-    big = 8000
-    cross = _nonzero_terms(base(big, modulus).coeffs, big)[limit][0] + 1
-    return cross - 1, cross
+def _crossover_orders(base, modulus):
+    """The last order below 8000 at which base(order) is on the recurrence
+    path and the next, or () if the path never changes there."""
+    nonzero, sparse = 0, []
+    for n, c in enumerate(base(8000, modulus).coeffs, 1):
+        nonzero += c != 0
+        sparse.append(nonzero <= _divisor_limit(n, modulus))
+    for n in range(1, 8000):
+        if sparse[n - 1] != sparse[n]:
+            return n, n + 1
+    return ()
 
 
 def _division_cases(rng):
     """(num, den, order, modulus) with denominators on both sides of the
-    dispatch limit: random support, and phi(-q) and f1 at the orders where
-    their nonzero count passes the limit."""
+    dispatch limit: random support, and phi(-q), f1 and the dense f1^2 at
+    the orders where their path changes."""
     from pdotq.series import phi_minus
 
     def f1(order, modulus):
         return euler_factor(1, 1, order, modulus)
 
+    def f1_squared(order, modulus):
+        return euler_factor(1, 2, order, modulus)
+
     for modulus in _DIVISION_RINGS:
-        limit = _divisor_limit(modulus)
         for order in (1, 2, 127, 128, 129, 300):
+            limit = _divisor_limit(order, modulus)
             for nonzero in (1, 2, limit, limit + 1):
                 yield (_random_numerator(rng, order, modulus),
                        _random_divisor(rng, order, modulus, nonzero),
                        order, modulus)
-        # below 8000, phi(-q) has fewer than 128 nonzero terms, and none
-        # past its constant term mod 2
-        bases = (f1,) if modulus in (None, 2) else (phi_minus, f1)
-        for base in bases:
-            for order in _crossover_orders(base, limit, modulus):
+        # over Z, phi(-q) and f1 stay below 10 sqrt(order) nonzero terms,
+        # and f1^2 passes it; mod 2 phi(-q) is one
+        for base in (phi_minus, f1, f1_squared):
+            for order in _crossover_orders(base, modulus):
                 yield (_random_numerator(rng, order, modulus),
                        list(base(order, modulus).coeffs), order, modulus)
         order = rng.randrange(4900, 5100)
@@ -794,8 +799,9 @@ def test_division_paths_agree_with_newton_and_a_product():
         expected = _newton_quotient(num, den, order, modulus)
         assert _divide_list(num, den, order, modulus) == expected, (
             order, modulus)
-        # the recurrence is right on a dense divisor too, only slow
-        sparse = _nonzero_count(den, order) <= _divisor_limit(modulus)
+        # the recurrence is right on a dense divisor and in every ring too,
+        # only slower there than Newton
+        sparse = _nonzero_count(den, order) <= _divisor_limit(order, None)
         if order <= 300 or sparse:
             assert _divide_sparse(num, den, order, modulus) == expected, (
                 order, modulus)
@@ -844,7 +850,7 @@ def test_division_with_a_short_numerator_and_a_negative_unit():
     rng = random.Random(1729)
     for modulus in (None, 32, 243):
         c0 = -1 if modulus is None else modulus - 1
-        for nonzero in (3, _divisor_limit(modulus) + 5):
+        for nonzero in (3, _divisor_limit(400, modulus) + 5):
             den = _random_divisor(rng, 400, modulus, nonzero, c0)
             for num in ((1,), _random_numerator(rng, 40, modulus)):
                 padded = list(num) + [0] * (400 - len(num))
@@ -864,7 +870,7 @@ def test_division_by_a_non_unit_constant_term_raises_on_both_paths():
             (None, 0, "constant term 0 is not a unit over the integers"),
             (8, 2, "constant term 2 is not invertible mod 8"),
             (243, 3, "constant term 3 is not invertible mod 243")):
-        for nonzero in (2, _divisor_limit(modulus) + 1):
+        for nonzero in (2, _divisor_limit(300, modulus) + 1):
             den = _random_divisor(rng, 300, modulus, nonzero, c0)
             with pytest.raises(NotInvertibleError, match=f"^{message}$"):
                 _divide_list([1, 2, 3], den, 300, modulus)
@@ -888,11 +894,17 @@ def test_division_dispatches_on_the_nonzero_count_of_the_divisor(monkeypatch):
 
     for name in ("_divide_sparse", "_invert_list"):
         monkeypatch.setattr(series, name, spy(name))
-    # phi(-q) has 60 nonzero terms below 3535: one recurrence pass
-    series.eta_product(PDO_T_EXPONENTS, 3535)
-    assert calls == ["_divide_sparse"]
-    # f1^24 and phi(-q)^2 are dense: Newton inversion, never the recurrence
-    for exponents, order, modulus in (({1: -24}, 5000, None),
+    # phi(-q) has 60 nonzero terms below 3535: one recurrence pass over Z;
+    # f1^2 has 139 below 250, under 10 isqrt(250) = 150, but 482 below
+    # 1000, over 310
+    for exponents, order in ((PDO_T_EXPONENTS, 3535), ({1: -2}, 250)):
+        calls.clear()
+        series.eta_product(exponents, order)
+        assert calls == ["_divide_sparse"], (exponents, order)
+    # f1^2 at 1000, f1^24 and phi(-q)^2 are dense: Newton inversion, never
+    # the recurrence
+    for exponents, order, modulus in (({1: -2}, 1000, None),
+                                      ({1: -24}, 5000, None),
                                       (PDO_T_3N_EXPONENTS, 38340, 186624)):
         calls.clear()
         series.eta_product(exponents, order, modulus)
