@@ -27,12 +27,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import NamedTuple
 
-from .series import TruncSeries, eta_product, prime_factors
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+from .series import TruncSeries, divisors, eta_product, prime_factors
 
 
 @dataclass
@@ -163,7 +158,7 @@ def modularity_check(eq: EtaQuotient) -> ModularityVerdict:
     w = weight(eq)
     delta_sum = sum(d * r for d, r in eq.exponents.items())
     conj_sum = sum((eq.level // d) * r for d, r in eq.exponents.items())
-    orders = {d: cusp_order(eq, d) for d in _divisors(eq.level)}
+    orders = {d: cusp_order(eq, d) for d in divisors(eq.level)}
     holo = all(v >= 0 for v in orders.values())
     verdict = ModularityVerdict(
         weight=w,

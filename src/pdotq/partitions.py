@@ -11,8 +11,11 @@ per distinct size).  The four counting functions are
     pdo(n)    same as pd but only odd part sizes allowed
     pdo_t(n)  same as pd_t but only odd part sizes allowed
 
-pd and pdo have the eta-quotient generating functions PD_EXPONENTS and
-PDO_EXPONENTS; pd_t is only enumerated here.
+All four are read from one table over multiplicity profiles,
+designated_counts, built from plain integer lists without the series
+module.  pd and pdo also have the eta-quotient generating functions
+PD_EXPONENTS and PDO_EXPONENTS; pd_t has none here and comes from the
+table alone.
 pdo_t is the statistic the rest of the package is about.  Its generating
 function is q * f2 * f3^2 * f12^2 / (f1^2 * f6) with f_m the Euler product
 over step m; pdo_t_series builds that via the series module, so the
@@ -38,63 +41,58 @@ PD_EXPONENTS = {1: -1, 2: -1, 3: -1, 6: 1}
 PDO_EXPONENTS = {1: -1, 3: -1, 4: 1, 6: 2, 12: -1}
 
 
-def enumerate_partitions(n: int, odd_only: bool = False):
-    """Yield the partitions of n as multiplicity profiles: tuples of
-    (size, multiplicity) pairs with sizes strictly decreasing.
+def designated_counts(n: int,
+                      odd_only: bool = False) -> tuple[list, list]:
+    """(totals, tagged), two lists indexed 0..n: totals[k] is pd(k) and
+    tagged[k] is pd_t(k), or pdo(k) and pdo_t(k) when odd_only.
 
-    Profiles appear in decreasing lexicographic order of largest size.
-    n = 0 yields the single empty profile.
+    Each allowed part size s contributes the factor
+    1 + x * sum_{m>=1} m q^(ms) = 1 + x q^s/(1 - q^s)^2: m is the
+    multiplicity, whose m copies give m ways to designate one, and x marks
+    the tag.  totals is the product at x = 1 and tagged its x-derivative
+    there, so one factor maps (T, G) to (T + A T, G + A G + A T) with
+    A = q^s/(1 - q^s)^2.  A is a shift by s and two running sums along
+    stride s, so the whole table costs O(n^2) integer additions.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-
-    def descend(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        start = min(cap, remaining)
-        for size in range(start, 0, -1):
-            if odd_only and size % 2 == 0:
-                continue
-            for mult in range(remaining // size, 0, -1):
-                for rest in descend(remaining - mult * size, size - 1):
-                    yield ((size, mult),) + rest
-
-    return descend(n, n)
+    totals = [1] + [0] * n
+    tagged = [0] * (n + 1)
+    for s in range(1, n + 1, 2 if odd_only else 1):
+        gain = _times_profile_factor(totals, s)
+        tagged = [g + a + b for g, a, b in
+                  zip(tagged, _times_profile_factor(tagged, s), gain)]
+        totals = [t + a for t, a in zip(totals, gain)]
+    return totals, tagged
 
 
-def _designated_counts(n: int, odd_only: bool):
-    """Return (sum of products of multiplicities, same weighted by the
-    number of distinct sizes) over all profiles of n."""
-    total = 0
-    tagged = 0
-    for profile in enumerate_partitions(n, odd_only):
-        prod = 1
-        for _, mult in profile:
-            prod *= mult
-        total += prod
-        tagged += len(profile) * prod
-    return total, tagged
+def _times_profile_factor(x: list, s: int) -> list:
+    """x * q^s/(1 - q^s)^2, truncated to len(x), for 1 <= s < len(x)."""
+    y = [0] * s + x[:len(x) - s]
+    for _ in range(2):
+        for k in range(2 * s, len(y)):
+            y[k] += y[k - s]
+    return y
 
 
 def pd(n: int) -> int:
     """Number of partitions of n with designated summands."""
-    return _designated_counts(n, odd_only=False)[0]
+    return designated_counts(n, odd_only=False)[0][n]
 
 
 def pd_t(n: int) -> int:
     """Total tagged parts over designated partitions of n."""
-    return _designated_counts(n, odd_only=False)[1]
+    return designated_counts(n, odd_only=False)[1][n]
 
 
 def pdo(n: int) -> int:
     """Designated partitions of n into odd parts."""
-    return _designated_counts(n, odd_only=True)[0]
+    return designated_counts(n, odd_only=True)[0][n]
 
 
 def pdo_t(n: int) -> int:
     """Total tagged parts over designated odd-part partitions of n."""
-    return _designated_counts(n, odd_only=True)[1]
+    return designated_counts(n, odd_only=True)[1][n]
 
 
 def pdo_t_series(order: int, modulus=None, step: int = 1) -> TruncSeries:

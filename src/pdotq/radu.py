@@ -30,7 +30,7 @@ from functools import cache
 from math import floor, gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .series import TruncSeries, eta_product, prime_factors
+from .series import TruncSeries, divisors, eta_product, prime_factors
 
 
 class CriterionNotApplicable(ValueError):
@@ -58,10 +58,6 @@ class NonnegativityFailure(CriterionNotApplicable):
         self.delta = delta
         self.value = value
         super().__init__(f"negative order bound {value} at delta={delta}")
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _is_squarefree(n: int) -> bool:

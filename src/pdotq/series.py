@@ -699,6 +699,11 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     return den.invert(times=num)
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, ascending, by trial division."""
     out = []

@@ -18,7 +18,7 @@ from pdotq.modforms import (
     u_operator,
     weight,
 )
-from pdotq.partitions import pdo_t, pdo_t_series
+from pdotq.partitions import designated_counts, pdo_t, pdo_t_series
 from pdotq.radu import (
     AuxExponents,
     RaduInstance,
@@ -42,12 +42,14 @@ from pdotq.verify import (
 
 
 def test_criterion_1_oracle_equivalence():
-    # direct enumeration against the generating function, 40 coefficients
+    # the combinatorial count against the generating function, 400
+    # coefficients
     start = monotonic()
     assert pdo_t(4) == 6
-    series = pdo_t_series(41)
-    for n in range(1, 41):
-        assert series.coeffs[n] == pdo_t(n), n
+    series = pdo_t_series(401)
+    _, counted = designated_counts(400, odd_only=True)
+    for n in range(1, 401):
+        assert series.coeffs[n] == counted[n], n
     assert monotonic() - start < 10
 
 

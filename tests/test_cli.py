@@ -102,6 +102,21 @@ def test_pdot_counters(capsys):
     assert code == 2 and "n must be" in err
 
 
+def test_pdot_refuses_a_table_past_its_limit(capsys, monkeypatch):
+    from pdotq import cli
+
+    def forbidden(*args):
+        raise AssertionError("the limit is checked before any table")
+
+    monkeypatch.setattr(cli, "designated_counts", forbidden)
+    huge = str(10**12)
+    for argv in (("--method", "enum"), ("--counter", "pd-tagged")):
+        code, out, err = run(capsys, "pdot", "--n", "3", huge, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("pdotq pdot: n must be <= ")
+        assert err.count("\n") == 1
+
+
 def test_pdot_series_matches_enum(capsys):
     code, fast, _ = run(capsys, "pdot", "--n", *map(str, range(13)))
     assert code == 0
@@ -124,13 +139,13 @@ def test_pdot_series_matches_enum(capsys):
 
 
 def test_pdot_pd_and_pdo_by_series_never_enumerate(capsys, monkeypatch):
-    from pdotq import partitions
+    from pdotq import cli
     from pdotq.series import euler_factor
 
     def forbidden(*args):
         raise AssertionError("pd and pdo have generating functions")
 
-    monkeypatch.setattr(partitions, "enumerate_partitions", forbidden)
+    monkeypatch.setattr(cli, "designated_counts", forbidden)
     order = 2001
 
     def f(step, exponent):

@@ -1,8 +1,10 @@
 """Tests for designated-summand partition counting.
 
-The reference oracle here re-derives every count from a plain list-of-parts
-partition generator (a different enumeration than the multiplicity-profile
-one in the package) and then applies the counting rule directly.
+The package counts from a multiplicity-profile table.  Two reference
+oracles here re-derive every count by visiting partitions one at a time:
+a plain list-of-parts generator, and a generator of multiplicity profiles
+(the package's counter before the table replaced it).  Each then applies
+the counting rule directly.
 """
 
 from collections import Counter
@@ -11,13 +13,16 @@ from math import prod
 import pytest
 
 from pdotq.partitions import (
-    enumerate_partitions,
+    PD_EXPONENTS,
+    PDO_EXPONENTS,
+    designated_counts,
     pd,
     pd_t,
     pdo,
     pdo_t,
     pdo_t_series,
 )
+from pdotq.series import eta_product
 
 
 def parts_lists(n, odd_only=False):
@@ -46,6 +51,43 @@ def oracle_counts(n, odd_only):
     return total, tagged
 
 
+def enumerate_partitions(n, odd_only=False):
+    """Yield the partitions of n as multiplicity profiles: tuples of
+    (size, multiplicity) pairs with sizes strictly decreasing.
+
+    Profiles appear in decreasing lexicographic order of largest size.
+    n = 0 yields the single empty profile.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+
+    def descend(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        start = min(cap, remaining)
+        for size in range(start, 0, -1):
+            if odd_only and size % 2 == 0:
+                continue
+            for mult in range(remaining // size, 0, -1):
+                for rest in descend(remaining - mult * size, size - 1):
+                    yield ((size, mult),) + rest
+
+    return descend(n, n)
+
+
+def profile_counts(n, odd_only):
+    """(sum of products of multiplicities, same weighted by the number of
+    distinct sizes) over all profiles of n."""
+    total = 0
+    tagged = 0
+    for profile in enumerate_partitions(n, odd_only):
+        ways = prod(mult for _, mult in profile)
+        total += ways
+        tagged += len(profile) * ways
+    return total, tagged
+
+
 def test_designated_anchor_values():
     """The four published values at n = 4 that pin the counting rule."""
     assert pd(4) == 10
@@ -55,13 +97,42 @@ def test_designated_anchor_values():
 
 
 def test_counts_match_list_oracle():
-    for n in range(0, 16):
+    for n in range(0, 23):
         all_total, all_tagged = oracle_counts(n, odd_only=False)
         odd_total, odd_tagged = oracle_counts(n, odd_only=True)
         assert pd(n) == all_total, f"pd({n})"
         assert pd_t(n) == all_tagged, f"pd_t({n})"
         assert pdo(n) == odd_total, f"pdo({n})"
         assert pdo_t(n) == odd_tagged, f"pdo_t({n})"
+
+
+def test_table_matches_profile_oracle():
+    for odd_only in (False, True):
+        totals, tagged = designated_counts(22, odd_only)
+        assert len(totals) == len(tagged) == 23
+        for n in range(23):
+            assert (totals[n], tagged[n]) == profile_counts(n, odd_only), n
+
+
+def test_table_matches_generating_functions():
+    order = 501
+    totals, _ = designated_counts(order - 1)
+    assert totals == list(eta_product(PD_EXPONENTS, order).coeffs)
+    odd_totals, odd_tagged = designated_counts(order - 1, odd_only=True)
+    assert odd_totals == list(eta_product(PDO_EXPONENTS, order).coeffs)
+    assert odd_tagged == list(pdo_t_series(order).coeffs)
+
+
+def test_pd_t_70_matches_its_enumerated_value():
+    # computed once by visiting every multiplicity profile of 70, the
+    # counter this table replaced (about 25 s)
+    assert pd_t(70) == 2831839544
+
+
+def test_table_at_zero_and_below():
+    assert designated_counts(0) == designated_counts(0, True) == ([1], [0])
+    with pytest.raises(ValueError):
+        designated_counts(-1)
 
 
 def test_small_value_table():
