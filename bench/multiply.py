@@ -3,21 +3,21 @@
     PYTHONPATH=src python3 bench/multiply.py [--repeats 5] [--seed 1]
 
 Residue rows: for each length n and modulus M, two operands of length n
-are multiplied to order n by the byte-packed backend (`_mul_packed`) and
-by the decimal backend (`_mul_decimal`).  Exact rows: the same over Z, by
-schoolbook (`_mul_schoolbook`) and by the decimal backend, with signed
-operands as wide as PDO_t(n) (about 200 bits at n = 3500).  In both, the
-operands are either both dense and random, or f_1 (pentagonal-sparse, as
-in the Euler factors) against a dense one, and the backends' products
-are checked equal.  Each row reports the best of --repeats `perf_counter`
-timings per backend.  These rows are the evidence for the orders at which
-`_mul_lists` switches backends.  Sparse rows: at n in 2000, 30000 and
-115000 (mod 32 and 729, and over Z at 2000), Euler factor times Euler
-factor, f_1 times an operand with random support sized for a given
+are multiplied to order n by schoolbook (`_mul_schoolbook`) and by the
+decimal Kronecker backend (`_mul_decimal`).  Exact rows: the same over Z,
+with signed operands as wide as PDO_t(n) (about 200 bits at n = 3500).
+In both, the operands are either both dense and random, or f_1
+(pentagonal-sparse, as in the Euler factors) against a dense one, and
+the backends' products are checked equal.  Each row reports the best of
+--repeats `perf_counter` timings per backend.  These rows are the
+evidence for the order `_SCHOOLBOOK_THRESHOLD` at which `_mul_lists`
+leaves schoolbook for dense operands.  Sparse rows: at n in 2000, 30000
+and 115000 (mod 32 and 729, and over Z at 2000), Euler factor times
+Euler factor, f_1 times an operand with random support sized for a given
 number of nonzero pairs per product coefficient, and f_1 times a dense
-operand, each by schoolbook and by the Kronecker backend `_mul_lists`
-uses for dense operands of that order, with the nonzero-pair count
-beside them.  They are the evidence for `_SPARSE_PAIRS_PER_COEFF`.
+operand, each by schoolbook and by the decimal backend, with the
+nonzero-pair count beside them.  They are the evidence for
+`_SPARSE_PAIRS_PER_COEFF`.
 Series rows: one whole `pdo_t_series` expansion at each (order, modulus,
 step) of SERIES_ROWS, best of --repeats, the layer that sits between one
 multiply and a suite; step 3 is the 3n series that `check --suite all`
@@ -49,17 +49,14 @@ import time
 from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
-    _DECIMAL_THRESHOLD, _divide_sparse, _invert_list, _mul_decimal,
-    _mul_lists, _mul_packed, _mul_schoolbook, _nonzero_count, eta_product,
-    euler_factor,
+    _divide_sparse, _invert_list, _mul_decimal, _mul_lists, _mul_schoolbook,
+    _nonzero_count, eta_product, euler_factor,
 )
 
-SIZES = (1000, 2000, 4000, 30000, 115000)
+# orders at which schoolbook still finishes, in every ring
+SIZES = (128, 256, 512, 1500, 3500)
 MODULI = (2, 32, 243, 256, 729)
-BACKENDS = (("packed_s", _mul_packed), ("decimal_s", _mul_decimal))
-EXACT_SIZES = (128, 256, 512, 1500, 3500)
-EXACT_BACKENDS = (("schoolbook_s", _mul_schoolbook),
-                  ("decimal_s", _mul_decimal))
+BACKENDS = (("schoolbook_s", _mul_schoolbook), ("decimal_s", _mul_decimal))
 SPARSE_SIZES = (2000, 30000, 115000)
 SPARSE_MODULI = (32, 729)
 SPARSE_EXACT_SIZE = 2000
@@ -142,16 +139,12 @@ def sparse_rows(rng, repeats, widths):
     cases = [(n, m) for n in SPARSE_SIZES for m in SPARSE_MODULI]
     cases.append((SPARSE_EXACT_SIZE, None))
     for n, modulus in cases:
-        kronecker = (_mul_packed if modulus is not None
-                     and n < _DECIMAL_THRESHOLD else _mul_decimal)
         bits = widths[n].bit_length() if modulus is None else None
         for shape, a, b in sparse_shapes(rng, n, modulus, bits):
             pairs = _nonzero_count(a, n) * _nonzero_count(b, n)
             row = {"n": n, "modulus": modulus, "operands": shape,
                    "pairs": pairs, "pairs_per_coeff": round(pairs / n, 2)}
-            backends = (("schoolbook_s", _mul_schoolbook),
-                        ("kronecker_s", kronecker))
-            if not timed_row(row, backends, a, b, n, modulus, repeats):
+            if not timed_row(row, BACKENDS, a, b, n, modulus, repeats):
                 return None
             rows.append(row)
     return rows
@@ -218,15 +211,15 @@ def main(argv=None) -> int:
                     return 1
                 rows.append(row)
     exact_rows = []
-    widths = pdo_t_series(max(EXACT_SIZES) + 1).coeffs
-    for n in EXACT_SIZES:
+    widths = pdo_t_series(max(SIZES) + 1).coeffs
+    for n in SIZES:
         bits = widths[n].bit_length()
         other = signed(rng, n, bits)
         shapes = {"dense": signed(rng, n, bits),
                   "f1": list(euler_factor(1, 1, n).coeffs)}
         for shape, a in shapes.items():
             row = {"n": n, "bits": bits, "operands": shape}
-            if not timed_row(row, EXACT_BACKENDS, a, other, n, None,
+            if not timed_row(row, BACKENDS, a, other, n, None,
                              args.repeats):
                 return 1
             exact_rows.append(row)

@@ -199,6 +199,15 @@ def q_expansion(eq: EtaQuotient, order: int, modulus=None) -> TruncSeries:
     return result.shift(shift).truncate(order)
 
 
+def sl2_index(level: int) -> int:
+    """Index of Gamma_0(level) in the full modular group,
+    level prod_{p | level} (1 + 1/p)."""
+    index = level
+    for p in prime_factors(level):
+        index = index // p * (p + 1)
+    return index
+
+
 def sturm_bound(wt: int, level: int, same_character: bool = True) -> int:
     """Number of initial coefficients that decide a congruence between two
     forms of this weight on Gamma_0(level): the classical bound for forms
@@ -206,13 +215,10 @@ def sturm_bound(wt: int, level: int, same_character: bool = True) -> int:
     if wt < 1 or level < 1:
         raise ValueError(f"need weight >= 1 and level >= 1, got {wt}, {level}")
     if same_character:
-        value = Fraction(wt * level, 12)
-        for p in prime_factors(level):
-            value *= 1 + Fraction(1, p)
-    else:
-        value = Fraction(wt * level * level, 12)
-        for p in prime_factors(level):
-            value *= 1 - Fraction(1, p * p)
+        return wt * sl2_index(level) // 12
+    value = Fraction(wt * level * level, 12)
+    for p in prime_factors(level):
+        value *= 1 - Fraction(1, p * p)
     return floor(value)
 
 

@@ -30,6 +30,7 @@ from functools import cache
 from math import floor, gcd, lcm
 from typing import Callable, Optional, Sequence
 
+from .modforms import sl2_index
 from .series import TruncSeries, divisors, eta_product, prime_factors
 
 
@@ -261,14 +262,6 @@ def p_star(aux: AuxExponents, delta: int) -> Fraction:
         g = gcd(d, delta)
         total += Fraction(v * g * g, d)
     return total / 24
-
-
-def sl2_index(level: int) -> int:
-    """Index of Gamma_0(level) in the full modular group."""
-    value = Fraction(level)
-    for p in prime_factors(level):
-        value *= 1 + Fraction(1, p)
-    return int(value)
 
 
 def nu_bound(inst: RaduInstance, aux: AuxExponents) -> Fraction:

@@ -7,34 +7,30 @@ The domain is either exact integers (modulus None) or the residue ring Z/MZ
 two series requires identical domains and truncates to the smaller order,
 since nothing past that point is determined by the operands.
 
-Multiplication dispatches on the domain, the product order and the
-number of nonzero pairs.  Schoolbook convolution walks only the nonzero
-terms of both operands, so its cost is the count of nonzero pairs; it
-takes every product below order 128, and at any order a product whose
-operands have at most 16 nonzero pairs per product coefficient, such as
-one pentagonal-sparse Euler factor times another.  Other products use
-Kronecker substitution: each coefficient becomes a fixed-width
-field of one big number, a single big-number multiply does the whole
-convolution, and the fields of the product are the coefficients.  Residue-
-ring products below order 2048 use byte-width limbs of a Python int, packed
-only where the coefficient is nonzero, so CPython's Karatsuba multiply does
-the work.  Exact products from order 128, and residue-ring products from
-order 2048, use zero-padded base-10 fields of an integer `decimal.Decimal`,
-because libmpdec multiplies long operands with a number-theoretic
-transform, which is asymptotically faster.  This is still exact integer
-arithmetic, not floating point: the operands are integers with exponent 0,
-the context has precision MAX_PREC, and its Inexact and Rounded traps make
-any result that would need rounding raise instead.
+Multiplication dispatches on the order and the number of nonzero pairs.
+Schoolbook convolution walks only the nonzero terms of both operands, so
+its cost is the count of nonzero pairs; it takes every product below
+order 128, and at any order a product whose operands have at most 16
+nonzero pairs per product coefficient, such as one pentagonal-sparse
+Euler factor times another.  Every other product, over Z or in a residue
+ring, uses Kronecker substitution in base 10^w: each coefficient becomes
+a zero-padded w-digit field of one integer `decimal.Decimal`, a single
+multiply does the whole convolution, and the fields of the product are
+the coefficients.  libmpdec multiplies long operands with a
+number-theoretic transform, which is asymptotically faster than
+CPython's Karatsuba.  This is still exact integer arithmetic, not
+floating point: the operands are integers with exponent 0, the context
+has precision MAX_PREC, and its Inexact and Rounded traps make any
+result that would need rounding raise instead.
 Exact coefficients are signed.  A field holds c + A with A the largest |c|
 of its operand, and A times the repunit of the fields is subtracted again,
 so the big number carries the signed values.  After the multiply a bias
 H, no smaller than any |c| of the product, is added to every field, so
 each field lies in [0, 2H] and none borrows from its neighbour.
-A field with more digits than the interpreter converts between int and str
-is read back through a Decimal; such residue products (M above about
-10^2150) take the decimal path below order 2048 too.  A coefficient too
-long to be written out in decimal at all sends the product to the packed
-path whatever its order.
+A field with more digits than the interpreter converts between int and
+str (M above about 10^2150, or exact coefficients about as long) is
+written from Decimal(c) and read back through a Decimal, neither of
+which has that limit.
 Division num/den, and inversion as the division of one, dispatches on the
 domain, the order and the number of nonzero terms of den.  A sparse den,
 such as phi(-q) with about 2 sqrt(order) nonzero terms, is divided out in
@@ -154,64 +150,6 @@ _SCHOOLBOOK_THRESHOLD = 128
 _SPARSE_PAIRS_PER_COEFF = 16
 
 
-def _kronecker_layout(a, b, la, lb, modulus):
-    """Biases (A, B, H) and field bound for Kronecker substitution of
-    a[:la] * b[:lb].  Both backends pack field i of `a` as a[i] + A, then
-    subtract A times the repunit of the fields, so the big number carries
-    the signed value sum a[i] X^i; likewise B for `b`.  Product field k
-    holds c[k] + H, in [0, bound].  Residue coefficients lie in [0, M), so
-    there A = B = H = 0 and bound = min(la, lb) (M-1)^2.  Exact ones are
-    signed: A = max |a[i]|, B = max |b[j]|, and since every |c[k]| is at
-    most H = min(la, lb) A B, the fields lie in [0, 2H].  A bound of 0
-    means the product is zero."""
-    if modulus is not None:
-        return 0, 0, 0, min(la, lb) * (modulus - 1) * (modulus - 1)
-    bias_a = max(map(abs, a[:la]), default=0)
-    bias_b = max(map(abs, b[:lb]), default=0)
-    bias_h = min(la, lb) * bias_a * bias_b
-    return bias_a, bias_b, bias_h, 2 * bias_h
-
-
-def _packed_operand(coeffs, n, bias, limb):
-    buf = bytearray(limb * n)
-    for i in range(n):
-        c = coeffs[i] + bias
-        if c:
-            buf[i * limb:i * limb + limb] = c.to_bytes(limb, "little")
-    x = int.from_bytes(buf, "little")
-    if bias:
-        x -= int.from_bytes(bias.to_bytes(limb, "little") * n, "little")
-    return x
-
-
-def _mul_packed(a, b, order, modulus):
-    # Kronecker substitution on Python ints: a limb wide enough for the
-    # field bound makes the big-integer product carry-free and exact.
-    la = min(len(a), order)
-    lb = min(len(b), order)
-    bias_a, bias_b, bias_h, bound = _kronecker_layout(a, b, la, lb, modulus)
-    if not bound:
-        return [0] * order
-    limb = (bound.bit_length() + 8) // 8
-    z = (_packed_operand(a, la, bias_a, limb)
-         * _packed_operand(b, lb, bias_b, limb))
-    if bias_h:
-        z += int.from_bytes(
-            bias_h.to_bytes(limb, "little") * (la + lb - 1), "little")
-    zb = z.to_bytes(limb * (la + lb), "little")
-    n = min(order, la + lb - 1)
-    if modulus is None:
-        out = [int.from_bytes(zb[k * limb:(k + 1) * limb], "little") - bias_h
-               for k in range(n)]
-    else:
-        out = [int.from_bytes(zb[k * limb:(k + 1) * limb], "little") % modulus
-               for k in range(n)]
-    out.extend([0] * (order - n))
-    return out
-
-
-_DECIMAL_THRESHOLD = 2048
-
 # Integer arithmetic on Decimals: an exact product is returned unchanged,
 # and one that would need rounding raises Inexact instead.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -225,11 +163,14 @@ def _repunit(value, w, n):
     return Decimal(str(Decimal(value)).zfill(w) * n)
 
 
-def _decimal_operand(coeffs, n, bias, field, w):
+def _decimal_operand(coeffs, n, bias, w, wide):
     top = coeffs[n - 1::-1]
     if bias:
         top = [c + bias for c in top]
-    x = Decimal((field * n) % tuple(top))
+    if wide:
+        x = Decimal("".join([str(Decimal(c)).zfill(w) for c in top]))
+    else:
+        x = Decimal(("%0" + str(w) + "d") * n % tuple(top))
     if bias:
         x = _EXACT.subtract(x, _repunit(bias, w, n))
     return x
@@ -237,17 +178,29 @@ def _decimal_operand(coeffs, n, bias, field, w):
 
 def _mul_decimal(a, b, order, modulus):
     # Kronecker substitution in base 10^w, with w the digits of the field
-    # bound.  Each temporary is dropped as soon as it is consumed, to keep
-    # peak memory down.
+    # bound.  Residue coefficients lie in [0, M), so no field is biased
+    # and the bound is min(la, lb) (M-1)^2.  Exact ones are biased by
+    # A = max |a[i]| and B = max |b[j]|; every |c[k]| is at most
+    # H = min(la, lb) A B, so the product fields lie in [0, 2H].  Each
+    # temporary is dropped as soon as it is consumed, to keep peak memory
+    # down.
     la = min(len(a), order)
     lb = min(len(b), order)
-    bias_a, bias_b, bias_h, bound = _kronecker_layout(a, b, la, lb, modulus)
+    if modulus is None:
+        bias_a = max(map(abs, a[:la]), default=0)
+        bias_b = max(map(abs, b[:lb]), default=0)
+        bias_h = min(la, lb) * bias_a * bias_b
+        bound = 2 * bias_h
+    else:
+        bias_a = bias_b = bias_h = 0
+        bound = min(la, lb) * (modulus - 1) * (modulus - 1)
     if not bound:
         return [0] * order
     w = Decimal(bound).adjusted() + 1
-    field = "%0" + str(w) + "d"
-    x = _decimal_operand(a, la, bias_a, field, w)
-    y = _decimal_operand(b, lb, bias_b, field, w)
+    # every field, of an operand or of the product, is at most `bound`
+    wide = not _fits_int_str(bound)
+    x = _decimal_operand(a, la, bias_a, w, wide)
+    y = _decimal_operand(b, lb, bias_b, w, wide)
     z = _EXACT.multiply(x, y)
     del x, y
     if bias_h:
@@ -258,8 +211,7 @@ def _mul_decimal(a, b, order, modulus):
     digits = str(z).zfill(n * w)
     del z
     stops = range(len(digits), len(digits) - n * w, -w)
-    if not _fits_int_str(bound):
-        # a field has more digits than int() may parse from a string
+    if wide:
         if modulus is None:
             out = [int(Decimal(digits[i - w:i])) - bias_h for i in stops]
         else:
@@ -285,26 +237,10 @@ def _fits_int_str(value):
 
 def _mul_lists(a, b, order, modulus):
     """Product of coefficient lists, truncated to `order` coefficients."""
-    if order <= 0:
-        return []
     if (order < _SCHOOLBOOK_THRESHOLD
             or _nonzero_count(a, order) * _nonzero_count(b, order)
             <= _SPARSE_PAIRS_PER_COEFF * order):
         return _mul_schoolbook(a, b, order, modulus)
-    if modulus is None:
-        # an exact field holds c + max |c| <= 2 max |c|
-        widest = 2 * max(max(map(abs, a[:order]), default=0),
-                         max(map(abs, b[:order]), default=0))
-    else:
-        widest = modulus - 1
-        # below the decimal crossover the packed path is faster for narrow
-        # fields, but not for ones past the int/str limit (M > ~10^2150)
-        if (order < _DECIMAL_THRESHOLD
-                and _fits_int_str(order * widest * widest)):
-            return _mul_packed(a, b, order, modulus)
-    if not _fits_int_str(widest):
-        # a coefficient too long to write out as a decimal string
-        return _mul_packed(a, b, order, modulus)
     return _mul_decimal(a, b, order, modulus)
 
 
@@ -484,7 +420,8 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncSeries([other * c for c in self.coeffs], self.modulus)
+            # a generator, so no unreduced copy is held beside the result
+            return TruncSeries((other * c for c in self.coeffs), self.modulus)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_domain(other)

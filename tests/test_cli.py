@@ -78,8 +78,8 @@ def test_expand_usage_errors(capsys):
 
 
 def test_expand_modulus_beyond_int_str_limit(capsys):
-    # a 2201-digit modulus: the product fields are too wide to parse as
-    # decimal strings, so the multiply must take the packed path
+    # a 2201-digit modulus: the product fields are too wide to convert
+    # between int and str, so the multiply must go through Decimal
     modulus = 10 ** 2200 + 1
     code, out, err = run(capsys, "expand", "--eta", "6;1;1:-2,2:1",
                          "--order", "2048", "--mod", str(modulus))

@@ -284,13 +284,14 @@ def _multiply_cases(rng):
     def dense(n, modulus):
         return [rng.randrange(modulus) for _ in range(n)]
 
-    # random orders between the schoolbook and decimal crossovers
+    # random orders just above the schoolbook crossover
     for _ in range(60):
         modulus = rng.choice([2, 3, 8, 9, 32, 243, 256, 729, 1000])
         order = rng.randrange(130, 350)
         yield dense(order, modulus), dense(order, modulus), order, modulus
     for i, modulus in enumerate(moduli):
-        # both sides of the packed and decimal crossovers, equal lengths
+        # both sides of the schoolbook crossover, and near order 2048,
+        # equal lengths
         for order in (127, 128, 2047 + i % 3):
             yield dense(order, modulus), dense(order, modulus), order, modulus
         # unequal lengths, truncated below la + lb - 1 and padded above it
@@ -310,14 +311,14 @@ def _multiply_cases(rng):
         yield dense(order, modulus), f6, order, modulus
 
 
-def test_schoolbook_packed_and_decimal_multiplication_agree():
-    from pdotq.series import _mul_decimal, _mul_packed, _mul_schoolbook
+def test_schoolbook_decimal_and_dispatched_multiplication_agree():
+    from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
 
     for a, b, order, modulus in _multiply_cases(random.Random(99)):
         expected = _mul_schoolbook(a, b, order, modulus)
         assert len(expected) == order
-        assert _mul_packed(a, b, order, modulus) == expected, (order, modulus)
         assert _mul_decimal(a, b, order, modulus) == expected, (order, modulus)
+        assert _mul_lists(a, b, order, modulus) == expected, (order, modulus)
 
 
 def test_newton_inversion_through_decimal_multiply():
@@ -327,21 +328,22 @@ def test_newton_inversion_through_decimal_multiply():
 
 
 def test_modulus_too_wide_for_int_str_conversion_decodes_through_decimal():
-    # with this modulus a decimal field would have over 4300 digits, which
+    # with these moduli a product field would have over 4300 digits, which
     # is more than int() may parse from a string by default, so the
-    # decimal backend must read each field back through a Decimal
+    # decimal backend must write and read the fields through a Decimal;
+    # a coefficient mod 10^4400 + 1 cannot be formatted by int() at all
     from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
 
-    modulus = 10 ** 2200 + 1
-    rng = random.Random(2200)
-    a = [rng.randrange(modulus) for _ in range(3)]
-    b = [rng.randrange(modulus) for _ in range(5)]
-    got = _mul_lists(a, b, 2048, modulus)
-    assert got == _mul_schoolbook(a, b, 2048, modulus)
-    assert got[7:] == [0] * (2048 - 7)
-    assert _mul_decimal(a, b, 2048, modulus) == got
-    # below order 2048 such fields go to the decimal backend as well
-    assert _mul_lists(a, b, 1024, modulus) == got[:1024]
+    for modulus in (10 ** 2200 + 1, 10 ** 4400 + 1):
+        rng = random.Random(2200)
+        a = [rng.randrange(modulus) for _ in range(3)]
+        b = [rng.randrange(modulus) for _ in range(5)]
+        got = _mul_lists(a, b, 2048, modulus)
+        assert got == _mul_schoolbook(a, b, 2048, modulus)
+        assert got[7:] == [0] * (2048 - 7)
+        assert _mul_decimal(a, b, 2048, modulus) == got
+        assert _mul_lists(a, b, 1024, modulus) == got[:1024]
+        assert _mul_decimal(a, b, 1024, modulus) == got[:1024]
 
 
 def _exact_multiply_cases(rng):
@@ -382,14 +384,12 @@ def _exact_multiply_cases(rng):
 
 
 def test_exact_kronecker_multiplication_matches_schoolbook():
-    from pdotq.series import (
-        _mul_decimal, _mul_lists, _mul_packed, _mul_schoolbook,
-    )
+    from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
 
     for a, b, order in _exact_multiply_cases(random.Random(314)):
         expected = _mul_schoolbook(a, b, order, None)
         assert len(expected) == order
-        for backend in (_mul_decimal, _mul_packed, _mul_lists):
+        for backend in (_mul_decimal, _mul_lists):
             assert backend(a, b, order, None) == expected, (
                 backend.__name__, order, len(a), len(b))
 
@@ -397,8 +397,8 @@ def test_exact_kronecker_multiplication_matches_schoolbook():
 def test_exact_coefficients_past_int_str_limit():
     # 2200-digit coefficients: the decimal fields pass the 4300-digit
     # int/str limit and are read back through Decimal.  4400-digit ones
-    # cannot be written as decimal strings at all, so _mul_lists falls
-    # back to the packed backend.
+    # cannot be formatted by int() at all, so the operands are written
+    # from Decimal(c) as well.
     from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
 
     rng = random.Random(4400)
@@ -407,8 +407,7 @@ def test_exact_coefficients_past_int_str_limit():
         b = [rng.randrange(-mag, mag + 1) for _ in range(6)]
         expected = _mul_schoolbook(a, b, 200, None)
         assert _mul_lists(a, b, 200, None) == expected
-        if mag == 10 ** 2200:
-            assert _mul_decimal(a, b, 200, None) == expected
+        assert _mul_decimal(a, b, 200, None) == expected
 
 
 def test_newton_inversion_over_integers_through_kronecker():
@@ -684,7 +683,6 @@ def test_sparse_products_dispatch_to_schoolbook_and_agree(monkeypatch):
                 assert calls == [order]
                 assert len(got) == order
                 assert got == series._mul_decimal(a, b, order, modulus)
-                assert got == series._mul_packed(a, b, order, modulus)
 
 
 def test_newton_round_trip_at_orders_off_powers_of_two():
