@@ -28,12 +28,17 @@ lowers their exponents by the binomial congruence first.  Division rows:
 the numerator phi(-q^3) f12^2 of the PDO_t quotient divided by each
 denominator of DIVISION_ROWS, from the sparse phi(-q) to the dense f1^6,
 at orders 250, 500, 1000, 3535 and 7600, over Z and mod 4, 32 and 256,
-by the sparse recurrence (`_divide_sparse`) and by Newton inversion and
-one product, with the denominator's nonzero count beside them; best of
---repeats, the quotients checked equal.  They are the evidence for the
-nonzero-count limits at which `_divide_list` leaves the recurrence (over
-Z a limit that grows with the order).  The result is printed as one JSON
-object.
+by the sparse recurrence (`_divide_sparse`) and by Newton inversion to
+half the order and one Karp-Markstein step (`_divide_newton`), with the
+denominator's nonzero count beside them; best of --repeats, the quotients
+checked equal.  They are the evidence for the nonzero-count limits at
+which `_divide_list` leaves the recurrence (over Z a limit that grows
+with the order).  Workload division rows: the largest Newton-path
+division of proof-all (the 3n series psi(q^2) f6^3 / phi(-q)^2 to order
+38340 mod 186624) and of certify-batch (the PDO_t quotient
+phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128), by `_divide_newton`
+and, where it finishes in seconds, by the recurrence.  The result is
+printed as one JSON object.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import time
 from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
-    _divide_sparse, _invert_list, _mul_decimal, _mul_lists, _mul_schoolbook,
+    _divide_newton, _divide_sparse, _mul_decimal, _mul_schoolbook,
     _nonzero_count, eta_product, euler_factor,
 )
 
@@ -80,6 +85,14 @@ DIVISION_ROWS = (("phi(-q)", {1: 2, 2: -1}), ("f1", {1: 1}),
 DIVISION_NUMERATOR = {3: 2, 6: -1, 12: 2}
 DIVISION_ORDERS = (250, 500, 1000, 3535, 7600)
 DIVISION_MODULI = (None, 4, 32, 256)
+# (workload, numerator, denominator, order, modulus) of the largest
+# division on the Newton path in two perfbench workloads
+WORKLOAD_DIVISION_ROWS = (
+    ("proof-all", {2: -1, 4: 2, 6: 3}, {1: 4, 2: -2}, 38340, 186624),
+    ("certify-batch", DIVISION_NUMERATOR, {1: 2, 2: -1}, 7488, 128),
+)
+# the recurrence is timed only where nonzero terms times order stay below
+RECURRENCE_STEPS = 5 * 10 ** 6
 
 
 def best_of(repeats, fn, *args):
@@ -165,13 +178,10 @@ def quotient_rows(repeats):
             for level, exps, n, modulus in QUOTIENT_ROWS]
 
 
-def newton_quotient(num, den, order, modulus):
-    return _mul_lists(num, _invert_list(den, order, modulus), order, modulus)
-
-
 def division_rows(repeats):
     """Rows of recurrence and Newton division times; None if they differ."""
     rows = []
+    backends = (("recurrence_s", _divide_sparse), ("newton_s", _divide_newton))
     for modulus in DIVISION_MODULI:
         for n in DIVISION_ORDERS:
             num = eta_product(DIVISION_NUMERATOR, n, modulus).coeffs
@@ -179,12 +189,28 @@ def division_rows(repeats):
                 den = eta_product(exponents, n, modulus).coeffs
                 row = {"n": n, "modulus": modulus, "operands": name,
                        "nonzero": _nonzero_count(den, n)}
-                backends = (("recurrence_s", _divide_sparse),
-                            ("newton_s", newton_quotient))
                 if not timed_row(row, backends, num, den, n, modulus,
                                  repeats):
                     return None
                 rows.append(row)
+    return rows
+
+
+def workload_division_rows(repeats):
+    """Rows of the workloads' largest divisions; None if the paths differ."""
+    rows = []
+    for workload, numerator, denominator, n, modulus in WORKLOAD_DIVISION_ROWS:
+        num = eta_product(numerator, n, modulus).coeffs
+        den = eta_product(denominator, n, modulus).coeffs
+        row = {"workload": workload, "n": n, "modulus": modulus,
+               "operands": numerator, "denominator": denominator,
+               "nonzero": _nonzero_count(den, n)}
+        backends = [("newton_s", _divide_newton)]
+        if row["nonzero"] * n <= RECURRENCE_STEPS:
+            backends.append(("recurrence_s", _divide_sparse))
+        if not timed_row(row, backends, num, den, n, modulus, repeats):
+            return None
+        rows.append(row)
     return rows
 
 
@@ -227,7 +253,8 @@ def main(argv=None) -> int:
     if rows_sparse is None:
         return 1
     rows_division = division_rows(args.repeats)
-    if rows_division is None:
+    rows_workload = workload_division_rows(args.repeats)
+    if rows_division is None or rows_workload is None:
         return 1
     print(json.dumps({
         "python": platform.python_version(),
@@ -241,6 +268,7 @@ def main(argv=None) -> int:
         "series_rows": series_rows(args.repeats),
         "quotient_rows": quotient_rows(args.repeats),
         "division_rows": rows_division,
+        "workload_division_rows": rows_workload,
     }, indent=2))
     return 0
 

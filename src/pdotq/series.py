@@ -39,10 +39,14 @@ one step per nonzero den[i], so the work is nnz(den) steps per
 coefficient with no inverse and no product formed.  A den with more than
 10 sqrt(order) nonzero terms over Z, or 32 in a residue ring, would make
 that slower than Newton iteration x -> x(2-ax), which doubles the correct
-precision each step; its inverse is then multiplied by num.  When x is
-right to half the new precision, ax is 1 plus q^half times an error e, so
-the step only appends the new half, -x e truncated to the remaining
-length; the known zero half of the error is never multiplied.
+precision each step.  When x is right to half the new precision, ax is 1
+plus q^half times an error e, so the step reads only coefficients half
+and up of ax (the product decodes no field below them) and appends -x e
+truncated to the remaining length.  Newton stops at h = ceil(order/2),
+and one Karp-Markstein step finishes the quotient: y = num x to h, then
+num - den y is q^h times e below order, and y + q^h x e is the quotient.
+So the last full-length Newton step and the order-length product of num
+and the inverse are never formed; dividing one goes the same way.
 
 Every eta product prod f_d^(r_d) is built by `eta_product`.  Modulo a
 power p^a of one prime it first lowers the exponents by the binomial
@@ -86,6 +90,7 @@ import sys
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded,
 )
+from itertools import zip_longest
 from math import gcd, isqrt
 
 
@@ -176,7 +181,7 @@ def _decimal_operand(coeffs, n, bias, w, wide):
     return x
 
 
-def _mul_decimal(a, b, order, modulus):
+def _mul_decimal(a, b, order, modulus, lo=0):
     # Kronecker substitution in base 10^w, with w the digits of the field
     # bound.  Residue coefficients lie in [0, M), so no field is biased
     # and the bound is min(la, lb) (M-1)^2.  Exact ones are biased by
@@ -186,6 +191,7 @@ def _mul_decimal(a, b, order, modulus):
     # down.
     la = min(len(a), order)
     lb = min(len(b), order)
+    n = min(order, la + lb - 1)
     if modulus is None:
         bias_a = max(map(abs, a[:la]), default=0)
         bias_b = max(map(abs, b[:lb]), default=0)
@@ -194,8 +200,8 @@ def _mul_decimal(a, b, order, modulus):
     else:
         bias_a = bias_b = bias_h = 0
         bound = min(la, lb) * (modulus - 1) * (modulus - 1)
-    if not bound:
-        return [0] * order
+    if not bound or lo >= n:
+        return [0] * (order - lo)
     w = Decimal(bound).adjusted() + 1
     # every field, of an operand or of the product, is at most `bound`
     wide = not _fits_int_str(bound)
@@ -205,12 +211,13 @@ def _mul_decimal(a, b, order, modulus):
     del x, y
     if bias_h:
         z = _EXACT.add(z, _repunit(bias_h, w, la + lb - 1))
-    n = min(order, la + lb - 1)
-    # field k is digits[top - (k+1)w : top - kw]; the fields above the
-    # leading digit are zero, so pad up to the n fields that are read
+    # only fields lo..n-1 are read: field k is digits[end - (k+1)w :
+    # end - kw], and the fields above the leading digit are zero, so pad
+    # up to the n fields below the window's top
     digits = str(z).zfill(n * w)
     del z
-    stops = range(len(digits), len(digits) - n * w, -w)
+    end = len(digits)
+    stops = range(end - lo * w, end - n * w, -w)
     if wide:
         if modulus is None:
             out = [int(Decimal(digits[i - w:i])) - bias_h for i in stops]
@@ -235,13 +242,14 @@ def _fits_int_str(value):
     return not limit or value.bit_length() <= 3 * limit or value < 10 ** limit
 
 
-def _mul_lists(a, b, order, modulus):
-    """Product of coefficient lists, truncated to `order` coefficients."""
+def _mul_lists(a, b, order, modulus, lo=0):
+    """Coefficients lo..order-1 of the product of coefficient lists."""
     if (order < _SCHOOLBOOK_THRESHOLD
             or _nonzero_count(a, order) * _nonzero_count(b, order)
             <= _SPARSE_PAIRS_PER_COEFF * order):
-        return _mul_schoolbook(a, b, order, modulus)
-    return _mul_decimal(a, b, order, modulus)
+        out = _mul_schoolbook(a, b, order, modulus)
+        return out[lo:] if lo else out
+    return _mul_decimal(a, b, order, modulus, lo)
 
 
 def _unit_inverse(a, modulus):
@@ -269,11 +277,11 @@ def _invert_list(a, order, modulus):
         # step x (2 - a x) = x - q^half x e only appends its new half
         half = len(x)
         prec = min(2 * half, order)
-        ax = _mul_lists(a[:prec], x, prec, modulus)
+        ax = _mul_lists(a, x, prec, modulus, lo=half)
         if modulus is None:
-            err = [-c for c in ax[half:]]
+            err = [-c for c in ax]
         else:
-            err = [-c % modulus for c in ax[half:]]
+            err = [-c % modulus for c in ax]
         del ax
         x += _mul_lists(x, err, prec - half, modulus)
     return x
@@ -281,22 +289,24 @@ def _invert_list(a, order, modulus):
 
 # the most nonzero terms a denominator may have for the recurrence, which
 # costs that many steps per coefficient.  Over Z the limit is 10 sqrt(order),
-# five times the density of phi(-q), since Newton inversion and a product
-# cost more per coefficient as the order and the coefficients grow.  In the
-# division rows of bench/multiply.py the recurrence wins on every
-# denominator of up to 153 nonzero terms at order 250, 177 at 500 and 330
-# at 1000, and 3-7x on the sparse rows (up to 143 terms) at 3535 and 7600;
-# it loses on f1^2 (258 terms at 500, 482 at 1000) and on every row of
-# 1047 terms or more.  The rule picks the slower path only near a tie:
-# phi(-q)^2 at 1000 (330 terms; 11 ms by the recurrence, 13 by Newton) and
-# f1^6 at 250, 500 and 1000 (under 1 ms each).  In a residue ring the
-# product stays cheap and the crossover does not grow: mod 32 and 256 the
-# recurrence wins up to about 50-100 terms at every order, and mod 4,
-# where Newton's iterates for phi(-q) stay sparse, it loses on phi(-q)
-# from order 1000 (32 terms) on.  32 keeps it off phi(-q) mod 4; between 33
-# and about 100 terms mod 32 and 256 that costs up to 4 ms per division.
-# perfbench's certify-batch sends about 200 of its 215 residue divisions
-# down the recurrence.
+# five times the density of phi(-q), since Newton inversion and the
+# Karp-Markstein step cost more per coefficient as the order and the
+# coefficients grow.  In the division rows of bench/multiply.py the
+# recurrence wins on every denominator of up to 153 nonzero terms at order
+# 250 and 177 at 500, and 2-5x on the sparse rows (up to 143 terms) from
+# 1000 to 7600; it loses on f1^2 (258 terms at 500, 482 at 1000), on
+# phi(-q)^2 at 1000 (330 terms; 17 ms against 14 by Newton) and on every
+# row of 1047 terms or more.  The rule picks the slower path only near a
+# tie: f1^6 at 250 (153 terms; 1.8 ms against 3.0) and 500 (289 terms,
+# 7.0 ms both ways).  In a residue ring the product stays cheap and the
+# crossover does not grow: mod 32 and 256 the recurrence wins up to 51-153
+# terms at orders up to 1000 and 60 at 3535, and loses from 84 terms at
+# 3535 and 88 at 7600; mod 4, where Newton's iterates for phi(-q) stay
+# sparse, it loses on phi(-q) from order 500 (23 terms) on.  32 keeps it
+# off phi(-q) mod 4 past order 1024; between 33 and about 60 terms mod 32
+# and 256 that costs a few ms per division.  Certify-batch's longest
+# division, phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128 (87 terms),
+# takes 40 ms by Newton and 49 by the recurrence.
 _SPARSE_DIVISOR_SCALE = 10
 _SPARSE_DIVISOR_TERMS_RESIDUE = 32
 
@@ -317,20 +327,34 @@ def _divide_sparse(num, den, order, modulus):
     return y
 
 
+def _divide_newton(num, den, order, modulus):
+    """num/den by one Karp-Markstein step on an inverse to half the order,
+    given a unit constant term in den."""
+    # x = 1/den and y = num x are right below h >= order - h, so below
+    # order num - den y = q^h e, and y + q^h x e is right there
+    h = -(-order // 2)
+    x = _invert_list(den, h, modulus)
+    y = _mul_lists(num, x, h, modulus)
+    dy = _mul_lists(den, y, order, modulus, lo=h)
+    err = [c - d for c, d in zip_longest(num[h:order], dy, fillvalue=0)]
+    del dy
+    if modulus is not None:
+        err = [c % modulus for c in err]
+    y += _mul_lists(x, err, order - h, modulus)
+    return y
+
+
 def _divide_list(num, den, order, modulus):
     """num/den truncated to `order` coefficients, given a unit constant
-    term in den: by the recurrence when den is sparse, otherwise by Newton
-    inversion and one product (none when num is one)."""
+    term in den: by the recurrence when den is sparse, otherwise by
+    Newton inversion to half the order and one Karp-Markstein step."""
     if order <= 0:
         return []
     limit = (_SPARSE_DIVISOR_SCALE * isqrt(order) if modulus is None
              else _SPARSE_DIVISOR_TERMS_RESIDUE)
     if _nonzero_count(den, order) <= limit:
         return _divide_sparse(num, den, order, modulus)
-    inverse = _invert_list(den, order, modulus)
-    if _nonzero_count(num, order) == 1 and num[0] == 1:
-        return inverse
-    return _mul_lists(num, inverse, order, modulus)
+    return _divide_newton(num, den, order, modulus)
 
 
 class TruncSeries:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import threading
 from dataclasses import dataclass, field
 from math import floor, lcm
 
@@ -113,24 +112,22 @@ def emit_report(report: Report, as_json: bool = False) -> str:
 
 
 _MASTER_CACHE: dict = {}  # (step, modulus) -> sum pdo_t(step n) q^n
-_MASTER_LOCK = threading.RLock()
 
 
 def _cached_master(step: int, order: int, modulus):
     """A cached sum pdo_t(step n) q^n of at least `order` terms whose ring
     reduces onto Z/modulus (onto Z only from Z), preferring that very ring;
     None if there is none."""
-    with _MASTER_LOCK:
-        entry = _MASTER_CACHE.get((step, modulus))
-        if entry is not None and entry.order >= order:
-            return entry
-        if modulus is None:
-            return None
-        for (cached_step, cached_mod), series in _MASTER_CACHE.items():
-            if (cached_step == step and series.order >= order
-                    and (cached_mod is None or cached_mod % modulus == 0)):
-                return series
+    entry = _MASTER_CACHE.get((step, modulus))
+    if entry is not None and entry.order >= order:
+        return entry
+    if modulus is None:
         return None
+    for (cached_step, cached_mod), series in _MASTER_CACHE.items():
+        if (cached_step == step and series.order >= order
+                and (cached_mod is None or cached_mod % modulus == 0)):
+            return series
+    return None
 
 
 def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
@@ -138,21 +135,19 @@ def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
     request is served from any cached series of the same step that is at
     least as long and whose modulus reduces onto the requested one;
     otherwise the expansion is computed and kept."""
-    with _MASTER_LOCK:
-        source = _cached_master(step, order, modulus)
-        if source is not None and source.modulus == modulus:
-            return source.truncate(order)
-        if source is not None:
-            result = source.truncate(order).reduce_mod(modulus)
-        else:
-            result = pdo_t_series(order, modulus, step)
-        _MASTER_CACHE[step, modulus] = result
-        return result
+    source = _cached_master(step, order, modulus)
+    if source is not None and source.modulus == modulus:
+        return source.truncate(order)
+    if source is not None:
+        result = source.truncate(order).reduce_mod(modulus)
+    else:
+        result = pdo_t_series(order, modulus, step)
+    _MASTER_CACHE[step, modulus] = result
+    return result
 
 
 def clear_master_cache():
-    with _MASTER_LOCK:
-        _MASTER_CACHE.clear()
+    _MASTER_CACHE.clear()
 
 
 def _source(step: int, offset: int, count: int, modulus):

@@ -410,6 +410,41 @@ def test_exact_coefficients_past_int_str_limit():
         assert _mul_decimal(a, b, 200, None) == expected
 
 
+def _windowed_cases(rng):
+    """(a, b, order, modulus) for windowed products: dense and unequal
+    operands in residue rings and over Z, on both sides of the schoolbook
+    crossover, and fields too wide for int <-> str."""
+    for modulus in (None, 2, 243, 186624):
+        wide = 2 ** 60 if modulus is None else modulus
+        for order in (1, 2, 127, 128, 129, 700):
+            a = [rng.randrange(wide) for _ in range(order)]
+            b = [rng.randrange(wide) for _ in range(order)]
+            if modulus is None:
+                a = [c - wide // 2 for c in a]
+            yield a, b, order, modulus
+            # a short operand, as in a Newton step a x with x half long
+            yield a, b[:(order + 1) // 2], order, modulus
+    for modulus in (10 ** 400 + 1, 10 ** 2200 + 1):
+        a = [rng.randrange(modulus) for _ in range(5)]
+        b = [rng.randrange(modulus) for _ in range(7)]
+        yield a, b, 140, modulus
+
+
+def test_windowed_products_are_slices_of_the_full_product():
+    from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
+
+    for a, b, order, modulus in _windowed_cases(random.Random(1997)):
+        full = _mul_schoolbook(a, b, order, modulus)
+        for lo in sorted({0, 1, order // 2, order - 1}):
+            want = full[lo:]
+            assert _mul_lists(a, b, order, modulus, lo=lo) == want, (
+                order, modulus, lo)
+            assert _mul_decimal(a, b, order, modulus, lo) == want, (
+                order, modulus, lo)
+        assert _mul_lists(a, b, order, modulus, lo=order) == []
+        assert _mul_decimal(a, b, order, modulus, order) == []
+
+
 def test_newton_inversion_over_integers_through_kronecker():
     rng = random.Random(3001)
     # f1^2 f6 (the PDO_t denominator) times a dense small perturbation
@@ -907,6 +942,81 @@ def test_division_dispatches_on_the_nonzero_count_of_the_divisor(monkeypatch):
         calls.clear()
         series.eta_product(exponents, order, modulus)
         assert calls == ["_invert_list"], (exponents, order, modulus)
+
+
+def _dense_divisor(rng, order, modulus):
+    """A denominator on the Newton path at orders above 3: dense and random
+    below 130; at 1000 and 4097 four times the recurrence limit of random
+    terms in a residue ring, and f1^2 or phi(-q)^2 over Z, whose
+    quotients grow like exp(C sqrt(n)) rather than exponentially."""
+    if order < 130:
+        return _random_divisor(rng, order, modulus, order)
+    if modulus is None:
+        base = euler_factor(1, 2, order) if order < 2000 else (
+            phi_minus(order) ** 2)
+        return list(base.coeffs)
+    return _random_divisor(rng, order, modulus,
+                           4 * _divisor_limit(order, modulus))
+
+
+def test_karp_markstein_division_matches_the_recurrence_and_newton():
+    from pdotq.series import (
+        _divide_list, _divide_newton, _divide_sparse, _nonzero_count,
+    )
+
+    rng = random.Random(4097)
+    for modulus in (None, 2, 243, 186624):
+        for order in (1, 2, 3, 127, 128, 129, 1000, 4097):
+            den = _dense_divisor(rng, order, modulus)
+            if order > 3:
+                assert _nonzero_count(den, order) > _divisor_limit(
+                    order, modulus), (order, modulus)
+            short = _random_numerator(rng, max(1, order // 3), modulus)
+            dense = _random_numerator(rng, order, modulus)
+            # below order 4 every divisor is sparse enough for the
+            # recurrence, so the Karp-Markstein step is called directly
+            divide = _divide_list if order > 3 else _divide_newton
+            for num in ((1,), short, dense):
+                padded = list(num) + [0] * (order - len(num))
+                expected = _divide_sparse(num, den, order, modulus)
+                assert _newton_quotient(padded, den, order, modulus) == (
+                    expected), (order, modulus, len(num))
+                assert divide(num, den, order, modulus) == expected, (
+                    order, modulus, len(num))
+
+
+def test_karp_markstein_division_never_forms_a_full_length_product(
+        monkeypatch):
+    from pdotq import series
+
+    calls = []
+    original = series._mul_lists
+
+    def windowed(a, b, order, modulus, lo=0):
+        calls.append((len(b), order, lo))
+        return original(a, b, order, modulus, lo)
+
+    monkeypatch.setattr(series, "_mul_lists", windowed)
+    rng = random.Random(38340)
+    for modulus in (None, 243):
+        for order in (129, 1000, 3001):
+            den = _dense_divisor(rng, order, modulus)
+            num = _random_numerator(rng, order, modulus)
+            # each Newton step reads a x from field `half` = len(x) up, and
+            # appends order - half new coefficients of x times the error
+            calls.clear()
+            series._invert_list(den, order, modulus)
+            for (half, prec, lo), (_, tail, lo2) in zip(calls[::2],
+                                                         calls[1::2]):
+                assert lo == half and prec <= 2 * half, (order, prec, lo)
+                assert lo2 == 0 and tail == prec - half, (order, tail)
+            assert len(calls) % 2 == 0
+            # no product in the division yields more than half the order
+            calls.clear()
+            series._divide_list(num, den, order, modulus)
+            half = -(-order // 2)
+            assert calls and all(out - lo <= half for _, out, lo in calls), (
+                order, modulus, calls)
 
 
 # --- binomial exponent reduction modulo a prime power ---
