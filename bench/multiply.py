@@ -37,8 +37,16 @@ with the order).  Workload division rows: the largest Newton-path
 division of proof-all (the 3n series psi(q^2) f6^3 / phi(-q)^2 to order
 38340 mod 186624) and of certify-batch (the PDO_t quotient
 phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128), by `_divide_newton`
-and, where it finishes in seconds, by the recurrence.  The result is
-printed as one JSON object.
+and, where it finishes in seconds, by the recurrence.  Newton rows:
+`_invert_list` of phi(-q)^2, the 3n series' denominator, at the orders
+2^k and 2^k + 1 of NEWTON_ROWS, mod 186624 and over Z, best of --repeats.
+Newton runs on the precisions ceil(order/2^k), so one more coefficient
+past a power of two costs one more halving step; a schedule that doubled
+up from 1 would pay a whole extra step of the full order there.  Decode
+row: `_decode_fields` on DECODE_FIELDS random fields of DECODE_WIDTH
+digits reduced mod 186624, the final product of the 3n division (den y
+of 57,508 fields), best of --repeats.  The result is printed as one JSON
+object.
 """
 
 from __future__ import annotations
@@ -54,8 +62,9 @@ import time
 from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
-    _divide_newton, _divide_sparse, _mul_decimal, _mul_schoolbook,
-    _nonzero_count, eta_product, euler_factor,
+    _decode_fields, _divide_newton, _divide_sparse, _invert_list,
+    _mul_decimal, _mul_schoolbook, _nonzero_count, eta_product,
+    euler_factor, phi_minus,
 )
 
 # orders at which schoolbook still finishes, in every ring
@@ -93,6 +102,16 @@ WORKLOAD_DIVISION_ROWS = (
 )
 # the recurrence is timed only where nonzero terms times order stay below
 RECURRENCE_STEPS = 5 * 10 ** 6
+# (order, modulus) of the Newton rows: each power of two and the order
+# one past it
+NEWTON_ROWS = tuple((order, modulus)
+                    for modulus, top in ((186624, 14), (None, 12))
+                    for k in range(10, top + 1, 2)
+                    for order in (2 ** k, 2 ** k + 1))
+# the decode row: den y in the 3n division has 57,508 fields of 16 digits
+DECODE_FIELDS = 57508
+DECODE_WIDTH = 16
+DECODE_MODULUS = 186624
 
 
 def best_of(repeats, fn, *args):
@@ -214,6 +233,23 @@ def workload_division_rows(repeats):
     return rows
 
 
+def newton_rows(repeats):
+    return [{"order": n, "modulus": modulus, "denominator": "phi(-q)^2",
+             "invert_s": best_of(repeats, _invert_list,
+                                 (phi_minus(n, modulus) ** 2).coeffs, n,
+                                 modulus)[0]}
+            for n, modulus in NEWTON_ROWS]
+
+
+def decode_row(rng, repeats):
+    digits = "".join(str(rng.randrange(10 ** DECODE_WIDTH)).zfill(
+        DECODE_WIDTH) for _ in range(DECODE_FIELDS))
+    return {"fields": DECODE_FIELDS, "width": DECODE_WIDTH,
+            "modulus": DECODE_MODULUS,
+            "decode_s": best_of(repeats, _decode_fields, digits, DECODE_WIDTH,
+                                DECODE_MODULUS, 0, False)[0]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -269,6 +305,8 @@ def main(argv=None) -> int:
         "quotient_rows": quotient_rows(args.repeats),
         "division_rows": rows_division,
         "workload_division_rows": rows_workload,
+        "newton_rows": newton_rows(args.repeats),
+        "decode_row": decode_row(rng, args.repeats),
     }, indent=2))
     return 0
 

@@ -74,6 +74,28 @@ def format_eta_quotient(eq: EtaQuotient) -> str:
     return f"{eq.level};{eq.scalar};{format_exponents(eq.exponents)}"
 
 
+# the most coefficients an expansion may be asked for, in a residue ring
+# and over Z, where they grow with the order; a request past its budget
+# exits 2 before anything is allocated.  Timed at about the budgets on a
+# 2-core VM (Python 3.11): `expand --eta "12;1;1:-4,2:1,4:2,6:3" --order
+# 1000000 --mod 186624` took 14.2 s and 158 MiB; over Z, `pdot --n
+# 100000` (one coefficient past the budget) took 8.3 s and 32 MiB, and
+# that expand to order 100000 37 s and 339 MiB
+_MAX_COEFFICIENTS = 1_000_000
+_MAX_EXACT_COEFFICIENTS = 100_000
+
+
+def _over_budget(count, modulus):
+    """A message if expanding `count` coefficients over Z (modulus None)
+    or mod M is past its budget, else None."""
+    budget = (_MAX_EXACT_COEFFICIENTS if modulus is None
+              else _MAX_COEFFICIENTS)
+    if count <= budget:
+        return None
+    ring = "over Z" if modulus is None else f"mod {modulus}"
+    return f"{count} coefficients {ring} is over the budget of {budget}"
+
+
 def _cmd_expand(args) -> int:
     try:
         eq = parse_eta_quotient(args.eta)
@@ -86,6 +108,11 @@ def _cmd_expand(args) -> int:
         return 2
     if args.mod is not None and args.mod < 2:
         print(f"pdotq expand: --mod must be >= 2, got {args.mod}",
+              file=sys.stderr)
+        return 2
+    refused = _over_budget(args.order, args.mod)
+    if refused:
+        print(f"pdotq expand: --order {args.order}: {refused}",
               file=sys.stderr)
         return 2
     try:
@@ -138,6 +165,10 @@ def _cmd_pdot(args) -> int:
         odd_only, which = _TABLES[args.counter]
         coeffs = designated_counts(values[-1], odd_only)[which]
     else:
+        refused = _over_budget(values[-1] + 1, None)
+        if refused:
+            print(f"pdotq pdot: n = {values[-1]}: {refused}", file=sys.stderr)
+            return 2
         coeffs = _SERIES[args.counter](values[-1] + 1).coeffs
     pairs = [(n, coeffs[n]) for n in values]
     if args.json:

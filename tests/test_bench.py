@@ -22,3 +22,7 @@ def test_multiply_bench_loads_and_its_backends_agree():
         row = {"operands": "dense"}
         assert bench.timed_row(row, bench.BACKENDS, a, b, 300, modulus, 1)
         assert set(row) == {"operands", "schoolbook_s", "decimal_s"}
+    # the decode row times the program's decoder on the 3n division's
+    # largest product
+    row = bench.decode_row(rng, 1)
+    assert row["fields"] == 57508 and row["decode_s"] > 0

@@ -117,6 +117,37 @@ def test_pdot_refuses_a_table_past_its_limit(capsys, monkeypatch):
         assert err.count("\n") == 1
 
 
+
+def test_expansions_past_the_coefficient_budget_exit_before_expanding(
+        capsys, monkeypatch):
+    from pdotq import cli
+
+    def forbidden(*args):
+        raise AssertionError("the budget is checked before any expansion")
+
+    monkeypatch.setattr(cli, "q_expansion", forbidden)
+    monkeypatch.setattr(cli, "_SERIES", dict.fromkeys(cli._SERIES, forbidden))
+    # the estimate is the coefficient count, against its ring's budget
+    for budget, modulus in ((cli._MAX_COEFFICIENTS, 186624),
+                            (cli._MAX_EXACT_COEFFICIENTS, None)):
+        assert cli._over_budget(budget, modulus) is None
+        assert cli._over_budget(budget + 1, modulus).endswith(
+            f" is over the budget of {budget}")
+    for flags in ([], ["--mod", "186624"]):
+        code, out, err = run(capsys, "expand", "--eta",
+                             "12;1;1:-4,2:1,4:2,6:3", "--order",
+                             "1000000000", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("pdotq expand: --order 1000000000: ")
+        assert err.count("\n") == 1
+    for counter in ("pd", "pdo", "pdo-tagged"):
+        code, out, err = run(capsys, "pdot", "--n", "3", "1000000000",
+                             "--counter", counter)
+        assert (code, out) == (2, "")
+        assert err == ("pdotq pdot: n = 1000000000: 1000000001 coefficients "
+                       f"over Z is over the budget of "
+                       f"{cli._MAX_EXACT_COEFFICIENTS}\n")
+
 def test_pdot_series_matches_enum(capsys):
     code, fast, _ = run(capsys, "pdot", "--n", *map(str, range(13)))
     assert code == 0

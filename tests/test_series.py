@@ -413,7 +413,13 @@ def test_exact_coefficients_past_int_str_limit():
 def _windowed_cases(rng):
     """(a, b, order, modulus) for windowed products: dense and unequal
     operands in residue rings and over Z, on both sides of the schoolbook
-    crossover, and fields too wide for int <-> str."""
+    crossover, and fields too wide for int <-> str.  Products longer than
+    the order, whose fields from the order up are cut off before decode,
+    with fields of more than 28 digits, which a Decimal call on the
+    thread's default context would round; and products of several decode
+    slices."""
+    from pdotq.series import _DECODE_FIELDS
+
     for modulus in (None, 2, 243, 186624):
         wide = 2 ** 60 if modulus is None else modulus
         for order in (1, 2, 127, 128, 129, 700):
@@ -428,14 +434,41 @@ def _windowed_cases(rng):
         a = [rng.randrange(modulus) for _ in range(5)]
         b = [rng.randrange(modulus) for _ in range(7)]
         yield a, b, 140, modulus
+    # 16-digit fields as in the 3n division mod 186624, and 29- to
+    # 40-digit ones: exact coefficients up to 10^15, and residues mod
+    # 10^13 + 37 and 2^61 - 1
+    for modulus, mag in ((None, 10 ** 6), (186624, None), (None, 10 ** 15),
+                         (10 ** 13 + 37, None), (2 ** 61 - 1, None)):
+        def operand(n):
+            if modulus is None:
+                return [rng.randrange(-mag, mag + 1) for _ in range(n)]
+            return [rng.randrange(modulus) for _ in range(n)]
+
+        for la, lb, order in ((300, 300, 300), (700, 500, 1000),
+                              (1200, 40, 1100),
+                              (_DECODE_FIELDS + 50, _DECODE_FIELDS,
+                               2 * _DECODE_FIELDS + 8)):
+            assert la + lb - 1 > order
+            yield operand(la), operand(lb), order, modulus
+        # a product shorter than the order, padded with zeros
+        for count in (_DECODE_FIELDS - 1, _DECODE_FIELDS, _DECODE_FIELDS + 1):
+            yield operand(count - 1), operand(2), count + 5, modulus
 
 
 def test_windowed_products_are_slices_of_the_full_product():
-    from pdotq.series import _mul_decimal, _mul_lists, _mul_schoolbook
+    from pdotq.series import (
+        _DECODE_FIELDS, _mul_decimal, _mul_lists, _mul_schoolbook,
+    )
 
+    # windows of one decode slice less one field, exactly one, one more,
+    # and two slices and more, each ending at the order
+    counts = (_DECODE_FIELDS - 1, _DECODE_FIELDS, _DECODE_FIELDS + 1,
+              2 * _DECODE_FIELDS + 3)
     for a, b, order, modulus in _windowed_cases(random.Random(1997)):
         full = _mul_schoolbook(a, b, order, modulus)
-        for lo in sorted({0, 1, order // 2, order - 1}):
+        windows = {0, 1, order // 2, order - 1}
+        windows.update(order - count for count in counts if count <= order)
+        for lo in sorted(windows):
             want = full[lo:]
             assert _mul_lists(a, b, order, modulus, lo=lo) == want, (
                 order, modulus, lo)
@@ -985,6 +1018,16 @@ def test_karp_markstein_division_matches_the_recurrence_and_newton():
                     order, modulus, len(num))
 
 
+def _restricted_partition_divisor(order):
+    """prod_{a=1}^{12} (1 - q^a) over Z: 53 nonzero terms, and an inverse
+    (partitions into parts of at most 12) of about 100 bits at order
+    19171, where a dense eta quotient's would pass 700."""
+    den = [1] + [0] * (order - 1)
+    for a in range(1, 13):
+        den[a:] = [c - d for c, d in zip(den[a:], den)]
+    return den
+
+
 def test_karp_markstein_division_never_forms_a_full_length_product(
         monkeypatch):
     from pdotq import series
@@ -998,25 +1041,38 @@ def test_karp_markstein_division_never_forms_a_full_length_product(
 
     monkeypatch.setattr(series, "_mul_lists", windowed)
     rng = random.Random(38340)
-    for modulus in (None, 243):
-        for order in (129, 1000, 3001):
-            den = _dense_divisor(rng, order, modulus)
+    for modulus in (None, 243, 186624):
+        for order in (2, 3, 129, 1000, 1025, 3001, 19171):
+            if modulus is None and order > 4097:
+                den = _restricted_partition_divisor(order)
+            elif modulus is None or order < 130:
+                den = _dense_divisor(rng, order, modulus)
+            else:
+                den = list((phi_minus(order, modulus) ** 2).coeffs)
             num = _random_numerator(rng, order, modulus)
-            # each Newton step reads a x from field `half` = len(x) up, and
-            # appends order - half new coefficients of x times the error
+            # the precisions are ceil(order / 2^k): each Newton step reads
+            # a x from field `half` = len(x) = ceil(prec/2) up, and appends
+            # prec - half new coefficients of x times the error
             calls.clear()
-            series._invert_list(den, order, modulus)
+            inverse = series._invert_list(den, order, modulus)
+            assert len(calls) == 2 * (order - 1).bit_length(), (
+                order, modulus)
             for (half, prec, lo), (_, tail, lo2) in zip(calls[::2],
                                                          calls[1::2]):
-                assert lo == half and prec <= 2 * half, (order, prec, lo)
+                assert lo == half == -(-prec // 2), (order, prec, lo)
                 assert lo2 == 0 and tail == prec - half, (order, tail)
-            assert len(calls) % 2 == 0
+            assert calls[-2][1] == order
             # no product in the division yields more than half the order
             calls.clear()
-            series._divide_list(num, den, order, modulus)
+            quotient = series._divide_newton(num, den, order, modulus)
             half = -(-order // 2)
             assert calls and all(out - lo <= half for _, out, lo in calls), (
                 order, modulus, calls)
+            one = [1] + [0] * (order - 1)
+            assert original(den, inverse, order, modulus) == one, (
+                order, modulus)
+            assert original(den, quotient, order, modulus) == num, (
+                order, modulus)
 
 
 # --- binomial exponent reduction modulo a prime power ---
