@@ -31,7 +31,7 @@ from .radu import (
     radu_verify,
 )
 from .series import eta_product
-from .verify import SUITES, emit_report, plan_suites
+from .verify import SUITES, emit_report, master_plan, plan_suites, suite_reads
 
 
 def parse_exponents(text: str) -> dict[int, int]:
@@ -248,6 +248,12 @@ _SUITE_FLAGS = {
     "certificates": {},
     "powers-of-two": {"order": "order", "kmax": "conj_k_max"},
 }
+# every numeric flag of `check`, each accepted by the suites above that
+# name it
+_CHECK_FLAGS = list(dict.fromkeys(
+    flag for flags in _SUITE_FLAGS.values() for flag in flags))
+# the suite parameters that are themselves the order of an expansion over Z
+_EXACT_ORDERS = {"dissection": ("order", "binom_order")}
 
 # smallest value each numeric flag accepts; --p is checked by its suite,
 # which rejects anything but a prime p == 5 (mod 6)
@@ -255,10 +261,18 @@ _FLAG_MIN = {"order": 1, "bound": 0, "k": 0, "kmax": 0, "nmax": 0,
              "ellmax": 0}
 
 
+def _suite_over_budget(suite: str, kwargs: dict):
+    """A message if running `suite` with `kwargs` would expand a master
+    series, or for its exact orders a series over Z, past its budget;
+    else None."""
+    sizes = [(kwargs[name], None)
+             for name in _EXACT_ORDERS.get(suite, ()) if name in kwargs]
+    sizes += master_plan(suite_reads(suite, **kwargs)).values()
+    return next(filter(None, (_over_budget(*size) for size in sizes)), None)
+
+
 def _cmd_check(args, parser) -> int:
-    provided = {name: getattr(args, name)
-                for name in ("order", "bound", "k", "kmax", "nmax",
-                             "ellmax", "p")
+    provided = {name: getattr(args, name) for name in _CHECK_FLAGS
                 if getattr(args, name) is not None}
     if args.suite == "all":
         if provided:
@@ -280,9 +294,15 @@ def _cmd_check(args, parser) -> int:
                 return 2
         kwargs = {flags[name]: value for name, value in provided.items()}
         try:
+            refused = _suite_over_budget(args.suite, kwargs)
+            if refused:
+                print(f"pdotq check: --suite {args.suite}: {refused}",
+                      file=sys.stderr)
+                return 2
             reports = [SUITES[args.suite](**kwargs)]
         except ValueError as exc:
-            # a suite raises ValueError only for parameters it cannot take
+            # a suite, and its reads, raise ValueError only for parameters
+            # it cannot take
             print(f"pdotq check: {exc}", file=sys.stderr)
             return 2
     passed = all(r.passed for r in reports)
@@ -371,13 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run verification suites")
     p_check.add_argument("--suite", required=True,
                          choices=sorted(SUITES) + ["all"])
-    p_check.add_argument("--order", type=int, default=None)
-    p_check.add_argument("--bound", type=int, default=None)
-    p_check.add_argument("--k", type=int, default=None)
-    p_check.add_argument("--kmax", type=int, default=None)
-    p_check.add_argument("--nmax", type=int, default=None)
-    p_check.add_argument("--ellmax", type=int, default=None)
-    p_check.add_argument("--p", type=int, default=None)
+    for flag in _CHECK_FLAGS:
+        p_check.add_argument(f"--{flag}", type=int, default=None)
     p_check.add_argument("--json", action="store_true")
 
     return parser

@@ -20,10 +20,10 @@ indices are all multiples of 3 are served from the 3n series
 sum pdo_t(3n) q^n, a third as long; the rest (exact values, or a step
 such as 8) from the full series.  Both are cached.  Each suite first
 declares its requests to `plan_master_series`, which expands each source
-once, to the furthest index read and modulo the lcm of the moduli (over
-Z if a request is exact); `check --suite all` plans every suite's
-requests together through `plan_suites`, so the whole run makes one 3n
-expansion and at most one full one.
+of their `master_plan` once, to the furthest index read and modulo the
+lcm of the moduli (over Z if a request is exact); `check --suite all`
+plans every suite's requests together through `plan_suites`, so the
+whole run makes one 3n expansion and at most one full one.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import inspect
 import json
 from dataclasses import dataclass, field
 from math import floor, lcm
+from typing import NamedTuple
 
 from .modforms import (
     EtaQuotient,
@@ -184,21 +185,26 @@ def master_progression(step: int, offset: int, count: int,
     return TruncSeries._reduced(coeffs, modulus)
 
 
-def plan_master_series(requests):
-    """Expand, once each, the master series that the progression requests
-    (step, offset, count, modulus) will read: the 3n series to the order
-    its readers reach, modulo the lcm of their moduli, and the full series
-    likewise, over Z if any reader needs exact values.  Sources already
-    cached are not expanded again."""
-    orders, rings = {}, {}  # per source step
+def master_plan(requests) -> dict:
+    """{source step: (order, modulus)} of the master series that the
+    progression requests (step, offset, count, modulus) read: the 3n
+    series to the order its readers reach, modulo the lcm of their moduli,
+    and the full series likewise, over Z if any reader needs exact
+    values."""
+    plan = {}  # source step -> (order, moduli read)
     for step, offset, count, modulus in requests:
         if count > 0:
             source_step, order = _source(step, offset, count, modulus)
-            orders[source_step] = max(orders.get(source_step, 0), order)
-            rings.setdefault(source_step, set()).add(modulus)
-    for source_step, order in orders.items():
-        moduli = rings[source_step]
-        modulus = None if None in moduli else lcm(*moduli)
+            reach, moduli = plan.get(source_step, (0, set()))
+            plan[source_step] = max(reach, order), moduli | {modulus}
+    return {source_step: (order, None if None in moduli else lcm(*moduli))
+            for source_step, (order, moduli) in plan.items()}
+
+
+def plan_master_series(requests):
+    """Expand, once each, the master series of `master_plan(requests)`
+    that no cached series already serves."""
+    for source_step, (order, modulus) in master_plan(requests).items():
         if _cached_master(source_step, order, modulus) is None:
             master_series(order, modulus, source_step)
 
@@ -222,26 +228,16 @@ def f_product(exponents: dict, order: int, modulus=None,
     return out
 
 
-def _first_diff(lhs: TruncSeries, rhs: TruncSeries):
-    n = min(lhs.order, rhs.order)
-    for i in range(n):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
-            return i
-    return None
-
-
 def _equal_check(report: Report, name: str, lhs: TruncSeries,
                  rhs: TruncSeries, strength: str):
-    diff = _first_diff(lhs, rhs)
-    depth = min(lhs.order, rhs.order)
+    pairs = enumerate(zip(lhs.coeffs, rhs.coeffs))
+    diff = next((i for i, (a, b) in pairs if a != b), None)
     if diff is None:
+        depth = min(lhs.order, rhs.order)
         report.add(name, True, f"{strength}, agree through q^{depth - 1}")
     else:
-        report.add(
-            name, False,
-            f"first difference at q^{diff}: "
-            f"{lhs.coeffs[diff]} vs {rhs.coeffs[diff]}",
-        )
+        report.add(name, False, f"first difference at q^{diff}: "
+                   f"{lhs.coeffs[diff]} vs {rhs.coeffs[diff]}")
 
 
 def _congruence_check(report: Report, name: str, lhs: TruncSeries,
@@ -252,11 +248,9 @@ def _congruence_check(report: Report, name: str, lhs: TruncSeries,
         report.add(name, True,
                    f"{strength}, congruent mod {modulus} through q^{bound}")
     else:
-        report.add(
-            name, False,
-            f"mod {modulus}: differ at q^{result.first_diff}: "
-            f"{result.lhs_residue} vs {result.rhs_residue}",
-        )
+        report.add(name, False,
+                   f"mod {modulus}: differ at q^{result.first_diff}: "
+                   f"{result.lhs_residue} vs {result.rhs_residue}")
 
 
 def _zero_progression_check(report: Report, order: int, step: int,
@@ -358,19 +352,21 @@ def dissection_suite(order: int = 500, binom_order: int = 300) -> Report:
 _PRIME_FAMILY_CHECKS = ((8, 6, 3), (32, 24, 12))
 
 
-def _prime_family_progressions(p: int, ell: int, a: int, b: int):
-    """(k, step, offset) of pdo_t(3^ell (a p^2 n + a k p + b p^2)) for
-    k = 1..p-1."""
+def _prime_family_progression(p: int, ell: int, a: int, b: int, k: int):
+    """(step, offset) of pdo_t(3^ell (a p^2 n + a k p + b p^2))."""
     scale = 3 ** ell
-    return [(k, scale * a * p * p, scale * (a * k * p + b * p * p))
-            for k in range(1, p)]
+    return scale * a * p * p, scale * (a * k * p + b * p * p)
 
 
 def _prime_family_reads(p: int, n_max: int, ell_max: int):
-    return [(step, offset, n_max + 1, modulus)
+    # each row's progressions all come from the 3n series mod one modulus,
+    # so only the furthest, k = p - 1, sets the plan
+    if p < 5 or p % 6 != 5 or prime_factors(p) != [p]:
+        raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
+    return [(*_prime_family_progression(p, ell, a, b, p - 1), n_max + 1,
+             modulus)
             for ell in range(ell_max + 1)
-            for modulus, a, b in _PRIME_FAMILY_CHECKS
-            for _, step, offset in _prime_family_progressions(p, ell, a, b)]
+            for modulus, a, b in _PRIME_FAMILY_CHECKS]
 
 
 def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Report:
@@ -378,34 +374,28 @@ def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Re
     3^ell (6 p^2 n + 6 k p + 3 p^2) mod 8 and 3^ell (24 p^2 n + 24 k p
     + 12 p^2) mod 32, for k = 1..p-1, checked for n <= n_max and
     ell <= ell_max."""
-    if p < 5 or p % 6 != 5 or prime_factors(p) != [p]:
-        raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
+    reads = _prime_family_reads(p, n_max, ell_max)
     report = Report("prime-family",
                     {"p": p, "n_max": n_max, "ell_max": ell_max})
     report.add(f"-3 is a quadratic nonresidue mod {p}",
                kronecker_symbol(-3, p) == -1, "hypothesis on p")
-    plan_master_series(_prime_family_reads(p, n_max, ell_max))
+    plan_master_series(reads)
 
     for ell in range(ell_max + 1):
         for modulus, a, b in _PRIME_FAMILY_CHECKS:
-            bad = None
-            count = 0
-            for k, step, offset in _prime_family_progressions(p, ell, a, b):
+            name = (f"pdo_t(3^{ell} ({a}p^2 n + {a}kp + {b}p^2)) "
+                    f"== 0 mod {modulus}")
+            for k in range(1, p):
+                step, offset = _prime_family_progression(p, ell, a, b, k)
                 hit = _first_nonzero(step, offset, n_max + 1, modulus)
                 if hit:
                     n, residue = hit
-                    bad = (k, n, step * n + offset, residue)
+                    report.add(name, False, f"k={k}, n={n}, index "
+                               f"{step * n + offset}: residue {residue}")
                     break
-                count += n_max + 1
-            name = (f"pdo_t(3^{ell} ({a}p^2 n + {a}kp + {b}p^2)) "
-                    f"== 0 mod {modulus}")
-            if bad:
-                report.add(name, False,
-                           f"k={bad[0]}, n={bad[1]}, index {bad[2]}: "
-                           f"residue {bad[3]}")
             else:
-                report.add(name, True,
-                           f"finite-depth evidence, {count} cases "
+                report.add(name, True, f"finite-depth evidence, "
+                           f"{(p - 1) * (n_max + 1)} cases "
                            f"(k<{p}, n<={n_max})")
     return report
 
@@ -464,85 +454,6 @@ def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# generating-function congruences at a fixed power of three
-
-
-def _companion_eight(k: int, order: int, modulus: int) -> TruncSeries:
-    scalar = 2 ** (k + 2) * 3 ** (k + 2)
-    return f_product({1: 2, 2: 2, 3: 2, 6: 2}, order, modulus,
-                     scalar=scalar, shift=1)
-
-
-def _companion_twelve(k: int, order: int, modulus: int) -> TruncSeries:
-    alpha = 2 * k + 3 if k % 2 == 1 else 0
-    scalar = 2 ** alpha * 3 ** (k + 2)
-    return f_product({6: 4}, order, modulus, scalar=scalar, shift=1)
-
-
-def _genfun_reads(k: int, bound: int):
-    modulus = 3 ** (k + 3)
-    return [(a * 3 ** k, 0, bound + 1, m)
-            for a in (8, 12) for m in (modulus, modulus // 3)]
-
-
-def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
-    """The two closed forms mod 3^(k+3): pdo_t(8 3^k n) against
-    2^(k+2) 3^(k+2) q (f1 f2 f3 f6)^2 and pdo_t(12 3^k n) against
-    2^alpha 3^(k+2) q f6^4, through q^bound, plus the divisibility
-    they force."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    report = Report("genfun", {"k": k, "bound": bound})
-    modulus = 3 ** (k + 3)
-    plan_master_series(_genfun_reads(k, bound))
-
-    lhs8 = master_progression(8 * 3 ** k, 0, bound + 1, modulus)
-    _congruence_check(report, f"pdo_t({8 * 3 ** k}n) closed form",
-                      lhs8, _companion_eight(k, bound + 1, modulus),
-                      modulus, bound, "finite-depth evidence")
-    lhs12 = master_progression(12 * 3 ** k, 0, bound + 1, modulus)
-    _congruence_check(report, f"pdo_t({12 * 3 ** k}n) closed form",
-                      lhs12, _companion_twelve(k, bound + 1, modulus),
-                      modulus, bound, "finite-depth evidence")
-
-    div = 3 ** (k + 2)
-    for label in (8, 12):
-        bad = _first_nonzero(label * 3 ** k, 0, bound + 1, div)
-        report.add(
-            f"pdo_t({label * 3 ** k}n) divisible by 3^{k + 2}",
-            bad is None,
-            f"forced by the closed form through q^{bound}" if bad is None
-            else f"index {bad[0]}: residue {bad[1]}",
-        )
-    return report
-
-
-def _divisibility_reads(k_max: int, n_max: int):
-    return [(a * 3 ** k, 0, n_max + 1, 3 ** (k + 2))
-            for k in range(k_max + 1) for a in (8, 12)]
-
-
-def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
-    """Divisibility pdo_t(8 3^k n) == pdo_t(12 3^k n) == 0 mod 3^(k+2)
-    for k <= k_max and n <= n_max."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    report = Report("divisibility", {"k_max": k_max, "n_max": n_max})
-    plan_master_series(_divisibility_reads(k_max, n_max))
-    for k in range(k_max + 1):
-        for a in (8, 12):
-            step = a * 3 ** k
-            bad = _first_nonzero(step, 0, n_max + 1, 3 ** (k + 2))
-            report.add(
-                f"pdo_t({step}n) == 0 mod 3^{k + 2}",
-                bad is None,
-                f"finite-depth evidence, n <= {n_max}" if bad is None
-                else f"n={bad[0]}: residue {bad[1]}",
-            )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # the small exact forms and stepping stones
 
 
@@ -584,9 +495,123 @@ def intermediate_steps(bound: int = 200) -> Report:
     return report
 
 
+# ---------------------------------------------------------------------------
+# the two 3-adic families: closed forms, divisibility, coexistence
+
+
+class Family(NamedTuple):
+    """pdo_t(step n) == 2^two 3^three q prod f_d^(product[d]) mod
+    `modulus`, closed at `level` by U(3)^k of the eta quotient with these
+    `exponents`, from the dissection-side `scalar` to the companion's."""
+
+    level: int
+    k: int
+    step: int
+    modulus: int
+    exponents: dict
+    scalar: int
+    two: int
+    three: int
+    product: dict
+    product_text: str
+
+    @property
+    def companion_scalar(self) -> int:
+        return 2 ** self.two * 3 ** self.three
+
+    def quotients(self):
+        """The dissection-side and companion-side eta quotients."""
+        return (EtaQuotient(self.level, self.exponents, scalar=self.scalar),
+                EtaQuotient(self.level, self.exponents,
+                            scalar=self.companion_scalar))
+
+    def companion(self, order: int) -> TruncSeries:
+        return f_product(self.product, order, self.modulus,
+                         scalar=self.companion_scalar, shift=1)
+
+
+def family(level: int, k: int) -> Family:
+    """The level-18 family pdo_t(8 3^k n) mod 3^(k+3), or the level-36 one
+    pdo_t(4 3^k n) mod 3^(k+2); each forces Lin's divisibility mod one
+    power of 3 less."""
+    if level == 18:
+        return Family(18, k, 8 * 3 ** k, 3 ** (k + 3),
+                      {1: 3 ** (k + 3) - 13, 2: 8, 3: -(3 ** (k + 2) - 7)},
+                      36, k + 2, k + 2, {1: 2, 2: 2, 3: 2, 6: 2},
+                      "(f1 f2 f3 f6)^2")
+    if level == 36:
+        return Family(36, k, 4 * 3 ** k, 3 ** (k + 2),
+                      {1: 3 ** (k + 2) - 6, 2: 3,
+                       3: -(3 ** (k + 1) - 2), 6: 3},
+                      6, 2 * k + 1 if k % 2 == 0 else 0, k + 1, {6: 4},
+                      "f6^4")
+    raise ValueError(f"no 3-adic family at level {level}")
+
+
+def _family_pair(k: int):
+    """pdo_t(8 3^k n) and pdo_t(12 3^k n), both mod 3^(k+3)."""
+    return family(18, k), family(36, k + 1)
+
+
+def _divisible_check(report: Report, name: str, fam: Family, count: int,
+                     strength: str, where: str):
+    """pdo_t(step n) == 0 mod modulus/3 for every n < count."""
+    bad = _first_nonzero(fam.step, 0, count, fam.modulus // 3)
+    report.add(name, bad is None, strength if bad is None
+               else f"{where}{bad[0]}: residue {bad[1]}")
+
+
+def _genfun_reads(k: int, bound: int):
+    return [(fam.step, 0, bound + 1, fam.modulus // d)
+            for fam in _family_pair(k) for d in (1, 3)]
+
+
+def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
+    """The two closed forms mod 3^(k+3), pdo_t(8 3^k n) and
+    pdo_t(12 3^k n) against the companions of `family(18, k)` and
+    `family(36, k + 1)` through q^bound, plus the divisibility they
+    force."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    report = Report("genfun", {"k": k, "bound": bound})
+    plan_master_series(_genfun_reads(k, bound))
+    pair = _family_pair(k)
+    for fam in pair:
+        lhs = master_progression(fam.step, 0, bound + 1, fam.modulus)
+        _congruence_check(report, f"pdo_t({fam.step}n) closed form", lhs,
+                          fam.companion(bound + 1), fam.modulus, bound,
+                          "finite-depth evidence")
+    for fam in pair:
+        _divisible_check(report, f"pdo_t({fam.step}n) divisible by 3^{k + 2}",
+                         fam, bound + 1,
+                         f"forced by the closed form through q^{bound}",
+                         "index ")
+    return report
+
+
+def _divisibility_reads(k_max: int, n_max: int):
+    return [(fam.step, 0, n_max + 1, fam.modulus // 3)
+            for k in range(k_max + 1) for fam in _family_pair(k)]
+
+
+def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
+    """Divisibility pdo_t(8 3^k n) == pdo_t(12 3^k n) == 0 mod 3^(k+2)
+    for k <= k_max and n <= n_max."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    report = Report("divisibility", {"k_max": k_max, "n_max": n_max})
+    plan_master_series(_divisibility_reads(k_max, n_max))
+    for k in range(k_max + 1):
+        for fam in _family_pair(k):
+            _divisible_check(report, f"pdo_t({fam.step}n) == 0 mod 3^{k + 2}",
+                             fam, n_max + 1,
+                             f"finite-depth evidence, n <= {n_max}", "n=")
+    return report
+
+
 def _coexistence_reads(k_max: int, bound: int):
-    return [(a * 3 ** k, 0, bound + 1, 3 ** (k + 3))
-            for k in range(k_max + 1) for a in (8, 12)]
+    return [(fam.step, 0, bound + 1, fam.modulus)
+            for k in range(k_max + 1) for fam in _family_pair(k)]
 
 
 def coexistence(k_max: int = 3, bound: int = 200) -> Report:
@@ -598,18 +623,16 @@ def coexistence(k_max: int = 3, bound: int = 200) -> Report:
     report = Report("coexistence", {"k_max": k_max, "bound": bound})
     plan_master_series(_coexistence_reads(k_max, bound))
     for k in range(k_max + 1):
-        modulus = 3 ** (k + 3)
-        alpha = 2 * k + 3 if k % 2 == 1 else 0
-        lhs8 = master_progression(8 * 3 ** k, 0, bound + 1, modulus)
-        lhs12 = master_progression(12 * 3 ** k, 0, bound + 1, modulus)
-        left = (2 ** alpha * f_product({2: 4}, bound + 1, modulus)
-                * lhs8)
-        right = (2 ** (k + 2) * f_product({1: 8}, bound + 1, modulus)
-                 * lhs12)
+        eight, twelve = _family_pair(k)
+        modulus = eight.modulus
+        lhs8 = master_progression(eight.step, 0, bound + 1, modulus)
+        lhs12 = master_progression(twelve.step, 0, bound + 1, modulus)
+        left = 2 ** twelve.two * f_product({2: 4}, bound + 1, modulus) * lhs8
+        right = 2 ** eight.two * f_product({1: 8}, bound + 1, modulus) * lhs12
         _congruence_check(
             report,
-            f"2^{alpha} f2^4 pdo_t({8 * 3 ** k}n) == "
-            f"2^{k + 2} f1^8 pdo_t({12 * 3 ** k}n)",
+            f"2^{twelve.two} f2^4 pdo_t({eight.step}n) == "
+            f"2^{eight.two} f1^8 pdo_t({twelve.step}n)",
             left, right, modulus, bound, "finite-depth evidence")
     return report
 
@@ -672,9 +695,7 @@ def certificate_table() -> Report:
                            min_depth=depth)
         name = f"pdo_t({inst.m}n+{inst.t + 1}) == 0 mod {u}"
         if cert.verdict:
-            note = ""
-            if floor_nu != depth:
-                note = f", depth extended to {depth}"
+            note = f", depth extended to {depth}" if floor_nu != depth else ""
             report.add(
                 name, True,
                 f"closure check, nu={cert.nu}, floor {cert.floor_nu}, "
@@ -692,27 +713,19 @@ def certificate_table() -> Report:
 def eta_families(k: int):
     """The level-18 and level-36 quotient pairs at parameter k: in each
     pair the two forms share exponents and differ only in scalar."""
-    e18 = {1: 3 ** (k + 3) - 13, 2: 8, 3: -(3 ** (k + 2) - 7)}
-    a1 = EtaQuotient(18, e18, scalar=36)
-    b1 = EtaQuotient(18, e18, scalar=2 ** (k + 2) * 3 ** (k + 2))
-    e36 = {1: 3 ** (k + 2) - 6, 2: 3, 3: -(3 ** (k + 1) - 2), 6: 3}
-    beta = 2 * k + 1 if k % 2 == 0 else 0
-    a2 = EtaQuotient(36, e36, scalar=6)
-    b2 = EtaQuotient(36, e36, scalar=2 ** beta * 3 ** (k + 1))
-    return a1, b1, a2, b2
+    return family(18, k).quotients() + family(36, k).quotients()
 
 
-def _sturm_closure(quotient: EtaQuotient, level: int, power: int):
-    """(weight, Sturm bound, modulus 3^power) of one closure."""
-    weight = sum(quotient.exponents.values()) // 2
-    return weight, sturm_bound(weight, level), 3 ** power
+def _sturm_closures(k18: int, k36: int):
+    """(family, weight, Sturm bound) of the two closures."""
+    for fam in (family(18, k18), family(36, k36)):
+        weight = sum(fam.exponents.values()) // 2
+        yield fam, weight, sturm_bound(weight, fam.level)
 
 
 def _sturm_reads(k18: int, k36: int):
-    _, bound18, mod18 = _sturm_closure(eta_families(k18)[0], 18, k18 + 3)
-    _, bound36, mod36 = _sturm_closure(eta_families(k36)[2], 36, k36 + 2)
-    return [(8 * 3 ** k18, 0, bound18 + 1, mod18),
-            (4 * 3 ** k36, 0, bound36 + 1, mod36)]
+    return [(fam.step, 0, bound + 1, fam.modulus)
+            for fam, _, bound in _sturm_closures(k18, k36)]
 
 
 def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
@@ -723,70 +736,32 @@ def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
     the master-series dissections must then show the same congruences."""
     report = Report("sturm", {"k18": k18, "k36": k36})
     plan_master_series(_sturm_reads(k18, k36))
+    for fam, weight, bound in _sturm_closures(k18, k36):
+        level, modulus, k = fam.level, fam.modulus, fam.k
+        closure = f"closure check at Sturm bound {bound}"
+        dissection, companion = quotients = fam.quotients()
+        for eq, side in zip(quotients, ("dissection", "companion")):
+            report.add(f"level-{level} weight-{weight} quotient holomorphic "
+                       f"({side} side)", modularity_check(eq).ok,
+                       "integral weight, trivial-character sums, "
+                       "nonnegative cusp orders")
 
-    a1, b1, _, _ = eta_families(k18)
-    _, _, a2, b2 = eta_families(k36)
-    weight18, bound18, mod18 = _sturm_closure(a1, 18, k18 + 3)
-    weight36, bound36, mod36 = _sturm_closure(a2, 36, k36 + 2)
+        closed = q_expansion(dissection, 3 ** k * (bound + 1), modulus)
+        for _ in range(k):
+            closed = u_operator(closed, 3)
+        expanded = q_expansion(companion, bound + 1, modulus)
+        _congruence_check(
+            report, f"U(3)^{k} of level-{level} quotient == companion",
+            closed, expanded, modulus, bound, closure)
 
-    for eq, label in ((a1, "dissection side"), (b1, "companion side")):
-        verdict = modularity_check(eq)
-        report.add(f"level-18 weight-{weight18} quotient holomorphic "
-                   f"({label})", verdict.ok,
-                   "integral weight, trivial-character sums, "
-                   "nonnegative cusp orders")
-
-    depth18 = 3 ** k18 * (bound18 + 1)
-    f18 = q_expansion(a1, depth18, mod18)
-    for _ in range(k18):
-        f18 = u_operator(f18, 3)
-    b18 = q_expansion(b1, bound18 + 1, mod18)
-    _congruence_check(
-        report,
-        f"U(3)^{k18} of level-18 quotient == companion",
-        f18, b18, mod18, bound18,
-        f"closure check at Sturm bound {bound18}")
-
-    companion8 = _companion_eight(k18, bound18 + 1, mod18)
-    _congruence_check(
-        report, "level-18 companion == scalar q (f1 f2 f3 f6)^2",
-        b18, companion8, mod18, bound18, "binomial congruence")
-    lhs8 = master_progression(8 * 3 ** k18, 0, bound18 + 1, mod18)
-    _congruence_check(
-        report, f"pdo_t({8 * 3 ** k18}n) matches the level-18 closure",
-        lhs8, companion8, mod18, bound18,
-        f"closure check at Sturm bound {bound18}")
-
-    for eq, label in ((a2, "dissection side"), (b2, "companion side")):
-        verdict = modularity_check(eq)
-        report.add(f"level-36 weight-{weight36} quotient holomorphic "
-                   f"({label})", verdict.ok,
-                   "integral weight, trivial-character sums, "
-                   "nonnegative cusp orders")
-
-    depth36 = 3 ** k36 * (bound36 + 1)
-    f36 = q_expansion(a2, depth36, mod36)
-    for _ in range(k36):
-        f36 = u_operator(f36, 3)
-    b36 = q_expansion(b2, bound36 + 1, mod36)
-    _congruence_check(
-        report,
-        f"U(3)^{k36} of level-36 quotient == companion",
-        f36, b36, mod36, bound36,
-        f"closure check at Sturm bound {bound36}")
-
-    beta = 2 * k36 + 1 if k36 % 2 == 0 else 0
-    companion4 = f_product({6: 4}, bound36 + 1, mod36,
-                           scalar=2 ** beta * 3 ** (k36 + 1), shift=1)
-    _congruence_check(
-        report, "level-36 companion == scalar q f6^4",
-        b36, companion4, mod36, bound36, "binomial congruence")
-    lhs4 = master_progression(4 * 3 ** k36, 0, bound36 + 1, mod36)
-    _congruence_check(
-        report, f"pdo_t({4 * 3 ** k36}n) matches the level-36 closure",
-        lhs4, companion4, mod36, bound36,
-        f"closure check at Sturm bound {bound36}")
-
+        product = fam.companion(bound + 1)
+        _congruence_check(
+            report, f"level-{level} companion == scalar q {fam.product_text}",
+            expanded, product, modulus, bound, "binomial congruence")
+        lhs = master_progression(fam.step, 0, bound + 1, modulus)
+        _congruence_check(
+            report, f"pdo_t({fam.step}n) matches the level-{level} closure",
+            lhs, product, modulus, bound, closure)
     return report
 
 
@@ -818,12 +793,17 @@ _READS = {
 }
 
 
+def suite_reads(name: str, **params) -> list:
+    """The master-series reads of suite `name` run with `params`, its
+    defaults filling in the rest."""
+    if name not in _READS:
+        return []
+    signature = inspect.signature(SUITES[name]).parameters.values()
+    return _READS[name](**{p.name: params.get(p.name, p.default)
+                           for p in signature})
+
+
 def plan_suites(names):
     """Expand, once for the whole run, the master series that the named
     suites read when run with their default parameters."""
-    requests = []
-    for name in names:
-        if name in _READS:
-            params = inspect.signature(SUITES[name]).parameters.values()
-            requests += _READS[name](**{p.name: p.default for p in params})
-    plan_master_series(requests)
+    plan_master_series([read for name in names for read in suite_reads(name)])

@@ -148,6 +148,37 @@ def test_expansions_past_the_coefficient_budget_exit_before_expanding(
                        f"over Z is over the budget of "
                        f"{cli._MAX_EXACT_COEFFICIENTS}\n")
 
+
+def test_check_flags_past_the_coefficient_budget_exit_before_expanding(
+        capsys, monkeypatch):
+    from pdotq import cli, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the budget is checked before any expansion")
+
+    monkeypatch.setattr(verify, "pdo_t_series", forbidden)
+    monkeypatch.setattr(verify, "eta_product", forbidden)
+    verify.clear_master_cache()
+    # without the guard each of these asks for many GB; the prime-family
+    # plan reads only the furthest progression of each of its rows, not
+    # all 6 (p - 1) (ell_max + 1) of them
+    assert len(verify._prime_family_reads(1000000007, 20, 2)) == 6
+    for argv, ring in ((("prime-family", "--p", "1000000007"), "mod 32"),
+                       (("genfun", "--k", "14"), "mod 129140163"),
+                       (("divisibility", "--kmax", "20"), "mod 31381059609"),
+                       (("powers-of-two", "--order", "300000000"), "mod 256"),
+                       (("dissection", "--order", "100001"), "over Z"),
+                       (("dissection", "--bound", "100001"), "over Z")):
+        code, out, err = run(capsys, "check", "--suite", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"pdotq check: --suite {argv[0]}: "), err
+        assert f" coefficients {ring} is over the budget of " in err, err
+        assert err.count("\n") == 1
+    # the parser's numeric flags are the union of the suites' flags
+    assert cli._CHECK_FLAGS == ["order", "bound", "k", "kmax", "nmax", "p",
+                                "ellmax"]
+
+
 def test_pdot_series_matches_enum(capsys):
     code, fast, _ = run(capsys, "pdot", "--n", *map(str, range(13)))
     assert code == 0

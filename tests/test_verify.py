@@ -372,6 +372,72 @@ def test_sturm_suite():
     assert len(closures) == 4
 
 
+def test_three_adic_reports_are_pinned_at_other_parameters():
+    import hashlib
+
+    # sha256 of to_json(), recorded before the two families became rows
+    pinned = [
+        (sturm_suite, (0, 0), "351a930cf5a93667bf91dff458eb6ee2"
+                              "91ff247599780a5800b4d5b891493ee0"),
+        (sturm_suite, (0, 1), "0f3653be011679c506c96f5763d96c7f"
+                              "09aff9b91c627bbff5641fc851b0a3e6"),
+        (sturm_suite, (1, 1), "fa3220fd9961b97de0684f3ad2093804"
+                              "5cb7842ff6a63ab6162bb6a5a745e999"),
+        (sturm_suite, (1, 2), "ba2af8a55241f40a8d338a9e2efea6e6"
+                              "f20b56c5348c991226c12d843fdb0513"),
+        (genfun_congruences, (0, 100), "2834599730772890d688ac3b5cb03729"
+                                       "3847d61260539be9ff1b50f8485cc413"),
+        (genfun_congruences, (1, 100), "77c1165c01d5b8918f5d9d384c84af0d"
+                                       "27b2b008bad7ea94c493e0f5d89095f7"),
+        (genfun_congruences, (2, 100), "080e11ac96eb19483bb40125586c4bf5"
+                                       "2c82f0ee47d6a5c86c2b7932593a8222"),
+        (genfun_congruences, (3, 100), "462a08200f3132b95b053e115d527944"
+                                       "1a43e0a1d33ae2b8d8509da19da1c762"),
+        (coexistence, (3, 120), "48bebb1b20e57589668eb773d3e04815"
+                                "53aba7814e016e89d7a567c91f38a46f"),
+    ]
+    for suite, args, digest in pinned:
+        report = suite(*args)
+        assert report.passed, (suite.__name__, args)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            digest), (suite.__name__, args)
+
+
+def test_family_rows_carry_both_closed_forms():
+    from pdotq.verify import family
+
+    for k in range(4):
+        eight, twelve = family(18, k), family(36, k + 1)
+        # genfun's 12 3^k companion is the level-36 row at k + 1
+        assert (eight.step, twelve.step) == (8 * 3 ** k, 12 * 3 ** k)
+        assert eight.modulus == twelve.modulus == 3 ** (k + 3)
+        alpha = 2 * k + 3 if k % 2 == 1 else 0
+        assert eight.companion_scalar == 2 ** (k + 2) * 3 ** (k + 2)
+        assert twelve.companion_scalar == 2 ** alpha * 3 ** (k + 2)
+        for fam in (eight, twelve):
+            dissection, companion = fam.quotients()
+            assert companion.scalar == fam.companion_scalar
+            assert dissection.exponents == companion.exponents
+    with pytest.raises(ValueError):
+        family(12, 0)
+
+
+def test_prime_family_plan_reads_only_the_furthest_progressions():
+    from pdotq.verify import (
+        _PRIME_FAMILY_CHECKS, _prime_family_progression, _prime_family_reads,
+        master_plan,
+    )
+
+    for p, n_max, ell_max in ((5, 20, 2), (11, 3, 2), (17, 0, 1)):
+        every = [(*_prime_family_progression(p, ell, a, b, k), n_max + 1,
+                  modulus)
+                 for ell in range(ell_max + 1)
+                 for modulus, a, b in _PRIME_FAMILY_CHECKS
+                 for k in range(1, p)]
+        assert master_plan(_prime_family_reads(p, n_max, ell_max)) == (
+            master_plan(every))
+
+
 def test_eta_families_shapes():
     a1, b1, a2, b2 = eta_families(2)
     assert a1.exponents == {1: 230, 2: 8, 3: -74}
