@@ -37,7 +37,13 @@ with the order).  Workload division rows: the largest Newton-path
 division of proof-all (the 3n series psi(q^2) f6^3 / phi(-q)^2 to order
 38340 mod 186624) and of certify-batch (the PDO_t quotient
 phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128), by `_divide_newton`
-and, where it finishes in seconds, by the recurrence.  Newton rows:
+and, where it finishes in seconds, by the recurrence.  Encoding rows:
+the 3n division by `_divide_newton` to order 38340 mod 186624, the ring
+of `check --suite all`'s 3n series, and mod 46656, the ring
+`eta_product` expands it in since the scalar 4 of 4q psi(q^2) f6^3 /
+phi(-q)^2 leaves nothing more of it; best of --repeats, with the operand
+encodings one division makes (`_decimal_operand` calls) and the
+coefficients they write.  Newton rows:
 `_invert_list` of phi(-q)^2, the 3n series' denominator, at the orders
 2^k and 2^k + 1 of NEWTON_ROWS, mod 186624 and over Z, best of --repeats.
 Newton runs on the precisions ceil(order/2^k), so one more coefficient
@@ -59,6 +65,7 @@ import random
 import sys
 import time
 
+from pdotq import series
 from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
@@ -100,6 +107,9 @@ WORKLOAD_DIVISION_ROWS = (
     ("proof-all", {2: -1, 4: 2, 6: 3}, {1: 4, 2: -2}, 38340, 186624),
     ("certify-batch", DIVISION_NUMERATOR, {1: 2, 2: -1}, 7488, 128),
 )
+# (order, modulus) of the encoding rows: the 3n division of proof-all, in
+# the ring of the 3n series and in the one its scalar 4 leaves
+ENCODING_ROWS = ((38340, 186624), (38340, 46656))
 # the recurrence is timed only where nonzero terms times order stay below
 RECURRENCE_STEPS = 5 * 10 ** 6
 # (order, modulus) of the Newton rows: each power of two and the order
@@ -233,6 +243,35 @@ def workload_division_rows(repeats):
     return rows
 
 
+def encoding_rows(repeats):
+    """The 3n division at each ENCODING_ROWS ring, with the number of
+    operand encodings one division makes and the coefficients they
+    write."""
+    _, numerator, denominator, _, _ = WORKLOAD_DIVISION_ROWS[0]
+    encode = series._decimal_operand
+    rows = []
+    for n, modulus in ENCODING_ROWS:
+        num = eta_product(numerator, n, modulus).coeffs
+        den = eta_product(denominator, n, modulus).coeffs
+        spans = []
+
+        def counted(coeffs, start, stop, *rest):
+            spans.append(stop - start)
+            return encode(coeffs, start, stop, *rest)
+
+        series._decimal_operand = counted
+        try:
+            _divide_newton(num, den, n, modulus)
+        finally:
+            series._decimal_operand = encode
+        rows.append({"n": n, "modulus": modulus, "operands": numerator,
+                     "denominator": denominator, "encodings": len(spans),
+                     "encoded_coeffs": sum(spans),
+                     "newton_s": best_of(repeats, _divide_newton, num, den,
+                                         n, modulus)[0]})
+    return rows
+
+
 def newton_rows(repeats):
     return [{"order": n, "modulus": modulus, "denominator": "phi(-q)^2",
              "invert_s": best_of(repeats, _invert_list,
@@ -305,6 +344,7 @@ def main(argv=None) -> int:
         "quotient_rows": quotient_rows(args.repeats),
         "division_rows": rows_division,
         "workload_division_rows": rows_workload,
+        "encoding_rows": encoding_rows(args.repeats),
         "newton_rows": newton_rows(args.repeats),
         "decode_row": decode_row(rng, args.repeats),
     }, indent=2))

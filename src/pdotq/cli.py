@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from functools import cache, partial
+from itertools import chain
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
 from .partitions import (
@@ -31,7 +33,9 @@ from .radu import (
     radu_verify,
 )
 from .series import eta_product
-from .verify import SUITES, emit_report, master_plan, plan_suites, suite_reads
+from .verify import (
+    SUITES, emit_report, master_plans, plan_suites, suite_reads,
+)
 
 
 def parse_exponents(text: str) -> dict[int, int]:
@@ -85,6 +89,13 @@ _MAX_COEFFICIENTS = 1_000_000
 _MAX_EXACT_COEFFICIENTS = 100_000
 
 
+def _written(n):
+    """n in full up to 12 digits, and past that to three significant
+    digits (1.87e+5000), so a huge count or modulus makes a short message
+    and never meets the interpreter's limit on int -> str conversion."""
+    return str(n) if n < 10 ** 12 else f"{Decimal(n):.2e}"
+
+
 def _over_budget(count, modulus):
     """A message if expanding `count` coefficients over Z (modulus None)
     or mod M is past its budget, else None."""
@@ -92,8 +103,9 @@ def _over_budget(count, modulus):
               else _MAX_COEFFICIENTS)
     if count <= budget:
         return None
-    ring = "over Z" if modulus is None else f"mod {modulus}"
-    return f"{count} coefficients {ring} is over the budget of {budget}"
+    ring = "over Z" if modulus is None else f"mod {_written(modulus)}"
+    return (f"{_written(count)} coefficients {ring} is over the budget of "
+            f"{budget}")
 
 
 def _cmd_expand(args) -> int:
@@ -264,10 +276,13 @@ _FLAG_MIN = {"order": 1, "bound": 0, "k": 0, "kmax": 0, "nmax": 0,
 def _suite_over_budget(suite: str, kwargs: dict):
     """A message if running `suite` with `kwargs` would expand a master
     series, or for its exact orders a series over Z, past its budget;
-    else None."""
-    sizes = [(kwargs[name], None)
+    else None.  The plan grows one read at a time, and the first read
+    that takes it past the budget stops it, before any further read is
+    made."""
+    exact = [(kwargs[name], None)
              for name in _EXACT_ORDERS.get(suite, ()) if name in kwargs]
-    sizes += master_plan(suite_reads(suite, **kwargs)).values()
+    plans = master_plans(suite_reads(suite, **kwargs))
+    sizes = chain(exact, (size for plan in plans for size in plan.values()))
     return next(filter(None, (_over_budget(*size) for size in sizes)), None)
 
 

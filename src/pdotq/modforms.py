@@ -195,7 +195,7 @@ def q_expansion(eq: EtaQuotient, order: int, modulus=None) -> TruncSeries:
             f"leading power q^{shift} is negative; not a power series"
         )
     body = max(order - shift, 0)
-    result = eq.scalar * eta_product(eq.exponents, body, modulus)
+    result = eta_product(eq.exponents, body, modulus, scalar=eq.scalar)
     return result.shift(shift).truncate(order)
 
 

@@ -103,6 +103,6 @@ def pdo_t_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
     if step == 1:
         return eta_product(PDO_T_EXPONENTS, order - 1, modulus).shift(1)
     if step == 3:
-        body = eta_product(PDO_T_3N_EXPONENTS, order - 1, modulus)
-        return (4 * body).shift(1)
+        return eta_product(PDO_T_3N_EXPONENTS, order - 1, modulus,
+                           scalar=4).shift(1)
     raise ValueError(f"step must be 1 or 3, got {step}")

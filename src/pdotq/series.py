@@ -22,8 +22,8 @@ CPython's Karatsuba.  This is still exact integer arithmetic, not
 floating point: the operands are integers with exponent 0, the context
 has precision MAX_PREC, and its Inexact and Rounded traps make any
 result that would need rounding raise instead.
-Exact coefficients are signed.  A field holds c + A with A the largest |c|
-of its operand, and A times the repunit of the fields is subtracted again,
+Exact coefficients are signed.  A field holds c + B with B the largest -c
+of its operand, and B times the repunit of the fields is subtracted again,
 so the big number carries the signed values.  After the multiply a bias
 H, no smaller than any |c| of the product, is added to every field, so
 each field lies in [0, 2H] and none borrows from its neighbour.
@@ -59,9 +59,25 @@ finishes the quotient: y = num x to h, then num - den y is q^h times e
 below order, and y + q^h x e is the quotient.  So the last full-length
 Newton step and the order-length product of num and the inverse are never
 formed; dividing one goes the same way.
+In a residue ring every product of one division takes fields of one width,
+that of its largest product, h (M-1)^2, and den and x, which enter several
+products, keep their encodings (`_Operand`).  Each step reads a longer
+head of den and of x; only the coefficients past the encoded head are
+written and added in, in Decimal, so each coefficient of den and of x is
+encoded once per division, and a head one field shorter is the encoding
+less its top field.  Only num, y and each step's error are written once
+for their one product.  The encoded value sum c_i 10^(iw) does not depend
+on the bias, so over Z, where each product takes its own width, the same
+encoding serves whenever a width repeats.  A square encodes its one
+operand once, and libmpdec squares faster than it multiplies.
 
-Every eta product prod f_d^(r_d) is built by `eta_product`.  Modulo a
-power p^a of one prime it first lowers the exponents by the binomial
+Every eta product s prod f_d^(r_d) is built by `eta_product`.  In Z/M,
+s P mod M depends only on P mod M/gcd(s, M), so P is expanded in that
+smaller ring and scaled back: the 3n body below mod 46656 for 186624, the
+level-18 Sturm quotient (s = 36) mod 27 for 243 and the level-36 one
+(s = 6) mod 81, each companion 2^a 3^b q prod f_d^(r_d) mod M/3^b, and
+nothing at all when M divides s.  Modulo a power p^a of one prime, M's
+or the smaller ring's, it first lowers the exponents by the binomial
 congruence (1 - x)^(p^a) == (1 - x^p)^(p^(a-1)) (mod p^a), so
 f_d^(p^a) == f_pd^(p^(a-1)): walking the steps in ascending order, r_d
 loses the multiple j p^a nearest it (the smaller |j| on a tie), or the
@@ -183,8 +199,14 @@ def _repunit(value, w, n):
     return Decimal(str(Decimal(value)).zfill(w) * n)
 
 
-def _decimal_operand(coeffs, n, bias, w, wide):
-    top = coeffs[n - 1::-1]
+def _decimal_operand(coeffs, start, stop, w, wide):
+    """sum_{start <= i < stop} coeffs[i] 10^((i - start) w) as a Decimal.
+    With a negative coefficient among them, each field is written as
+    c + B >= 0 for B = -min c, and B times the repunit of the fields is
+    subtracted again."""
+    n = stop - start
+    top = coeffs[stop - 1:start - 1 if start else None:-1]
+    bias = max(0, -min(top))
     if bias:
         top = [c + bias for c in top]
     if wide:
@@ -194,6 +216,69 @@ def _decimal_operand(coeffs, n, bias, w, wide):
     if bias:
         x = _EXACT.subtract(x, _repunit(bias, w, n))
     return x
+
+
+class _Operand:
+    """A coefficient list or tuple that enters several products of one
+    division, read through this wrapper without a copy, and the Kronecker
+    encoding sum_{i < head} c_i 10^(iw) of its head at one field width w
+    (`_encoded`).  No product it enters takes fields narrower than
+    `floor`: in a residue ring that is the width of the division's
+    largest product, so every product of the division meets it at that
+    one width; over Z it is 0 and each product takes its own width, which
+    the encoding serves only when it repeats."""
+
+    __slots__ = ("coeffs", "floor", "width", "head", "value")
+
+    def __init__(self, coeffs, floor):
+        self.coeffs = coeffs
+        self.floor = floor
+        self.width = self.head = 0
+        self.value = None
+
+    def __len__(self):
+        return len(self.coeffs)
+
+    def __getitem__(self, index):
+        return self.coeffs[index]
+
+    def count(self, value):
+        return self.coeffs.count(value)
+
+    def __iadd__(self, more):
+        # the head keeps its coefficients, so its encoding stays valid
+        self.coeffs += more
+        return self
+
+
+def _division_floor(order, modulus):
+    """The field width of the largest product of a Newton division to
+    `order` in Z/M, with ceil(order/2) coefficients in its shorter
+    operand; 0 over Z."""
+    if modulus is None:
+        return 0
+    return Decimal(-(-order // 2) * (modulus - 1) ** 2).adjusted() + 1
+
+
+def _encoded(a, n, w, wide):
+    """sum_{i < n} a[i] 10^(iw) as a Decimal.  An _Operand keeps this for
+    its head: at the width it was last encoded at, a longer head encodes
+    only the coefficients past it and adds them in, and a shorter one
+    subtracts the encoded fields above n, so each coefficient is written
+    once while the width holds; at another width it starts again."""
+    if not isinstance(a, _Operand):
+        return _decimal_operand(a, 0, n, w, wide)
+    if a.width != w:
+        a.width, a.head = w, 0
+    if a.head < n:
+        top = _decimal_operand(a.coeffs, a.head, n, w, wide)
+        a.value = (_EXACT.add(a.value, top.scaleb(a.head * w, _EXACT))
+                   if a.head else top)
+        a.head = n
+    if a.head > n:
+        top = _decimal_operand(a.coeffs, n, a.head, w, wide)
+        return _EXACT.subtract(a.value, top.scaleb(n * w, _EXACT))
+    return a.value
 
 
 # fields decoded per slice of the product's digit string: each slice is
@@ -245,10 +330,10 @@ def _decode_fields(digits, w, modulus, bias, wide):
 
 def _mul_decimal(a, b, order, modulus, lo=0):
     # Kronecker substitution in base 10^w, with w the digits of the field
-    # bound.  Residue coefficients lie in [0, M), so no field is biased
-    # and the bound is min(la, lb) (M-1)^2.  Exact ones are biased by
-    # A = max |a[i]| and B = max |b[j]|; every |c[k]| is at most
-    # H = min(la, lb) A B, so the product fields lie in [0, 2H].  Each
+    # bound.  Residue coefficients lie in [0, M), so the bound is
+    # min(la, lb) (M-1)^2.  Over Z, with A = max |a[i]| and
+    # B = max |b[j]|, every |c[k]| is at most H = min(la, lb) A B, and H is
+    # added to every product field, so each lies in [0, 2H].  Each
     # temporary is dropped as soon as it is consumed, to keep peak memory
     # down.
     la = min(len(a), order)
@@ -264,11 +349,15 @@ def _mul_decimal(a, b, order, modulus, lo=0):
         bound = min(la, lb) * (modulus - 1) * (modulus - 1)
     if not bound or lo >= n:
         return [0] * (order - lo)
-    w = Decimal(bound).adjusted() + 1
-    # every field, of an operand or of the product, is at most `bound`
-    wide = not _fits_int_str(bound)
-    x = _decimal_operand(a, la, bias_a, w, wide)
-    y = _decimal_operand(b, lb, bias_b, w, wide)
+    # every field, of an operand or of the product, is at most `bound`;
+    # an _Operand may ask for wider fields
+    w = max(Decimal(bound).adjusted() + 1, getattr(a, "floor", 0),
+            getattr(b, "floor", 0))
+    wide = _too_wide(w)
+    x = _encoded(a, la, w, wide)
+    # a square is encoded once, and libmpdec squares one operand faster
+    # than it multiplies two equal ones
+    y = x if b is a else _encoded(b, lb, w, wide)
     z = _EXACT.multiply(x, y)
     del x, y
     if bias_h:
@@ -294,12 +383,11 @@ def _mul_decimal(a, b, order, modulus, lo=0):
     return out
 
 
-def _fits_int_str(value):
-    """Whether the digits of `value` may be converted between int and str
-    under the interpreter's limit on such conversions (0 means none)."""
+def _too_wide(w):
+    """Whether w-digit fields, leading zeros included, are past the
+    interpreter's limit on int <-> str conversions (0 means none)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2^(3 limit) < 10^limit settles the usual case without the big power
-    return not limit or value.bit_length() <= 3 * limit or value < 10 ** limit
+    return 0 < limit < w
 
 
 def _mul_lists(a, b, order, modulus, lo=0):
@@ -330,16 +418,20 @@ def _unit_inverse(a, modulus):
 
 
 def _invert_list(a, order, modulus):
-    """Newton iteration for 1/a, given a unit constant term."""
+    """Newton iteration for 1/a, given a unit constant term, returned as
+    an `_Operand` whose encoding the caller's products go on using."""
     # the precisions ceil(order / 2^k), built down from the target, so each
     # step takes x from ceil(prec/2) to prec coefficients (the last from
     # ceil(order/2) to order), and none pays a product of the full order
-    # to add a few coefficients past a power of two
+    # to add a few coefficients past a power of two.  a and x enter every
+    # step, so each keeps its encoding (`_Operand`)
+    if not isinstance(a, _Operand):
+        a = _Operand(a, _division_floor(order, modulus))
     precs = []
     while order > 1:
         precs.append(order)
         order = -(-order // 2)
-    x = [_unit_inverse(a, modulus)]
+    x = _Operand([_unit_inverse(a, modulus)], a.floor)
     for prec in reversed(precs):
         # x is right below `half`, so a x = 1 + q^half e there and the
         # step x (2 - a x) = x - q^half x e only appends its new half
@@ -398,11 +490,15 @@ def _divide_newton(num, den, order, modulus):
     """num/den by one Karp-Markstein step on an inverse to half the order,
     given a unit constant term in den."""
     # x = 1/den and y = num x are right below h >= order - h, so below
-    # order num - den y = q^h e, and y + q^h x e is right there
+    # order num - den y = q^h e, and y + q^h x e is right there.  den and
+    # x enter more than one product, so each keeps its encoding, and den's
+    # is dropped with den once dy is formed
     h = -(-order // 2)
+    den = _Operand(den, _division_floor(order, modulus))
     x = _invert_list(den, h, modulus)
     y = _mul_lists(num, x, h, modulus)
     dy = _mul_lists(den, y, order, modulus, lo=h)
+    del den
     err = [c - d for c, d in zip_longest(num[h:order], dy, fillvalue=0)]
     del dy
     if modulus is not None:
@@ -654,10 +750,14 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
     return f ** exponent
 
 
-def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
-    """prod_d f_d^(r_d) for the map {d: r_d}, to the given order.
+def eta_product(exponents: dict, order: int, modulus=None,
+                scalar: int = 1) -> TruncSeries:
+    """scalar * prod_d f_d^(r_d) for the map {d: r_d}, to the given order.
 
-    Entries with r_d = 0 are ignored.  Modulo a prime power p^a the map is
+    Entries with r_d = 0 are ignored.  In Z/M the product is expanded
+    modulo M/gcd(scalar, M), since scalar * P mod M depends on nothing
+    more of P, and scaled back into Z/M; it is zero when M divides the
+    scalar.  Modulo a prime power p^a, that ring's or M's, the map is
     first lowered by f_d^(p^a) == f_pd^(p^(a-1)) (`binomial_reduce`), so
     every |r_d| is at most p^a/2 (every r_d below p^a for a map with no
     negative exponent), and a map that reduces to nothing gives one; over
@@ -676,6 +776,9 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     by d.  The factors with r > 0 are multiplied together, and so are
     those with r < 0; the first product (one, when there are none) is
     divided by the second once, and not at all when there is no r < 0.
+    A dense divisor goes through Newton inversion and a Karp-Markstein
+    step, which in a residue ring encode each coefficient of the
+    divisor and of its inverse once (see the module docstring).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -683,11 +786,22 @@ def eta_product(exponents: dict, order: int, modulus=None) -> TruncSeries:
     for d in steps:
         if d < 1:
             raise ValueError(f"Euler factor step must be >= 1, got {d}")
-    steps = binomial_reduce(steps, modulus)
+    ring = None if modulus is None else modulus // gcd(scalar, modulus)
+    if not scalar or ring == 1:
+        return TruncSeries.zero(order, modulus)
+    body = _eta_body(binomial_reduce(steps, ring), order, ring)
+    if scalar == 1:
+        return body
+    return TruncSeries((scalar * c for c in body.coeffs), modulus)
+
+
+def _eta_body(steps: dict, order: int, modulus) -> TruncSeries:
+    """prod_d f_d^(r_d) for a map of nonzero exponents on valid steps, as
+    it stands (see `eta_product`)."""
     g = gcd(*steps)
     if g > 1:
-        body = eta_product({d // g: r for d, r in steps.items()},
-                           -(-order // g), modulus)
+        body = _eta_body({d // g: r for d, r in steps.items()},
+                         -(-order // g), modulus)
         return body.inflate(g, order)
     factors = []  # (base, step, exponent): base(q^step)^exponent
     left = dict(steps)  # exponents not yet taken by a factor

@@ -185,20 +185,34 @@ def master_progression(step: int, offset: int, count: int,
     return TruncSeries._reduced(coeffs, modulus)
 
 
+def master_plans(requests):
+    """The `master_plan` of the first request, of the first two, and so
+    on, one per request, each read only when it is needed: a caller can
+    stop at the first plan it will not expand, before later requests are
+    even made."""
+    plan = {}
+    for step, offset, count, modulus in requests:
+        if count > 0:
+            source_step, order = _source(step, offset, count, modulus)
+            if source_step in plan:
+                reach, ring = plan[source_step]
+                order = max(reach, order)
+                modulus = (None if ring is None or modulus is None
+                           else lcm(ring, modulus))
+            plan = {**plan, source_step: (order, modulus)}
+        yield plan
+
+
 def master_plan(requests) -> dict:
     """{source step: (order, modulus)} of the master series that the
     progression requests (step, offset, count, modulus) read: the 3n
     series to the order its readers reach, modulo the lcm of their moduli,
     and the full series likewise, over Z if any reader needs exact
     values."""
-    plan = {}  # source step -> (order, moduli read)
-    for step, offset, count, modulus in requests:
-        if count > 0:
-            source_step, order = _source(step, offset, count, modulus)
-            reach, moduli = plan.get(source_step, (0, set()))
-            plan[source_step] = max(reach, order), moduli | {modulus}
-    return {source_step: (order, None if None in moduli else lcm(*moduli))
-            for source_step, (order, moduli) in plan.items()}
+    plan = {}
+    for plan in master_plans(requests):
+        pass
+    return plan
 
 
 def plan_master_series(requests):
@@ -220,9 +234,7 @@ def f_product(exponents: dict, order: int, modulus=None,
               scalar: int = 1, shift: int = 0) -> TruncSeries:
     """scalar * q^shift * prod f_step^exponent, truncated at `order` plus
     whatever the shift adds."""
-    out = eta_product(exponents, order, modulus)
-    if scalar != 1:
-        out = scalar * out
+    out = eta_product(exponents, order, modulus, scalar=scalar)
     if shift:
         out = out.shift(shift)
     return out
@@ -360,13 +372,14 @@ def _prime_family_progression(p: int, ell: int, a: int, b: int, k: int):
 
 def _prime_family_reads(p: int, n_max: int, ell_max: int):
     # each row's progressions all come from the 3n series mod one modulus,
-    # so only the furthest, k = p - 1, sets the plan
+    # so only the furthest, k = p - 1, sets the plan; p is checked now,
+    # and the rows are made as they are read
     if p < 5 or p % 6 != 5 or prime_factors(p) != [p]:
         raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
-    return [(*_prime_family_progression(p, ell, a, b, p - 1), n_max + 1,
+    return ((*_prime_family_progression(p, ell, a, b, p - 1), n_max + 1,
              modulus)
             for ell in range(ell_max + 1)
-            for modulus, a, b in _PRIME_FAMILY_CHECKS]
+            for modulus, a, b in _PRIME_FAMILY_CHECKS)
 
 
 def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Report:
@@ -554,11 +567,11 @@ def _family_pair(k: int):
 
 
 def _divisible_check(report: Report, name: str, fam: Family, count: int,
-                     strength: str, where: str):
+                     strength: str):
     """pdo_t(step n) == 0 mod modulus/3 for every n < count."""
     bad = _first_nonzero(fam.step, 0, count, fam.modulus // 3)
     report.add(name, bad is None, strength if bad is None
-               else f"{where}{bad[0]}: residue {bad[1]}")
+               else f"n={bad[0]}: residue {bad[1]}")
 
 
 def _genfun_reads(k: int, bound: int):
@@ -584,14 +597,13 @@ def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
     for fam in pair:
         _divisible_check(report, f"pdo_t({fam.step}n) divisible by 3^{k + 2}",
                          fam, bound + 1,
-                         f"forced by the closed form through q^{bound}",
-                         "index ")
+                         f"forced by the closed form through q^{bound}")
     return report
 
 
 def _divisibility_reads(k_max: int, n_max: int):
-    return [(fam.step, 0, n_max + 1, fam.modulus // 3)
-            for k in range(k_max + 1) for fam in _family_pair(k)]
+    return ((fam.step, 0, n_max + 1, fam.modulus // 3)
+            for k in range(k_max + 1) for fam in _family_pair(k))
 
 
 def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
@@ -605,13 +617,13 @@ def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
         for fam in _family_pair(k):
             _divisible_check(report, f"pdo_t({fam.step}n) == 0 mod 3^{k + 2}",
                              fam, n_max + 1,
-                             f"finite-depth evidence, n <= {n_max}", "n=")
+                             f"finite-depth evidence, n <= {n_max}")
     return report
 
 
 def _coexistence_reads(k_max: int, bound: int):
-    return [(fam.step, 0, bound + 1, fam.modulus)
-            for k in range(k_max + 1) for fam in _family_pair(k)]
+    return ((fam.step, 0, bound + 1, fam.modulus)
+            for k in range(k_max + 1) for fam in _family_pair(k))
 
 
 def coexistence(k_max: int = 3, bound: int = 200) -> Report:
@@ -793,9 +805,10 @@ _READS = {
 }
 
 
-def suite_reads(name: str, **params) -> list:
+def suite_reads(name: str, **params):
     """The master-series reads of suite `name` run with `params`, its
-    defaults filling in the rest."""
+    defaults filling in the rest, as an iterable; those of a suite whose
+    parameters range over k are made one at a time, as they are read."""
     if name not in _READS:
         return []
     signature = inspect.signature(SUITES[name]).parameters.values()

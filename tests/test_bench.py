@@ -26,3 +26,10 @@ def test_multiply_bench_loads_and_its_backends_agree():
     # largest product
     row = bench.decode_row(rng, 1)
     assert row["fields"] == 57508 and row["decode_s"] > 0
+    # the encoding rows count the 3n division's encodings, in both rings,
+    # and leave the encoder in place
+    encode = bench.series._decimal_operand
+    rows = bench.encoding_rows(1)
+    assert [row["modulus"] for row in rows] == [186624, 46656]
+    assert all(row["encodings"] > 0 and row["newton_s"] > 0 for row in rows)
+    assert bench.series._decimal_operand is encode

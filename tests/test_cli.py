@@ -158,22 +158,42 @@ def test_check_flags_past_the_coefficient_budget_exit_before_expanding(
 
     monkeypatch.setattr(verify, "pdo_t_series", forbidden)
     monkeypatch.setattr(verify, "eta_product", forbidden)
+    families = []
+    family = verify.family
+
+    def counted(level, k):
+        families.append(k)
+        return family(level, k)
+
+    monkeypatch.setattr(verify, "family", counted)
     verify.clear_master_cache()
     # without the guard each of these asks for many GB; the prime-family
     # plan reads only the furthest progression of each of its rows, not
     # all 6 (p - 1) (ell_max + 1) of them
-    assert len(verify._prime_family_reads(1000000007, 20, 2)) == 6
-    for argv, ring in ((("prime-family", "--p", "1000000007"), "mod 32"),
+    assert len(list(verify._prime_family_reads(1000000007, 20, 2))) == 6
+    # the reads are made one at a time, and the first that takes the plan
+    # past the budget stops it (k = 9 for divisibility and coexistence,
+    # ell = 7 for prime-family), however far the flag reaches; a huge
+    # count or modulus is written to three digits
+    for argv, ring in ((("prime-family", "--p", "1000000007"), "mod 8"),
                        (("genfun", "--k", "14"), "mod 129140163"),
-                       (("divisibility", "--kmax", "20"), "mod 31381059609"),
-                       (("powers-of-two", "--order", "300000000"), "mod 256"),
+                       (("divisibility", "--kmax", "20"), "mod 59049"),
+                       (("divisibility", "--kmax", "20000"), "mod 59049"),
+                       (("coexistence", "--kmax", "20000"), "mod 59049"),
+                       (("prime-family", "--ellmax", "20000"), "mod 32"),
+                       (("genfun", "--k", "10000"), "mod 4.40e+4772"),
+                       (("powers-of-two", "--order", "300000000"), "mod 8"),
                        (("dissection", "--order", "100001"), "over Z"),
                        (("dissection", "--bound", "100001"), "over Z")):
+        families.clear()
         code, out, err = run(capsys, "check", "--suite", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"pdotq check: --suite {argv[0]}: "), err
         assert f" coefficients {ring} is over the budget of " in err, err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 120, err
+        assert len(families) <= 20, (argv, len(families))
+    assert cli._written(10 ** 12 - 1) == "999999999999"
+    assert cli._written(3 ** 10003) == "4.40e+4772"
     # the parser's numeric flags are the union of the suites' flags
     assert cli._CHECK_FLAGS == ["order", "bound", "k", "kmax", "nmax", "p",
                                 "ellmax"]

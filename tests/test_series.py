@@ -297,7 +297,8 @@ def _multiply_cases(rng):
         # unequal lengths, truncated below la + lb - 1 and padded above it
         yield dense(2100, modulus), dense(300, modulus), 2200, modulus
         yield dense(1500, modulus), dense(600, modulus), 4000, modulus
-        # worst-case field width: every coefficient M - 1
+        # worst-case field width: every coefficient M - 1, squared (one
+        # list on both sides, encoded once)
         top = [modulus - 1] * 2048
         yield top, top, 2048, modulus
         # an all-zero operand
@@ -355,6 +356,9 @@ def _exact_multiply_cases(rng):
         # both sides of the schoolbook crossover, random signs
         for order in (127, 128, 129, 300):
             yield signed(order, mag), signed(order, mag), order
+            # one list on both sides: a square, encoded once
+            square = signed(order, mag)
+            yield square, square, order
         # +-1 only against a dense operand
         order = rng.randrange(128, 400)
         units = [rng.choice((-1, 1)) for _ in range(order)]
@@ -688,6 +692,63 @@ def test_eta_product_rejects_bad_input():
         eta_product({0: 2}, 10)
     # a step with exponent zero is no factor at all
     assert eta_product({0: 0, 2: 1}, 10) == euler_factor(2, 1, 10)
+
+
+def test_scaled_eta_product_is_the_scaled_integer_expansion():
+    from pdotq.series import eta_product
+
+    maps = ({1: -4, 2: 1, 4: 2, 6: 3}, {1: 237, 2: 3, 3: -79, 6: 3},
+            {1: 230, 2: 8, 3: -74}, {1: 2, 2: 2, 3: 2, 6: 2}, {6: 4})
+    # scalars sharing 2, 3 or both with M, a multiple of M (zero), zero,
+    # negative ones, and units
+    cases = ((186624, 4), (186624, 36), (243, 36), (243, 6), (81, 6),
+             (243, 2 ** 4 * 3 ** 4), (729, -36), (32, 12), (186624, -5),
+             (243, 486), (2, 4), (4, 4), (4, -8), (243, 0), (8, 1),
+             (None, 36), (None, -6), (None, 0), (None, 1))
+    for exponents in maps:
+        for order in (0, 1, 40):
+            exact = eta_recurrence(exponents, order, None)
+            for modulus, scalar in cases:
+                got = eta_product(exponents, order, modulus, scalar=scalar)
+                want = [scalar * c for c in exact]
+                if modulus is not None:
+                    want = [c % modulus for c in want]
+                assert got.modulus == modulus
+                assert list(got.coeffs) == want, (exponents, order, modulus,
+                                                  scalar)
+
+
+def test_scaled_eta_product_expands_in_the_ring_the_scalar_leaves(
+        monkeypatch):
+    from pdotq import series
+
+    rings = []
+    original = series._eta_body
+
+    def spy(steps, order, modulus):
+        rings.append(modulus)
+        return original(steps, order, modulus)
+
+    monkeypatch.setattr(series, "_eta_body", spy)
+    # the 3n body, the level-18 and level-36 Sturm quotients, and a
+    # companion of the level-18 family at k = 2
+    for exponents, modulus, scalar, ring in (
+            ({1: -4, 2: 1, 4: 2, 6: 3}, 186624, 4, 46656),
+            ({1: 230, 2: 8, 3: -74}, 243, 36, 27),
+            ({1: 237, 2: 3, 3: -79, 6: 3}, 243, 6, 81),
+            ({1: 2, 2: 2, 3: 2, 6: 2}, 3 ** 5, 2 ** 4 * 3 ** 4, 3),
+            ({1: -4, 2: 1}, 1215, 36, 135), ({1: -4, 2: 1}, 1215, 6, 405),
+            ({1: -4, 2: 1}, 243, -36, 27), ({1: -4, 2: 1}, 243, 5, 243),
+            ({1: -4, 2: 1}, None, 36, None)):
+        rings.clear()
+        series.eta_product(exponents, 300, modulus, scalar=scalar)
+        assert rings[0] == ring, (modulus, scalar, rings)
+    # a scalar that M divides leaves nothing to expand
+    rings.clear()
+    for modulus, scalar in ((2, 4), (4, 4), (243, 486), (243, 0)):
+        assert series.eta_product({1: -4}, 50, modulus, scalar=scalar) == (
+            TruncSeries.zero(50, modulus))
+    assert rings == []
 
 
 def test_eta_product_without_negative_exponents_never_inverts(monkeypatch):
@@ -1073,6 +1134,55 @@ def test_karp_markstein_division_never_forms_a_full_length_product(
                 order, modulus)
             assert original(den, quotient, order, modulus) == num, (
                 order, modulus)
+
+
+def test_operand_encoding_extends_cuts_and_restarts_exactly():
+    from decimal import Decimal
+
+    from pdotq.series import _encoded, _Operand
+
+    rng = random.Random(515)
+    # signed and residue-like coefficients, each written as an int or,
+    # as fields too wide for int -> str are, through a Decimal
+    for low, high, wide in ((-10 ** 6, 10 ** 6, False), (0, 10 ** 6, True),
+                            (-1, 1, True), (0, 1, False)):
+        coeffs = [rng.randrange(low, high + 1) for _ in range(60)]
+        op = _Operand(coeffs, 0)
+        # heads that grow, shrink by a field or many, and change width
+        for n, w in ((10, 14), (25, 14), (24, 14), (25, 14), (3, 14),
+                     (60, 14), (60, 20), (1, 20), (2, 20)):
+            want = sum(c * 10 ** (i * w) for i, c in enumerate(coeffs[:n]))
+            assert _encoded(op, n, w, wide) == Decimal(want), (n, w)
+            # a plain list is encoded afresh, to the same value
+            assert _encoded(coeffs, n, w, wide) == Decimal(want)
+        assert op.coeffs == coeffs
+
+
+def test_newton_division_encodes_each_coefficient_of_den_once(monkeypatch):
+    from pdotq import series
+
+    encodings = []
+    original = series._decimal_operand
+
+    def spy(coeffs, start, stop, w, wide):
+        encodings.append((coeffs, start, stop, w))
+        return original(coeffs, start, stop, w, wide)
+
+    monkeypatch.setattr(series, "_decimal_operand", spy)
+    rng = random.Random(46656)
+    for order, modulus in ((1000, 243), (4097, 186624), (38340, 46656)):
+        den = list((phi_minus(order, modulus) ** 2).coeffs)
+        num = _random_numerator(rng, order, modulus)
+        encodings.clear()
+        quotient = series._divide_list(num, den, order, modulus)
+        # every product of the division takes one field width, and den's
+        # encoded heads tile [0, order): each coefficient written once
+        assert len({w for *_, w in encodings}) == 1, (order, modulus)
+        spans = sorted((start, stop) for coeffs, start, stop, _ in encodings
+                       if coeffs is den)
+        assert spans[0][0] == 0 and spans[-1][1] == order, (order, spans)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:])), spans
+        assert series._mul_lists(den, quotient, order, modulus) == num
 
 
 # --- binomial exponent reduction modulo a prime power ---

@@ -326,6 +326,21 @@ def test_progression_checks_report_the_failing_index(monkeypatch):
     ]
 
 
+def test_genfun_divisibility_failure_names_n(monkeypatch):
+    # a fake master series nonzero only at pdo_t(40) = pdo_t(8 * 5): the
+    # level-18 divisibility line fails at n = 5, as the divisibility
+    # suite would say, and the level-36 one (pdo_t(12n)) passes
+    coeffs = [0] * 400
+    coeffs[40] = 1
+    _fake_progressions(monkeypatch, coeffs)
+    report = genfun_congruences(0, 30)
+    assert [(c.name, c.ok, c.detail) for c in report.checks[2:]] == [
+        ("pdo_t(8n) divisible by 3^2", False, "n=5: residue 1"),
+        ("pdo_t(12n) divisible by 3^2", True,
+         "forced by the closed form through q^30"),
+    ]
+
+
 def test_genfun_suite():
     for k in (0, 1):
         report = genfun_congruences(k=k, bound=25)
