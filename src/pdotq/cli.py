@@ -20,6 +20,7 @@ import sys
 from decimal import Decimal
 from functools import cache, partial
 from itertools import chain
+from math import floor
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
 from .partitions import (
@@ -30,12 +31,12 @@ from .radu import (
     AuxExponents,
     CriterionNotApplicable,
     RaduInstance,
+    nu_bound,
+    p_set,
     radu_verify,
 )
 from .series import eta_product
-from .verify import (
-    SUITES, emit_report, master_plans, plan_suites, suite_reads,
-)
+from .verify import SUITES, master_plans, plan_master_series, suite_reads
 
 
 def parse_exponents(text: str) -> dict[int, int]:
@@ -87,6 +88,12 @@ def format_eta_quotient(eq: EtaQuotient) -> str:
 # that expand to order 100000 37 s and 339 MiB
 _MAX_COEFFICIENTS = 1_000_000
 _MAX_EXACT_COEFFICIENTS = 100_000
+# mod M each coefficient costs about as many digits of every product as M
+# has, so the count times the digits of M has a budget too; the budget of
+# coefficients mod 186624 (6 digits) spends 6,000,000 of it.  Just inside
+# it, `check --suite powers-of-two --kmax 4970` (6667 coefficients mod
+# 2^4972, 1497 digits) took 13.2 s and 185 MiB on a 2-core VM
+_MAX_DIGITS = 10_000_000
 
 
 def _written(n):
@@ -98,14 +105,19 @@ def _written(n):
 
 def _over_budget(count, modulus):
     """A message if expanding `count` coefficients over Z (modulus None)
-    or mod M is past its budget, else None."""
+    or mod M is past its budget, or mod M their digits, count times the
+    digits of M, are past theirs; else None."""
     budget = (_MAX_EXACT_COEFFICIENTS if modulus is None
               else _MAX_COEFFICIENTS)
-    if count <= budget:
+    digits = 0 if modulus is None else Decimal(modulus).adjusted() + 1
+    if count <= budget and count * digits <= _MAX_DIGITS:
         return None
     ring = "over Z" if modulus is None else f"mod {_written(modulus)}"
-    return (f"{_written(count)} coefficients {ring} is over the budget of "
-            f"{budget}")
+    if count > budget:
+        return (f"{_written(count)} coefficients {ring} is over the budget "
+                f"of {budget}")
+    return (f"{_written(count)} coefficients of {digits} digits {ring} is "
+            f"over the budget of {_MAX_DIGITS} digits")
 
 
 def _cmd_expand(args) -> int:
@@ -206,6 +218,19 @@ def _cmd_radu(args) -> int:
         print(f"pdotq radu: --min-depth must be >= 0, got {args.min_depth}",
               file=sys.stderr)
         return 2
+    # the orbit and the cusp bounds take O(m) steps, and radu_verify
+    # expands c_r to m depth + max(orbit) + 1, so each is refused past the
+    # budget before it is begun
+    refused = _over_budget(inst.m, args.u)
+    if refused:
+        print(f"pdotq radu: --m {inst.m}: {refused}", file=sys.stderr)
+        return 2
+    depth = max(floor(nu_bound(inst, aux)), args.min_depth)
+    refused = _over_budget(inst.m * depth + max(p_set(inst)) + 1, args.u)
+    if refused:
+        print(f"pdotq radu: depth {_written(depth)}: {refused}",
+              file=sys.stderr)
+        return 2
     try:
         cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth)
     except CriterionNotApplicable as exc:
@@ -292,7 +317,7 @@ def _cmd_check(args, parser) -> int:
     if args.suite == "all":
         if provided:
             parser.error("numeric flags only apply to a single suite")
-        plan_suites(SUITES)
+        plan_master_series(chain.from_iterable(map(suite_reads, SUITES)))
         reports = [fn() for fn in SUITES.values()]
     else:
         flags = _SUITE_FLAGS[args.suite]
@@ -329,7 +354,7 @@ def _cmd_check(args, parser) -> int:
                               "passed": passed}, indent=2))
     else:
         for r in reports:
-            print(emit_report(r))
+            print(r.to_text())
         if len(reports) > 1:
             print(f"overall: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1

@@ -15,10 +15,12 @@ auxiliary exponents r' over the divisors of N:
      t' in P(t) and all n <= floor(nu), the congruence holds for all n.
 
 radu_verify runs the pipeline and returns a Certificate recording every
-quantity exactly (rationals serialize as "num/den" strings).  Failed
-preconditions raise, because they mean the criterion does not apply; a
-failed coefficient check returns a verdict-false certificate, because it
-means the congruence itself is false.
+quantity exactly (rationals serialize as "num/den" strings).  It reads
+the coefficients from a caller's progression, or expands the c_r series
+itself, head first.  Failed preconditions raise, because they mean the
+criterion does not apply; a failed coefficient check returns a
+verdict-false certificate, because it means the congruence itself is
+false.
 """
 
 from __future__ import annotations
@@ -104,15 +106,15 @@ class RaduInstance:
         return sum(d * v for d, v in self.r.items())
 
     def two_adic_split(self) -> tuple[int, int]:
-        """prod delta^|r_delta| written as 2^s * j with j odd; returns (s, j)."""
-        prod = 1
+        """prod delta^|r_delta| = 2^s j with j odd, as (s, j mod 8): s is
+        sum v2(delta) |r_delta|, and the Delta* conditions read j only mod
+        8, so the product is never formed."""
+        s, j = 0, 1
         for d, v in self.r.items():
-            prod *= d ** abs(v)
-        s = 0
-        while prod % 2 == 0:
-            prod //= 2
-            s += 1
-        return s, prod
+            v2 = (d & -d).bit_length() - 1
+            s += v2 * abs(v)
+            j = j * pow(d >> v2, abs(v), 8) % 8
+        return s, j
 
 
 @dataclass
@@ -288,22 +290,19 @@ def radu_verify(
     inst: RaduInstance,
     aux: AuxExponents,
     u: int,
-    series: TruncSeries | None = None,
     min_depth: int = 0,
     progression: Callable[[int, int], Sequence[int]] | None = None,
 ) -> Certificate:
     """Run the full criterion for c(m n + t') == 0 (mod u) over the orbit
     of t.  The coefficients come from `progression(t', count)`, which
     returns c(m n + t') for n < count as integers whose residues mod u are
-    the true ones; or from a precomputed c_r expansion passed in `series`
-    (its modulus must be None or a multiple of u, its order large enough);
-    or, with neither, from a fresh expansion mod u.  That expansion is
-    made first only to the head 2 m + t0 + 1, with t0 the first orbit
-    residue, which holds c(m n + t0) for n <= 2: a nonzero there within
-    the checking depth is the scan's first failure, and only when there
-    is none is the series expanded again to the full order (unless the
-    head already reaches it).  `min_depth` forces checking beyond
-    floor(nu), which can only strengthen the evidence.
+    the true ones, or without it from a fresh expansion mod u.  That
+    expansion is made first only to the head 2 m + t0 + 1, with t0 the
+    first orbit residue, which holds c(m n + t0) for n <= 2: a nonzero
+    there within the checking depth is the scan's first failure, and only
+    when there is none is the series expanded again to the full order
+    (unless the head already reaches it).  `min_depth` forces checking
+    beyond floor(nu), which can only strengthen the evidence.
 
     Raises a CriterionNotApplicable subclass when a precondition fails.
     Returns a Certificate whose verdict is False when a coefficient check
@@ -351,20 +350,13 @@ def radu_verify(
     order = inst.m * depth + max(orbit) + 1
 
     if progression is None:
-        if series is None:
-            # a truncated expansion is a prefix of a longer one, so a
-            # nonzero in the head is the scan's first failure at any order
-            head = min(order, 2 * inst.m + orbit[0] + 1)
-            series = c_r_series(inst, head, u)
-            if head < order and not any(
-                    series.coeffs[orbit[0]::inst.m][:depth + 1]):
-                series = c_r_series(inst, order, u)
-        else:
-            if series.order < order:
-                raise ValueError(
-                    f"supplied series has order {series.order}, need {order}"
-                )
-            series = series.truncate(order).reduce_mod(u)
+        # a truncated expansion is a prefix of a longer one, so a nonzero
+        # in the head is the scan's first failure at any order
+        head = min(order, 2 * inst.m + orbit[0] + 1)
+        series = c_r_series(inst, head, u)
+        if head < order and not any(
+                series.coeffs[orbit[0]::inst.m][:depth + 1]):
+            series = c_r_series(inst, order, u)
 
         def progression(offset, count):
             return series.coeffs[offset:offset + inst.m * count:inst.m]

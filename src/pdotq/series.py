@@ -66,9 +66,9 @@ head of den and of x; only the coefficients past the encoded head are
 written and added in, in Decimal, so each coefficient of den and of x is
 encoded once per division, and a head one field shorter is the encoding
 less its top field.  Only num, y and each step's error are written once
-for their one product.  The encoded value sum c_i 10^(iw) does not depend
-on the bias, so over Z, where each product takes its own width, the same
-encoding serves whenever a width repeats.  A square encodes its one
+for their one product.  Over Z each product takes the width of its own
+bound, which the products of a division seldom share, so nothing is kept
+and each product encodes its operands afresh.  A square encodes its one
 operand once, and libmpdec squares faster than it multiplies.
 
 Every eta product s prod f_d^(r_d) is built by `eta_product`.  In Z/M,
@@ -220,20 +220,18 @@ def _decimal_operand(coeffs, start, stop, w, wide):
 
 class _Operand:
     """A coefficient list or tuple that enters several products of one
-    division, read through this wrapper without a copy, and the Kronecker
-    encoding sum_{i < head} c_i 10^(iw) of its head at one field width w
-    (`_encoded`).  No product it enters takes fields narrower than
-    `floor`: in a residue ring that is the width of the division's
-    largest product, so every product of the division meets it at that
-    one width; over Z it is 0 and each product takes its own width, which
-    the encoding serves only when it repeats."""
+    division, read through this wrapper without a copy, and the field
+    width of that division (`_division_floor`).  In a residue ring every
+    product of the division takes fields of that width, and the operand
+    keeps the Kronecker encoding sum_{i < head} c_i 10^(iw) of its head
+    (`_encoded`); over Z the width is 0, none, and nothing is kept."""
 
-    __slots__ = ("coeffs", "floor", "width", "head", "value")
+    __slots__ = ("coeffs", "width", "head", "value")
 
-    def __init__(self, coeffs, floor):
+    def __init__(self, coeffs, width):
         self.coeffs = coeffs
-        self.floor = floor
-        self.width = self.head = 0
+        self.width = width
+        self.head = 0
         self.value = None
 
     def __len__(self):
@@ -254,7 +252,7 @@ class _Operand:
 def _division_floor(order, modulus):
     """The field width of the largest product of a Newton division to
     `order` in Z/M, with ceil(order/2) coefficients in its shorter
-    operand; 0 over Z."""
+    operand, which every product of the division takes; 0 over Z."""
     if modulus is None:
         return 0
     return Decimal(-(-order // 2) * (modulus - 1) ** 2).adjusted() + 1
@@ -262,14 +260,13 @@ def _division_floor(order, modulus):
 
 def _encoded(a, n, w, wide):
     """sum_{i < n} a[i] 10^(iw) as a Decimal.  An _Operand keeps this for
-    its head: at the width it was last encoded at, a longer head encodes
+    its head at the width of its residue division: a longer head encodes
     only the coefficients past it and adds them in, and a shorter one
     subtracts the encoded fields above n, so each coefficient is written
-    once while the width holds; at another width it starts again."""
-    if not isinstance(a, _Operand):
+    once per division.  Anything else, an operand at another width (over
+    Z, any width) or a plain list, is encoded afresh."""
+    if getattr(a, "width", 0) != w:
         return _decimal_operand(a, 0, n, w, wide)
-    if a.width != w:
-        a.width, a.head = w, 0
     if a.head < n:
         top = _decimal_operand(a.coeffs, a.head, n, w, wide)
         a.value = (_EXACT.add(a.value, top.scaleb(a.head * w, _EXACT))
@@ -350,9 +347,9 @@ def _mul_decimal(a, b, order, modulus, lo=0):
     if not bound or lo >= n:
         return [0] * (order - lo)
     # every field, of an operand or of the product, is at most `bound`;
-    # an _Operand may ask for wider fields
-    w = max(Decimal(bound).adjusted() + 1, getattr(a, "floor", 0),
-            getattr(b, "floor", 0))
+    # an _Operand of a residue division asks for that division's width
+    w = max(Decimal(bound).adjusted() + 1, getattr(a, "width", 0),
+            getattr(b, "width", 0))
     wide = _too_wide(w)
     x = _encoded(a, la, w, wide)
     # a square is encoded once, and libmpdec squares one operand faster
@@ -419,19 +416,19 @@ def _unit_inverse(a, modulus):
 
 def _invert_list(a, order, modulus):
     """Newton iteration for 1/a, given a unit constant term, returned as
-    an `_Operand` whose encoding the caller's products go on using."""
+    an `_Operand`, whose encoding a residue division goes on using."""
     # the precisions ceil(order / 2^k), built down from the target, so each
     # step takes x from ceil(prec/2) to prec coefficients (the last from
     # ceil(order/2) to order), and none pays a product of the full order
     # to add a few coefficients past a power of two.  a and x enter every
-    # step, so each keeps its encoding (`_Operand`)
+    # step, so in a residue ring each keeps its encoding (`_Operand`)
     if not isinstance(a, _Operand):
         a = _Operand(a, _division_floor(order, modulus))
     precs = []
     while order > 1:
         precs.append(order)
         order = -(-order // 2)
-    x = _Operand([_unit_inverse(a, modulus)], a.floor)
+    x = _Operand([_unit_inverse(a, modulus)], a.width)
     for prec in reversed(precs):
         # x is right below `half`, so a x = 1 + q^half e there and the
         # step x (2 - a x) = x - q^half x e only appends its new half
@@ -491,8 +488,8 @@ def _divide_newton(num, den, order, modulus):
     given a unit constant term in den."""
     # x = 1/den and y = num x are right below h >= order - h, so below
     # order num - den y = q^h e, and y + q^h x e is right there.  den and
-    # x enter more than one product, so each keeps its encoding, and den's
-    # is dropped with den once dy is formed
+    # x enter more than one product, so in a residue ring each keeps its
+    # encoding, and den's is dropped with den once dy is formed
     h = -(-order // 2)
     den = _Operand(den, _division_floor(order, modulus))
     x = _invert_list(den, h, modulus)

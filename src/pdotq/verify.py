@@ -20,10 +20,10 @@ indices are all multiples of 3 are served from the 3n series
 sum pdo_t(3n) q^n, a third as long; the rest (exact values, or a step
 such as 8) from the full series.  Both are cached.  Each suite first
 declares its requests to `plan_master_series`, which expands each source
-of their `master_plan` once, to the furthest index read and modulo the
-lcm of the moduli (over Z if a request is exact); `check --suite all`
-plans every suite's requests together through `plan_suites`, so the
-whole run makes one 3n expansion and at most one full one.
+of their plan (`master_plans`) once, to the furthest index read and
+modulo the lcm of the moduli (over Z if a request is exact); `check
+--suite all` plans every suite's `suite_reads` together the same way, so
+the whole run makes one 3n expansion and at most one full one.
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ class Report:
         return "\n".join(lines)
 
 
-def emit_report(report: Report, as_json: bool = False) -> str:
-    return report.to_json() if as_json else report.to_text()
-
-
 _MASTER_CACHE: dict = {}  # (step, modulus) -> sum pdo_t(step n) q^n
 
 
@@ -186,10 +182,13 @@ def master_progression(step: int, offset: int, count: int,
 
 
 def master_plans(requests):
-    """The `master_plan` of the first request, of the first two, and so
-    on, one per request, each read only when it is needed: a caller can
-    stop at the first plan it will not expand, before later requests are
-    even made."""
+    """{source step: (order, modulus)} of the master series that the
+    progression requests (step, offset, count, modulus) read: the 3n
+    series to the order its readers reach, modulo the lcm of their moduli,
+    and the full series likewise, over Z if any reader needs exact values.
+    One plan is yielded per request, for the first request, the first two
+    and so on, each read only when it is needed: a caller can stop at the
+    first plan it will not expand, before later requests are even made."""
     plan = {}
     for step, offset, count, modulus in requests:
         if count > 0:
@@ -203,22 +202,13 @@ def master_plans(requests):
         yield plan
 
 
-def master_plan(requests) -> dict:
-    """{source step: (order, modulus)} of the master series that the
-    progression requests (step, offset, count, modulus) read: the 3n
-    series to the order its readers reach, modulo the lcm of their moduli,
-    and the full series likewise, over Z if any reader needs exact
-    values."""
+def plan_master_series(requests):
+    """Expand, once each, the master series of the last of
+    `master_plans(requests)` that no cached series already serves."""
     plan = {}
     for plan in master_plans(requests):
         pass
-    return plan
-
-
-def plan_master_series(requests):
-    """Expand, once each, the master series of `master_plan(requests)`
-    that no cached series already serves."""
-    for source_step, (order, modulus) in master_plan(requests).items():
+    for source_step, (order, modulus) in plan.items():
         if _cached_master(source_step, order, modulus) is None:
             master_series(order, modulus, source_step)
 
@@ -430,10 +420,11 @@ POWER_OF_TWO_ROWS = [
 
 
 def _powers_of_two_progressions(conj_k_max: int):
-    """(step, offset, modulus, strength) of every check, in report order:
-    the proved rows, then the conjectural families for k <= conj_k_max."""
-    rows = [(step, offset, modulus, "proved progression")
-            for step, offset, modulus in POWER_OF_TWO_ROWS]
+    """(step, offset, modulus, strength) of every check, in report order,
+    made as they are read: the proved rows, then the conjectural families
+    for k <= conj_k_max."""
+    for step, offset, modulus in POWER_OF_TWO_ROWS:
+        yield step, offset, modulus, "proved progression"
     for k in range(conj_k_max + 1):
         modulus = 2 ** (k + 2)
         families = [
@@ -442,15 +433,14 @@ def _powers_of_two_progressions(conj_k_max: int):
             (3 * 2 ** (k + 2), 3 * 2 ** k),
             (3 * 2 ** (k + 2), 9 * 2 ** k),
         ]
-        rows += [(step, offset, modulus, "finite-depth evidence")
-                 for step, offset in families]
-    return rows
+        for step, offset in families:
+            yield step, offset, modulus, "finite-depth evidence"
 
 
 def _powers_of_two_reads(order: int, conj_k_max: int):
-    return [(step, offset, len(range(offset, order, step)), modulus)
+    return ((step, offset, len(range(offset, order, step)), modulus)
             for step, offset, modulus, _ in
-            _powers_of_two_progressions(conj_k_max)]
+            _powers_of_two_progressions(conj_k_max))
 
 
 def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
@@ -777,8 +767,8 @@ def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
     return report
 
 
-# "all" runs these in order, after `plan_suites` has expanded the master
-# series that all of them read
+# "all" runs these in order, after one `plan_master_series` over all their
+# `suite_reads` has expanded the master series that they read
 SUITES = {
     "dissection": dissection_suite,
     "sturm": sturm_suite,
@@ -814,9 +804,3 @@ def suite_reads(name: str, **params):
     signature = inspect.signature(SUITES[name]).parameters.values()
     return _READS[name](**{p.name: params.get(p.name, p.default)
                            for p in signature})
-
-
-def plan_suites(names):
-    """Expand, once for the whole run, the master series that the named
-    suites read when run with their default parameters."""
-    plan_master_series([read for name in names for read in suite_reads(name)])

@@ -89,9 +89,11 @@ def test_criterion_2_certificate_table_reproduction():
         top = max(top, m * depth + t + 1)
         prepared.append((inst, aux, u, depth))
 
-    shared = master_series(top + 1, 256).shift(-1)
+    shared = master_series(top + 1, 256).shift(-1).coeffs
     for inst, aux, u, depth in prepared:
-        cert = radu_verify(inst, aux, u, series=shared, min_depth=depth)
+        cert = radu_verify(
+            inst, aux, u, min_depth=depth,
+            progression=lambda t, n, m=inst.m: shared[t:t + m * n:m])
         assert cert.verdict, (inst.m, inst.t, cert.failure)
         assert len(cert.checked) == depth + 1
     assert monotonic() - start < 300

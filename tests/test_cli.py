@@ -199,6 +199,66 @@ def test_check_flags_past_the_coefficient_budget_exit_before_expanding(
                                 "ellmax"]
 
 
+def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
+        capsys, monkeypatch):
+    from pdotq import cli, radu, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the budget is checked before any expansion")
+
+    monkeypatch.setattr(radu, "c_r_series", forbidden)
+    monkeypatch.setattr(verify, "pdo_t_series", forbidden)
+    verify.clear_master_cache()
+    # mod M the count times the digits of M has a budget as well
+    for modulus in (10 ** 19, 2 ** 64):
+        digits = len(str(modulus))
+        count = cli._MAX_DIGITS // digits
+        assert cli._over_budget(count, modulus) is None
+        assert cli._over_budget(count + 1, modulus) == (
+            f"{count + 1} coefficients of {digits} digits mod "
+            f"{cli._written(modulus)} is over the budget of "
+            f"{cli._MAX_DIGITS} digits")
+    # every default suite, and all of them together, stays well inside
+    reads = [read for name in verify.SUITES
+             for read in verify.suite_reads(name)]
+    for requests in [verify.suite_reads(name) for name in verify.SUITES] + [
+            reads]:
+        for plan in verify.master_plans(requests):
+            for order, modulus in plan.values():
+                if modulus is not None:
+                    assert order * len(str(modulus)) < cli._MAX_DIGITS // 20
+    big = "1:-20000000,2:10000000,3:20000000,6:-10000000,12:20000000"
+    cases = (
+        # the certificate would read c_r through 48 * 3000000 + 23
+        (("radu", "--m", "48", "--t", "23", "--u", "32", "--rprime", "1:40",
+          "--min-depth", "3000000"),
+         "depth 3000000: 144000024 coefficients mod 32"),
+        # the instance is admissible, but its step alone is past the
+        # budget, and the orbit and cusp bounds loop over it
+        (("radu", "--m", "4194304", "--t", "4194303", "--u", "2",
+          "--rprime", "1:5"), "--m 4194304: 4194304 coefficients mod 2"),
+        # exponents of 10^7 and more: the 2-adic split of prod delta^|r|
+        # comes from valuations, and floor(nu) is 18333337
+        (("radu", "--m", "6", "--t", "2", "--u", "4", "--rprime", "1:5",
+          "--r", big), "depth 18333337: 110000025 coefficients mod 4"),
+        # the family pdo_t(3 2^k n) reads index 0 mod 2^(k+2) for every k:
+        # refused at k = 4980, whose modulus is 1500 digits long
+        (("check", "--suite", "powers-of-two", "--kmax", "20000"),
+         "--suite powers-of-two: 6667 coefficients of 1500 digits mod "
+         "1.35e+1499"),
+    )
+    for argv, why in cases:
+        with monkeypatch.context() as mp:
+            if argv[2] == "4194304":
+                mp.setattr(cli, "p_set", forbidden)
+                mp.setattr(cli, "nu_bound", forbidden)
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"pdotq {argv[0]}: {why} is over the budget "
+                              "of "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_pdot_series_matches_enum(capsys):
     code, fast, _ = run(capsys, "pdot", "--n", *map(str, range(13)))
     assert code == 0

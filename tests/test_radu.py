@@ -33,7 +33,7 @@ from pdotq.radu import (
     sl2_index,
     squares_mod,
 )
-from pdotq.series import DomainMismatchError, TruncSeries, eta_product
+from pdotq.series import TruncSeries, eta_product
 from pdotq.verify import CERTIFICATE_ROWS
 
 # f_2 f_3^2 f_12^2 / (f_1^2 f_6): coefficient n is pdo_t(n + 1)
@@ -94,7 +94,7 @@ def test_instance_validation_and_invariants():
     assert inst.kappa == 1
     assert inst.exponent_sum == 2
     assert inst.weighted_exponent_sum == 24
-    assert inst.two_adic_split() == (6, 243)
+    assert inst.two_adic_split() == (6, 3)
     # zero exponents are dropped, divisors sorted
     messy = RaduInstance(m=6, M=12, level=12,
                          r={12: 2, 4: 0, 1: -2, 2: 1, 3: 2, 6: -1}, t=2)
@@ -267,6 +267,24 @@ def test_nonnegativity_failure():
     assert exc.value.value == Fraction(-5, 24)
 
 
+def test_two_adic_split_from_valuations():
+    # against prod delta^|r_delta| itself, with its factors of 2 stripped
+    rng = random.Random(8)
+    for _ in range(200):
+        big_m = rng.choice((12, 24, 40, 48))
+        steps = [d for d in range(1, big_m + 1) if big_m % d == 0]
+        r = {d: rng.randrange(-30, 31) for d in rng.sample(steps, 3)}
+        prod = math.prod(d ** abs(v) for d, v in r.items())
+        s = (prod & -prod).bit_length() - 1
+        inst = RaduInstance(m=6, M=big_m, level=12, r=r, t=2)
+        assert inst.two_adic_split() == (s, (prod >> s) % 8), r
+    # exponents of 10^7 and more: s = 10^7 + 10^7 + 2 * 2 10^7, and j is
+    # 3^(5 10^7) = 1 mod 8
+    huge = RaduInstance(m=6, M=12, level=12, t=2, r={
+        1: -20000000, 2: 10000000, 3: 20000000, 6: -10000000, 12: 20000000})
+    assert huge.two_adic_split() == (60000000, 1)
+
+
 def test_level_not_squarefree():
     inst = RaduInstance(m=3, M=9, level=9, r={1: 1}, t=0)
     with pytest.raises(LevelNotSquarefree):
@@ -285,18 +303,19 @@ def test_radu_verify_argument_errors():
         radu_verify(inst, AuxExponents(12, {1: 5}), u=1)
 
 
+def sliced(series, m):
+    """The progression c(m n + t') read from a c_r series."""
+    coeffs = series.coeffs
+    return lambda t, n: coeffs[t:t + m * n:m]
+
+
 def test_series_reuse_matches_fresh_computation():
     inst = pdo_t_instance(6, 2)
     aux = AuxExponents(12, {1: 5})
     fresh = radu_verify(inst, aux, u=4)
     shared = c_r_series(inst, 64, 8)
-    reused = radu_verify(inst, aux, u=4, series=shared)
+    reused = radu_verify(inst, aux, u=4, progression=sliced(shared, 6))
     assert fresh == reused
-    short = c_r_series(inst, 10, 4)
-    with pytest.raises(ValueError):
-        radu_verify(inst, aux, u=4, series=short)
-    with pytest.raises(DomainMismatchError, match="cannot reduce mod 4 from Z/6"):
-        radu_verify(inst, aux, u=4, series=c_r_series(inst, 64, 6))
 
 
 def test_min_depth_extends_checking():
@@ -339,8 +358,9 @@ def full_expansion_certificate(inst, aux, u, min_depth=0):
     order the bound needs, which bypasses the head expansion."""
     depth = max(math.floor(nu_bound(inst, aux)), min_depth)
     order = inst.m * depth + max(p_set(inst)) + 1
-    return radu_verify(inst, aux, u, series=eta_product(inst.r, order, u),
-                       min_depth=min_depth)
+    return radu_verify(inst, aux, u, min_depth=min_depth,
+                       progression=sliced(eta_product(inst.r, order, u),
+                                          inst.m))
 
 
 def test_fresh_certificates_match_a_full_expansion_on_the_table():
@@ -395,7 +415,8 @@ def test_fresh_certificate_failing_in_a_later_orbit_residue(monkeypatch):
     cert = radu_verify(inst, aux, 2)
     assert cert.failure == {"t": 3, "n": 0, "index": 3, "residue": 1}
     assert cert.checked == [(2, n) for n in range(43)]
-    assert cert == radu_verify(inst, aux, 2, series=made_up(inst, 214, 2))
+    assert cert == radu_verify(inst, aux, 2,
+                               progression=sliced(made_up(inst, 214, 2), 5))
 
 
 def test_fresh_expansion_orders(monkeypatch):
@@ -425,8 +446,8 @@ def test_fresh_expansion_orders(monkeypatch):
         orders.clear()
         assert radu_verify(inst, aux, u).verdict is verdict
         assert orders == want, (inst, u)
-    # a supplied series is read as it is
+    # a supplied progression is read as it is
     orders.clear()
     radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 8,
-                series=eta_product(PDO_T_R, 39, 8))
+                progression=sliced(eta_product(PDO_T_R, 39, 8), 6))
     assert orders == []

@@ -1147,15 +1147,23 @@ def test_operand_encoding_extends_cuts_and_restarts_exactly():
     for low, high, wide in ((-10 ** 6, 10 ** 6, False), (0, 10 ** 6, True),
                             (-1, 1, True), (0, 1, False)):
         coeffs = [rng.randrange(low, high + 1) for _ in range(60)]
-        op = _Operand(coeffs, 0)
-        # heads that grow, shrink by a field or many, and change width
-        for n, w in ((10, 14), (25, 14), (24, 14), (25, 14), (3, 14),
-                     (60, 14), (60, 20), (1, 20), (2, 20)):
-            want = sum(c * 10 ** (i * w) for i, c in enumerate(coeffs[:n]))
-            assert _encoded(op, n, w, wide) == Decimal(want), (n, w)
-            # a plain list is encoded afresh, to the same value
-            assert _encoded(coeffs, n, w, wide) == Decimal(want)
-        assert op.coeffs == coeffs
+        # heads that grow and shrink by a field or many, each at the width
+        # of its operand; another width takes an operand of its own
+        for w, heads in ((14, (10, 25, 24, 25, 3, 60)), (20, (60, 1, 2))):
+            op = _Operand(coeffs, w)
+            for n in heads:
+                want = sum(c * 10 ** (i * w)
+                           for i, c in enumerate(coeffs[:n]))
+                assert _encoded(op, n, w, wide) == Decimal(want), (n, w)
+                # a plain list is encoded afresh, to the same value
+                assert _encoded(coeffs, n, w, wide) == Decimal(want)
+            # the operand keeps its longest head; at another width it is
+            # encoded afresh and what it keeps is left as it was
+            assert op.head == max(heads) and op.coeffs == coeffs
+            want = sum(c * 10 ** (i * (w + 1))
+                       for i, c in enumerate(coeffs[:7]))
+            assert _encoded(op, 7, w + 1, wide) == Decimal(want)
+            assert op.head == max(heads)
 
 
 def test_newton_division_encodes_each_coefficient_of_den_once(monkeypatch):
@@ -1183,6 +1191,38 @@ def test_newton_division_encodes_each_coefficient_of_den_once(monkeypatch):
         assert spans[0][0] == 0 and spans[-1][1] == order, (order, spans)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:])), spans
         assert series._mul_lists(den, quotient, order, modulus) == num
+
+
+def test_newton_division_over_z_keeps_no_encoding(monkeypatch):
+    from pdotq import series
+    from pdotq.partitions import PD_EXPONENTS, PDO_EXPONENTS
+    from pdotq.series import eta_product
+
+    operands, starts = [], []
+    encoded, decimal_operand = series._encoded, series._decimal_operand
+
+    def spy_encoded(a, n, w, wide):
+        if isinstance(a, series._Operand):
+            operands.append(a)
+        return encoded(a, n, w, wide)
+
+    def spy_operand(coeffs, start, stop, w, wide):
+        starts.append(start)
+        return decimal_operand(coeffs, start, stop, w, wide)
+
+    monkeypatch.setattr(series, "_encoded", spy_encoded)
+    monkeypatch.setattr(series, "_decimal_operand", spy_operand)
+    for exponents in (PD_EXPONENTS, PDO_EXPONENTS):
+        operands.clear()
+        starts.clear()
+        # the PD and PDO quotients divide by Newton over Z at this order
+        got = eta_product(exponents, 3501)
+        # den and x enter their products as operands of width 0, none; no
+        # encoding is kept or extended, and each product encodes afresh
+        assert operands and all(op.width == 0 and op.head == 0
+                                and op.value is None for op in operands)
+        assert starts and set(starts) == {0}
+        assert list(got.coeffs) == eta_recurrence(exponents, 3501, None)
 
 
 # --- binomial exponent reduction modulo a prime power ---

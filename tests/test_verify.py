@@ -14,7 +14,6 @@ from pdotq.verify import (
     coexistence,
     dissection_suite,
     divisibility_suite,
-    emit_report,
     eta_families,
     f_product,
     genfun_congruences,
@@ -69,8 +68,6 @@ def test_report_mechanics():
         "passed": False,
     }
     assert json.loads(report.to_json()) == data
-    assert emit_report(report) == text
-    assert emit_report(report, as_json=True) == report.to_json()
 
 
 def test_report_json_deterministic():
@@ -176,9 +173,11 @@ def test_certificates_from_progressions_equal_the_plain_ones():
         aux = AuxExponents(12, {1: rp1})
         top = max(top, m * max(int(nu_bound(inst, aux)), depth) + m)
         rows.append((inst, aux, u, depth))
-    plain = pdo_t_series(top + 2, 256).shift(-1)
+    plain = pdo_t_series(top + 2, 256).shift(-1).coeffs
     for inst, aux, u, depth in rows:
-        from_series = radu_verify(inst, aux, u, series=plain, min_depth=depth)
+        from_series = radu_verify(
+            inst, aux, u, min_depth=depth,
+            progression=lambda t, n, m=inst.m: plain[t:t + m * n:m])
         read = _shifted_progression(inst.m, u)
         assert read(inst.t, 3) == master_progression(
             inst.m, inst.t + 1, 3, u).coeffs
@@ -440,8 +439,11 @@ def test_family_rows_carry_both_closed_forms():
 def test_prime_family_plan_reads_only_the_furthest_progressions():
     from pdotq.verify import (
         _PRIME_FAMILY_CHECKS, _prime_family_progression, _prime_family_reads,
-        master_plan,
+        master_plans,
     )
+
+    def master_plan(requests):
+        return list(master_plans(requests))[-1]
 
     for p, n_max, ell_max in ((5, 20, 2), (11, 3, 2), (17, 0, 1)):
         every = [(*_prime_family_progression(p, ell, a, b, k), n_max + 1,
