@@ -9,7 +9,8 @@ Subcommands:
   check    run a named verification suite (or all of them)
 
 Exit status: 0 when every requested check passed, 1 when a check failed
-or a certificate's preconditions do not hold, 2 for usage errors.
+or a certificate's preconditions do not hold, 2 for usage errors and for
+requests past a budget or cap, refused before anything is expanded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from decimal import Decimal
 from functools import cache, partial
 from itertools import chain
-from math import floor
+from math import e, floor, log10
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
 from .partitions import (
@@ -28,14 +29,10 @@ from .partitions import (
     pd_t, pdo, pdo_t, pdo_t_series,
 )
 from .radu import (
-    AuxExponents,
-    CriterionNotApplicable,
-    RaduInstance,
-    nu_bound,
-    p_set,
+    AuxExponents, CriterionNotApplicable, RaduInstance, nu_bound, p_set,
     radu_verify,
 )
-from .series import eta_product
+from .series import eta_product, too_wide
 from .verify import SUITES, master_plans, plan_master_series, suite_reads
 
 
@@ -94,6 +91,21 @@ _MAX_EXACT_COEFFICIENTS = 100_000
 # it, `check --suite powers-of-two --kmax 4970` (6667 coefficients mod
 # 2^4972, 1497 digits) took 13.2 s and 185 MiB on a 2-core VM
 _MAX_DIGITS = 10_000_000
+# the largest level of a quotient or certificate: listing its divisors is
+# O(level), 0.19 s at 10^6 (0.78 s at 10^7) in `expand --json`, 2-core VM
+_MAX_LEVEL = 1_000_000
+
+
+class _Refused(Exception):
+    """A usage error or a request past a budget or cap: `main` prints
+    `pdotq <command>: <message>` as one stderr line and exits 2."""
+
+
+def _refuse_outside(name, value, least=None, most=None):
+    if least is not None and value < least:
+        raise _Refused(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise _Refused(f"{name} must be <= {most}, got {_written(value)}")
 
 
 def _written(n):
@@ -103,42 +115,54 @@ def _written(n):
     return str(n) if n < 10 ** 12 else f"{Decimal(n):.2e}"
 
 
-def _over_budget(count, modulus):
-    """A message if expanding `count` coefficients over Z (modulus None)
-    or mod M is past its budget, or mod M their digits, count times the
-    digits of M, are past theirs; else None."""
+def _exact_digits(order, exponents):
+    """Estimated digits of a coefficient below `order` of prod f_d^(r_d)
+    over Z, those of binom(order + K, K) with K = sum |r_d|: pdo_t(99999)
+    has 320 and the estimate is 37, so the count budget holds such runs."""
+    k = sum(map(abs, exponents.values()))
+    b = min(order, k)
+    return 1 + floor(b * (log10(e) + log10(order + k) - log10(b))) if b else 1
+
+
+def _over_budget(count, modulus, exponents=None, weight=1):
+    """A message if `count` coefficients over Z (modulus None) or mod M,
+    each costing `weight`, or count times their digits (those of M, or over
+    Z estimated from `exponents`) pass a budget, or one cannot be written."""
     budget = (_MAX_EXACT_COEFFICIENTS if modulus is None
-              else _MAX_COEFFICIENTS)
-    digits = 0 if modulus is None else Decimal(modulus).adjusted() + 1
-    if count <= budget and count * digits <= _MAX_DIGITS:
+              else _MAX_COEFFICIENTS) // weight
+    digits = (_exact_digits(min(count, budget), exponents or {})
+              if modulus is None else Decimal(modulus).adjusted() + 1)
+    if (count <= budget and count * digits <= _MAX_DIGITS // weight
+            and not too_wide(digits)):
         return None
     ring = "over Z" if modulus is None else f"mod {_written(modulus)}"
     if count > budget:
         return (f"{_written(count)} coefficients {ring} is over the budget "
                 f"of {budget}")
-    return (f"{_written(count)} coefficients of {digits} digits {ring} is "
-            f"over the budget of {_MAX_DIGITS} digits")
+    if count * digits > _MAX_DIGITS // weight:
+        return (f"{_written(count)} coefficients of {digits} digits {ring} "
+                f"is over the budget of {_MAX_DIGITS // weight} digits")
+    return (f"coefficients of {digits} digits {ring} are past the "
+            "interpreter's limit on int -> str conversion")
+
+
+def _refuse_over_budget(what, count, modulus, **cost):
+    refused = _over_budget(count, modulus, **cost)
+    if refused:
+        raise _Refused(f"{what}: {refused}")
 
 
 def _cmd_expand(args) -> int:
     try:
         eq = parse_eta_quotient(args.eta)
     except ValueError as exc:
-        print(f"pdotq expand: {exc}", file=sys.stderr)
-        return 2
-    if args.order < 0:
-        print(f"pdotq expand: --order must be >= 0, got {args.order}",
-              file=sys.stderr)
-        return 2
-    if args.mod is not None and args.mod < 2:
-        print(f"pdotq expand: --mod must be >= 2, got {args.mod}",
-              file=sys.stderr)
-        return 2
-    refused = _over_budget(args.order, args.mod)
-    if refused:
-        print(f"pdotq expand: --order {args.order}: {refused}",
-              file=sys.stderr)
-        return 2
+        raise _Refused(exc) from exc
+    _refuse_outside("--order", args.order, 0)
+    if args.mod is not None:
+        _refuse_outside("--mod", args.mod, 2)
+    _refuse_outside("level", eq.level, most=_MAX_LEVEL)
+    _refuse_over_budget(f"--order {args.order}", args.order, args.mod,
+                        exponents=eq.exponents)
     try:
         series = q_expansion(eq, args.order, args.mod)
     except ValueError as exc:
@@ -178,21 +202,16 @@ _SERIES = {"pd": partial(eta_product, PD_EXPONENTS),
 
 def _cmd_pdot(args) -> int:
     values = sorted(set(args.n))
-    if values and values[0] < 0:
-        print("pdotq pdot: n must be >= 0", file=sys.stderr)
-        return 2
+    if values[0] < 0:
+        raise _Refused("n must be >= 0")
     if args.method == "enum" or args.counter not in _SERIES:
         if values[-1] > _MAX_TABLE_N:
-            print(f"pdotq pdot: n must be <= {_MAX_TABLE_N} to count "
-                  f"{args.counter} from its table", file=sys.stderr)
-            return 2
+            raise _Refused(f"n must be <= {_MAX_TABLE_N} to count "
+                           f"{args.counter} from its table")
         odd_only, which = _TABLES[args.counter]
         coeffs = designated_counts(values[-1], odd_only)[which]
     else:
-        refused = _over_budget(values[-1] + 1, None)
-        if refused:
-            print(f"pdotq pdot: n = {values[-1]}: {refused}", file=sys.stderr)
-            return 2
+        _refuse_over_budget(f"n = {values[-1]}", values[-1] + 1, None)
         coeffs = _SERIES[args.counter](values[-1] + 1).coeffs
     pairs = [(n, coeffs[n]) for n in values]
     if args.json:
@@ -211,35 +230,22 @@ def _cmd_radu(args) -> int:
         inst = RaduInstance(m=args.m, M=args.big_m, level=args.level,
                             r=r, t=args.t)
         aux = AuxExponents(args.level, rprime)
-    except ValueError as exc:
-        print(f"pdotq radu: {exc}", file=sys.stderr)
-        return 2
-    if args.min_depth < 0:
-        print(f"pdotq radu: --min-depth must be >= 0, got {args.min_depth}",
-              file=sys.stderr)
-        return 2
-    # the orbit and the cusp bounds take O(m) steps, and radu_verify
-    # expands c_r to m depth + max(orbit) + 1, so each is refused past the
-    # budget before it is begun
-    refused = _over_budget(inst.m, args.u)
-    if refused:
-        print(f"pdotq radu: --m {inst.m}: {refused}", file=sys.stderr)
-        return 2
-    depth = max(floor(nu_bound(inst, aux)), args.min_depth)
-    refused = _over_budget(inst.m * depth + max(p_set(inst)) + 1, args.u)
-    if refused:
-        print(f"pdotq radu: depth {_written(depth)}: {refused}",
-              file=sys.stderr)
-        return 2
-    try:
+        _refuse_outside("--min-depth", args.min_depth, 0)
+        _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
+        # the orbit runs over the 24 m residues mod 24 m, the cusp bounds
+        # over m, and radu_verify expands c_r to m depth + max(orbit) + 1,
+        # so each is refused past the budget before it is begun
+        _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)
+        depth = max(floor(nu_bound(inst, aux)), args.min_depth)
+        _refuse_over_budget(f"depth {_written(depth)}",
+                            inst.m * depth + max(p_set(inst)) + 1, args.u)
         cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth)
     except CriterionNotApplicable as exc:
         print(f"pdotq radu: criterion not applicable: {exc}",
               file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"pdotq radu: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(exc) from exc
     if args.json:
         print(cert.to_json())
     else:
@@ -258,12 +264,12 @@ def _cmd_radu(args) -> int:
 
 
 def _cmd_sturm(args) -> int:
+    _refuse_outside("--level", args.level, most=_MAX_LEVEL)
     try:
         bound = sturm_bound(args.weight, args.level,
                             same_character=not args.different_character)
     except ValueError as exc:
-        print(f"pdotq sturm: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(exc) from exc
     if args.json:
         print(json.dumps({"weight": args.weight, "level": args.level,
                           "same_character": not args.different_character,
@@ -285,66 +291,60 @@ _SUITE_FLAGS = {
     "certificates": {},
     "powers-of-two": {"order": "order", "kmax": "conj_k_max"},
 }
-# every numeric flag of `check`, each accepted by the suites above that
-# name it
+# every numeric flag of `check`, each accepted by the suites that name it
 _CHECK_FLAGS = list(dict.fromkeys(
     flag for flags in _SUITE_FLAGS.values() for flag in flags))
 # the suite parameters that are themselves the order of an expansion over Z
 _EXACT_ORDERS = {"dissection": ("order", "binom_order")}
 
-# smallest value each numeric flag accepts; --p is checked by its suite,
-# which rejects anything but a prime p == 5 (mod 6)
-_FLAG_MIN = {"order": 1, "bound": 0, "k": 0, "kmax": 0, "nmax": 0,
-             "ellmax": 0}
+# (smallest, largest) value each numeric flag accepts, None for no bound.
+# --p is checked by its suite, which rejects anything but a prime p == 5
+# (mod 6), by trial division, and genfun forms 3^k, both before the budget
+# sees a read: at the caps 10^6 steps and a 47,713-digit power
+_FLAG_RANGE = {"order": (1, None), "bound": (0, None), "k": (0, 100_000),
+               "kmax": (0, None), "nmax": (0, None), "p": (None, 10 ** 12),
+               "ellmax": (0, None)}
 
 
-def _suite_over_budget(suite: str, kwargs: dict):
-    """A message if running `suite` with `kwargs` would expand a master
-    series, or for its exact orders a series over Z, past its budget;
-    else None.  The plan grows one read at a time, and the first read
-    that takes it past the budget stops it, before any further read is
-    made."""
-    exact = [(kwargs[name], None)
-             for name in _EXACT_ORDERS.get(suite, ()) if name in kwargs]
-    plans = master_plans(suite_reads(suite, **kwargs))
-    sizes = chain(exact, (size for plan in plans for size in plan.values()))
-    return next(filter(None, (_over_budget(*size) for size in sizes)), None)
+def _refuse_suite_over_budget(suite: str, kwargs: dict):
+    """Refuse running `suite` with `kwargs` if it would expand a master
+    series, or for its exact orders a series over Z, past its budget: at
+    the first read that takes the plan past it, before any further read."""
+    for name in _EXACT_ORDERS.get(suite, ()):
+        if name in kwargs:
+            _refuse_over_budget(f"--suite {suite}", kwargs[name], None)
+    last = {}  # a read changes one series of the plan at most
+    for plan in master_plans(suite_reads(suite, **kwargs)):
+        for _, size in plan.items() - last.items():
+            _refuse_over_budget(f"--suite {suite}", *size)
+        last = plan
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args) -> int:
     provided = {name: getattr(args, name) for name in _CHECK_FLAGS
                 if getattr(args, name) is not None}
     if args.suite == "all":
         if provided:
-            parser.error("numeric flags only apply to a single suite")
+            build_parser().error(
+                "numeric flags only apply to a single suite")
         plan_master_series(chain.from_iterable(map(suite_reads, SUITES)))
         reports = [fn() for fn in SUITES.values()]
     else:
         flags = _SUITE_FLAGS[args.suite]
         unknown = sorted(set(provided) - set(flags))
         if unknown:
-            parser.error(
+            build_parser().error(
                 f"suite {args.suite!r} does not accept: "
                 + ", ".join(f"--{u}" for u in unknown)
             )
         for name, value in provided.items():
-            if name in _FLAG_MIN and value < _FLAG_MIN[name]:
-                print(f"pdotq check: --{name} must be >= {_FLAG_MIN[name]}, "
-                      f"got {value}", file=sys.stderr)
-                return 2
+            _refuse_outside(f"--{name}", value, *_FLAG_RANGE[name])
         kwargs = {flags[name]: value for name, value in provided.items()}
         try:
-            refused = _suite_over_budget(args.suite, kwargs)
-            if refused:
-                print(f"pdotq check: --suite {args.suite}: {refused}",
-                      file=sys.stderr)
-                return 2
+            _refuse_suite_over_budget(args.suite, kwargs)
             reports = [SUITES[args.suite](**kwargs)]
-        except ValueError as exc:
-            # a suite, and its reads, raise ValueError only for parameters
-            # it cannot take
-            print(f"pdotq check: {exc}", file=sys.stderr)
-            return 2
+        except ValueError as exc:  # only for parameters a suite cannot take
+            raise _Refused(exc) from exc
     passed = all(r.passed for r in reports)
     if args.json:
         if len(reports) == 1:
@@ -438,18 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"expand": _cmd_expand, "pdot": _cmd_pdot, "radu": _cmd_radu,
+             "sturm": _cmd_sturm, "check": _cmd_check}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "expand":
-        return _cmd_expand(args)
-    if args.command == "pdot":
-        return _cmd_pdot(args)
-    if args.command == "radu":
-        return _cmd_radu(args)
-    if args.command == "sturm":
-        return _cmd_sturm(args)
-    return _cmd_check(args, parser)
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Refused as exc:
+        print(f"pdotq {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

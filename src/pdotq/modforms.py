@@ -196,7 +196,7 @@ def q_expansion(eq: EtaQuotient, order: int, modulus=None) -> TruncSeries:
         )
     body = max(order - shift, 0)
     result = eta_product(eq.exponents, body, modulus, scalar=eq.scalar)
-    return result.shift(shift).truncate(order)
+    return result.shift(min(shift, order)).truncate(order)
 
 
 def sl2_index(level: int) -> int:

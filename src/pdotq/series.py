@@ -350,7 +350,7 @@ def _mul_decimal(a, b, order, modulus, lo=0):
     # an _Operand of a residue division asks for that division's width
     w = max(Decimal(bound).adjusted() + 1, getattr(a, "width", 0),
             getattr(b, "width", 0))
-    wide = _too_wide(w)
+    wide = too_wide(w)
     x = _encoded(a, la, w, wide)
     # a square is encoded once, and libmpdec squares one operand faster
     # than it multiplies two equal ones
@@ -380,8 +380,8 @@ def _mul_decimal(a, b, order, modulus, lo=0):
     return out
 
 
-def _too_wide(w):
-    """Whether w-digit fields, leading zeros included, are past the
+def too_wide(w):
+    """Whether w-digit numbers, or fields with leading zeros, are past the
     interpreter's limit on int <-> str conversions (0 means none)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return 0 < limit < w

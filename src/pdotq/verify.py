@@ -438,7 +438,7 @@ def _powers_of_two_progressions(conj_k_max: int):
 
 
 def _powers_of_two_reads(order: int, conj_k_max: int):
-    return ((step, offset, len(range(offset, order, step)), modulus)
+    return ((step, offset, max(0, -((offset - order) // step)), modulus)
             for step, offset, modulus, _ in
             _powers_of_two_progressions(conj_k_max))
 
