@@ -32,8 +32,11 @@ from .radu import (
     AuxExponents, CriterionNotApplicable, RaduInstance, nu_bound, p_set,
     radu_verify,
 )
-from .series import eta_product, too_wide
-from .verify import SUITES, master_plans, plan_master_series, suite_reads
+from .series import binomial_reduce, eta_product, too_wide
+from .verify import (
+    SUITES, master_plans, plan_master_series, shifted_progression,
+    suite_reads,
+)
 
 
 def parse_exponents(text: str) -> dict[int, int]:
@@ -91,6 +94,11 @@ _MAX_EXACT_COEFFICIENTS = 100_000
 # it, `check --suite powers-of-two --kmax 4970` (6667 coefficients mod
 # 2^4972, 1497 digits) took 13.2 s and 185 MiB on a 2-core VM
 _MAX_DIGITS = 10_000_000
+# the budgets above were timed on exponents of at most 5 bits; each 5 bits
+# more of the largest charges an expansion one budget more, which refuses
+# order 100000 mod 186624 of f2^(10^30 + 12)/f1^(2 10^30) (101 bits; it
+# took 32 s on a 2-core VM)
+_BUDGET_EXPONENT_BITS = 5
 # the largest level of a quotient or certificate: listing its divisors is
 # O(level), 0.19 s at 10^6 (0.78 s at 10^7) in `expand --json`, 2-core VM
 _MAX_LEVEL = 1_000_000
@@ -127,7 +135,23 @@ def _exact_digits(order, exponents):
 def _over_budget(count, modulus, exponents=None, weight=1):
     """A message if `count` coefficients over Z (modulus None) or mod M,
     each costing `weight`, or count times their digits (those of M, or over
-    Z estimated from `exponents`) pass a budget, or one cannot be written."""
+    Z estimated from `exponents`) pass a budget, or one cannot be written.
+    A power f^r is about bitlen(r) multiplies at the full order, so the
+    largest |r| that `binomial_reduce` leaves of `exponents` charges
+    `weight` once more for every _BUDGET_EXPONENT_BITS of its length."""
+    refused = _past_budget(count, modulus, exponents, weight)
+    if refused is None and exponents:
+        # asked only once the count is inside: reducing modulo M may
+        # factor M by trial division, as the expansion itself then does
+        largest = max(map(abs, binomial_reduce(exponents, modulus).values()),
+                      default=0)
+        shares = -(-largest.bit_length() // _BUDGET_EXPONENT_BITS)
+        if shares > 1:
+            refused = _past_budget(count, modulus, exponents, weight * shares)
+    return refused
+
+
+def _past_budget(count, modulus, exponents, weight):
     budget = (_MAX_EXACT_COEFFICIENTS if modulus is None
               else _MAX_COEFFICIENTS) // weight
     digits = (_exact_digits(min(count, budget), exponents or {})
@@ -233,13 +257,19 @@ def _cmd_radu(args) -> int:
         _refuse_outside("--min-depth", args.min_depth, 0)
         _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
         # the orbit runs over the 24 m residues mod 24 m, the cusp bounds
-        # over m, and radu_verify expands c_r to m depth + max(orbit) + 1,
+        # over m, and radu_verify reads c_r to m depth + max(orbit) + 1,
         # so each is refused past the budget before it is begun
         _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)
         depth = max(floor(nu_bound(inst, aux)), args.min_depth)
         _refuse_over_budget(f"depth {_written(depth)}",
-                            inst.m * depth + max(p_set(inst)) + 1, args.u)
-        cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth)
+                            inst.m * depth + max(p_set(inst)) + 1, args.u,
+                            exponents=inst.r)
+        # the PDO_t map is read from the master series, as the
+        # certificate table reads it; any other from a fresh c_r expansion
+        source = (shifted_progression(inst.m, args.u)
+                  if inst.r == PDO_T_EXPONENTS else None)
+        cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth,
+                           progression=source)
     except CriterionNotApplicable as exc:
         print(f"pdotq radu: criterion not applicable: {exc}",
               file=sys.stderr)
@@ -306,6 +336,24 @@ _FLAG_RANGE = {"order": (1, None), "bound": (0, None), "k": (0, 100_000),
                "ellmax": (0, None)}
 
 
+# suite -> (p, e): its reads at k = --kmax are mod p^(kmax + e), and its
+# plan holds at least one coefficient of that ring
+_KMAX_MODULI = {"powers-of-two": (2, 2), "divisibility": (3, 2),
+                "coexistence": (3, 3)}
+
+
+def _refuse_kmax(suite: str, kmax: int):
+    """Refuse a --kmax whose modulus p^(kmax + e) alone has more digits
+    than the budget, before its suite makes a read: the reads up to there
+    would build every per-k modulus (k = 10^12 never ends)."""
+    p, e = _KMAX_MODULI[suite]
+    digits = floor((kmax + e) * log10(p)) + 1
+    if digits > _MAX_DIGITS:
+        raise _Refused(f"--suite {suite}: --kmax {_written(kmax)} reads mod "
+                       f"{p}^{_written(kmax + e)}, {_written(digits)} "
+                       f"digits, over the budget of {_MAX_DIGITS} digits")
+
+
 def _refuse_suite_over_budget(suite: str, kwargs: dict):
     """Refuse running `suite` with `kwargs` if it would expand a master
     series, or for its exact orders a series over Z, past its budget: at
@@ -339,6 +387,8 @@ def _cmd_check(args) -> int:
             )
         for name, value in provided.items():
             _refuse_outside(f"--{name}", value, *_FLAG_RANGE[name])
+        if "kmax" in provided:
+            _refuse_kmax(args.suite, provided["kmax"])
         kwargs = {flags[name]: value for name, value in provided.items()}
         try:
             _refuse_suite_over_budget(args.suite, kwargs)

@@ -17,7 +17,15 @@ auxiliary exponents r' over the divisors of N:
 radu_verify runs the pipeline and returns a Certificate recording every
 quantity exactly (rationals serialize as "num/den" strings).  It reads
 the coefficients from a caller's progression, or expands the c_r series
-itself, head first.  Failed preconditions raise, because they mean the
+itself.  For the PDO_t map, f2 f3^2 f12^2/(f1^2 f6), both the CLI's
+standalone certificate and the certificate table pass one that reads
+the cached master series of `verify` (`verify.shifted_progression`):
+c(m n + t') = pdo_t(m n + t' + 1), from the 3n series, a third as long,
+when 3 divides m and t' + 1.  Its sum d r_d is 24, so each orbit residue
+is t' = s (t + 1) - 1 mod m with s == 1 mod 24: with 3 | m the whole orbit
+lies in the class of t mod 3, and one source serves it.  Every other map
+is expanded afresh.  Either way the head c(m n + t0), n <= 2, is read and
+settled first.  Failed preconditions raise, because they mean the
 criterion does not apply; a failed coefficient check returns a
 verdict-false certificate, because it means the congruence itself is
 false.
@@ -286,6 +294,19 @@ def c_r_series(inst: RaduInstance, order: int, modulus=None) -> TruncSeries:
     return eta_product(inst.r, order, modulus)
 
 
+def _fresh_progression(inst: RaduInstance, u: int, head: int, order: int):
+    """c(m n + t') mod u read from expansions of c_r: the first to `head`
+    coefficients, and any that follows to the full `order`."""
+    series = TruncSeries.zero(0, u)
+
+    def progression(offset, count):
+        nonlocal series
+        if series.order < offset + inst.m * (count - 1) + 1:
+            series = c_r_series(inst, order if series.order else head, u)
+        return series.coeffs[offset:offset + inst.m * count:inst.m]
+    return progression
+
+
 def radu_verify(
     inst: RaduInstance,
     aux: AuxExponents,
@@ -296,13 +317,16 @@ def radu_verify(
     """Run the full criterion for c(m n + t') == 0 (mod u) over the orbit
     of t.  The coefficients come from `progression(t', count)`, which
     returns c(m n + t') for n < count as integers whose residues mod u are
-    the true ones, or without it from a fresh expansion mod u.  That
-    expansion is made first only to the head 2 m + t0 + 1, with t0 the
-    first orbit residue, which holds c(m n + t0) for n <= 2: a nonzero
-    there within the checking depth is the scan's first failure, and only
-    when there is none is the series expanded again to the full order
-    (unless the head already reaches it).  `min_depth` forces checking
-    beyond floor(nu), which can only strengthen the evidence.
+    the true ones: for the PDO_t map the CLI and the certificate table
+    pass `verify.shifted_progression`, which reads the master series (the
+    3n series when 3 divides m and every t' + 1).  Without it they come
+    from a fresh expansion of c_r mod u, made first only to the head
+    2 m + t0 + 1 (t0 the first orbit residue) and again to the full order
+    only if the head is clean.  Whatever the source, the scan reads
+    c(m n + t0) for n <= min(2, depth) first: a nonzero there is the
+    scan's first failure, and the full progressions are read only when
+    there is none.  `min_depth` forces checking beyond floor(nu), which
+    can only strengthen the evidence.
 
     Raises a CriterionNotApplicable subclass when a precondition fails.
     Returns a Certificate whose verdict is False when a coefficient check
@@ -347,39 +371,32 @@ def radu_verify(
     nu = nu_bound(inst, aux)
     floor_nu = floor(nu)
     depth = max(floor_nu, min_depth)
-    order = inst.m * depth + max(orbit) + 1
 
     if progression is None:
-        # a truncated expansion is a prefix of a longer one, so a nonzero
-        # in the head is the scan's first failure at any order
-        head = min(order, 2 * inst.m + orbit[0] + 1)
-        series = c_r_series(inst, head, u)
-        if head < order and not any(
-                series.coeffs[orbit[0]::inst.m][:depth + 1]):
-            series = c_r_series(inst, order, u)
+        order = inst.m * depth + max(orbit) + 1
+        progression = _fresh_progression(
+            inst, u, min(order, 2 * inst.m + orbit[0] + 1), order)
 
-        def progression(offset, count):
-            return series.coeffs[offset:offset + inst.m * count:inst.m]
+    def first_nonzero(t_prime, count):
+        # (n, residue) of the first c(m n + t') nonzero mod u, n < count
+        values = progression(t_prime, count)
+        return next(((n, values[n] % u) for n in range(count)
+                     if values[n] % u), None)
 
+    # a nonzero in the head of the first progression is the scan's first
+    # failure, so it is settled before any full progression is read
+    hit = first_nonzero(orbit[0], min(2, depth) + 1)
     checked = []
     failure = None
-    verdict = True
     for t_prime in orbit:
-        values = progression(t_prime, depth + 1)
-        for n in range(depth + 1):
-            residue = values[n] % u
-            if residue != 0:
-                verdict = False
-                failure = {
-                    "t": t_prime,
-                    "n": n,
-                    "index": inst.m * n + t_prime,
-                    "residue": residue,
-                }
-                break
-            checked.append((t_prime, n))
-        if failure:
+        if hit is None:
+            hit = first_nonzero(t_prime, depth + 1)
+        checked += [(t_prime, n) for n in range(hit[0] if hit else depth + 1)]
+        if hit:
+            failure = {"t": t_prime, "n": hit[0],
+                       "index": inst.m * hit[0] + t_prime, "residue": hit[1]}
             break
+    verdict = failure is None
 
     return Certificate(
         m=inst.m,

@@ -23,7 +23,11 @@ declares its requests to `plan_master_series`, which expands each source
 of their plan (`master_plans`) once, to the furthest index read and
 modulo the lcm of the moduli (over Z if a request is exact); `check
 --suite all` plans every suite's `suite_reads` together the same way, so
-the whole run makes one 3n expansion and at most one full one.
+the whole run makes one 3n expansion and at most one full one.  Radu
+certificates of the PDO_t map read the same cache through
+`shifted_progression`, in the certificate table and in a standalone
+`pdotq radu` alike; a standalone one plans nothing, so each read expands
+its source only when no cached series reaches far enough.
 """
 
 from __future__ import annotations
@@ -678,8 +682,10 @@ def _certificate_reads():
             for t_prime in p_set(inst)]
 
 
-def _shifted_progression(m: int, u: int):
-    """c(m n + t') = pdo_t(m n + t' + 1) mod u, for radu_verify."""
+def shifted_progression(m: int, u: int):
+    """c(m n + t') = pdo_t(m n + t' + 1) mod u, the coefficients of the
+    PDO_t map c_r = f2 f3^2 f12^2/(f1^2 f6) that radu_verify reads, from
+    the master series: the 3n series when 3 divides m and t' + 1."""
     def progression(offset, count):
         return master_progression(m, offset + 1, count, u).coeffs
     return progression
@@ -693,7 +699,7 @@ def certificate_table() -> Report:
 
     for inst, aux, u, depth, floor_nu in _certificate_instances():
         cert = radu_verify(inst, aux, u,
-                           progression=_shifted_progression(inst.m, u),
+                           progression=shifted_progression(inst.m, u),
                            min_depth=depth)
         name = f"pdo_t({inst.m}n+{inst.t + 1}) == 0 mod {u}"
         if cert.verdict:

@@ -1,6 +1,7 @@
 """Tests for the command line interface, driven through main(argv)."""
 
 import json
+import math
 import random
 
 import pytest
@@ -259,6 +260,81 @@ def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
         assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
+def test_kmax_past_the_digits_of_its_modulus_is_refused_before_any_read(
+        capsys, monkeypatch):
+    from pdotq import cli, verify
+
+    # the table matches the suites: their reads at k = kmax are modulo
+    # p^(kmax + e), and no read is modulo more (past the 2^8 of the
+    # proved power-of-two rows)
+    for suite, (p, e) in cli._KMAX_MODULI.items():
+        keyword = cli._SUITE_FLAGS[suite]["kmax"]
+        for k in range(6, 10):
+            reads = list(verify.suite_reads(suite, **{keyword: k}))
+            assert max(modulus for *_, modulus in reads) == p ** (k + e)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refused before the per-k reads are made")
+
+    monkeypatch.setattr(verify, "_powers_of_two_progressions", forbidden)
+    monkeypatch.setattr(verify, "family", forbidden)
+    for argv, why in (
+            (("powers-of-two", "--kmax", "1000000000000", "--order", "2"),
+             "--kmax 1.00e+12 reads mod 2^1.00e+12, 301029995665 digits"),
+            (("coexistence", "--kmax", "1000000000000000000", "--bound",
+              "0"), "--kmax 1.00e+18 reads mod 3^1.00e+18, 4.77e+17 digits"),
+            (("divisibility", "--kmax", "20959031"),
+             "--kmax 20959031 reads mod 3^20959033, 10000001 digits")):
+        code, out, err = run(capsys, "check", "--suite", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"pdotq check: --suite {argv[0]}: {why}, over the "
+                       f"budget of {cli._MAX_DIGITS} digits\n"), err
+    # one k less is left to the plan, which refuses it at its first read
+    # past the budget
+    monkeypatch.undo()
+    code, _, err = run(capsys, "check", "--suite", "divisibility", "--kmax",
+                       "20959030")
+    assert code == 2 and "--kmax" not in err
+
+
+def test_large_exponents_charge_the_coefficient_budget(capsys, monkeypatch):
+    from pdotq import cli
+
+    big = {1: -2 * 10 ** 30, 2: 10 ** 30 + 12}
+    # 101 bits are 21 shares of the budget mod a composite M ...
+    assert cli._over_budget(100000, 186624, exponents=big) == (
+        "100000 coefficients mod 186624 is over the budget of 47619")
+    assert cli._over_budget(47619, 186624, exponents=big) is None
+    # ... but mod 2^8 binomial_reduce leaves f2^12, which costs no more
+    assert cli._over_budget(cli._MAX_COEFFICIENTS, 256, exponents=big) is None
+    # up to 5 bits cost nothing more; 6 bits halve the budget, over Z as
+    # mod M
+    assert cli._over_budget(cli._MAX_COEFFICIENTS, 186624,
+                            exponents={1: 31}) is None
+    assert cli._over_budget(cli._MAX_COEFFICIENTS // 2 + 1, 186624,
+                            exponents={1: 33}) is not None
+    assert cli._over_budget(45000, None, exponents={1: 31}) is None
+    assert cli._over_budget(45000, None, exponents={1: 33}) == (
+        "45000 coefficients of 118 digits over Z is over the budget of "
+        "5000000 digits")
+
+    def forbidden(*args):
+        raise AssertionError("the budget is checked before any expansion")
+
+    monkeypatch.setattr(cli, "q_expansion", forbidden)
+    code, out, err = run(
+        capsys, "expand", "--eta", "2;1;1:-2000000000000000000000000000000,"
+        "2:1000000000000000000000000000012", "--order", "100000", "--mod",
+        "186624")
+    assert (code, out) == (2, "")
+    assert err == ("pdotq expand: --order 100000: 100000 coefficients mod "
+                   "186624 is over the budget of 47619\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "expand", "--eta", "2;1;1:-2,2:13",
+                       "--order", "100000", "--mod", "186624")
+    assert code == 0 and out.count("\n") == 100000
+
+
 def test_pdot_series_matches_enum(capsys):
     code, fast, _ = run(capsys, "pdot", "--n", *map(str, range(13)))
     assert code == 0
@@ -335,6 +411,86 @@ def test_radu_pass_fail_and_errors(capsys):
                          "--rprime", "1:5", "--u", "4", "--min-depth", "-3")
     assert code == 2 and out == ""
     assert err == "pdotq radu: --min-depth must be >= 0, got -3\n"
+
+
+def _radu_reference(m, t, u, rp1, depth):
+    """What `radu --json` must print for the PDO_t instance, from
+    radu_verify's own fresh expansion of c_r; the message on stderr
+    instead when the criterion does not apply."""
+    from pdotq.partitions import PDO_T_EXPONENTS
+    from pdotq.radu import (
+        AuxExponents, CriterionNotApplicable, RaduInstance, radu_verify,
+    )
+
+    inst = RaduInstance(m=m, M=12, level=12, r=dict(PDO_T_EXPONENTS), t=t)
+    try:
+        cert = radu_verify(inst, AuxExponents(12, {1: rp1}), u,
+                           min_depth=depth, progression=None)
+    except CriterionNotApplicable as exc:
+        return 1, "", f"pdotq radu: criterion not applicable: {exc}\n"
+    return int(not cert.verdict), cert.to_json() + "\n", ""
+
+
+def test_radu_reads_the_master_series_byte_for_byte(capsys):
+    from pdotq.verify import CERTIFICATE_ROWS, clear_master_cache
+
+    rng = random.Random(1809)
+    cases = [(m, t, u, rp1, depth)
+             for m, t, rp1, depth, u in CERTIFICATE_ROWS if m <= 96]
+    for m in (6, 12, 24, 48, 96):
+        for t_class in (0, 1, 2):
+            # a t of the class anywhere, most often not applicable, and
+            # one with t == -1 mod gcd(m, 8), which Delta* at level 12
+            # asks of every m >= 24
+            in_class = range(t_class, m, 3)
+            likely = [t for t in in_class if (t + 1) % math.gcd(m, 8) == 0]
+            for t, rp1 in ((rng.choice(in_class), rng.choice((5, 10, 40))),
+                           (rng.choice(likely or in_class), 5 * m // 6)):
+                cases.append((m, t, rng.randint(2, 256), rp1, 0))
+    # pdo_t(12 n + 2) is even: a PASS from the full series
+    cases.append((12, 1, 2, 10, 0))
+    clear_master_cache()
+    kinds = set()
+    for m, t, u, rp1, depth in cases:
+        want = _radu_reference(m, t, u, rp1, depth)
+        got = run(capsys, "radu", "--m", str(m), "--t", str(t), "--u",
+                  str(u), "--rprime", f"1:{rp1}", "--min-depth", str(depth),
+                  "--json")
+        assert got == want, (m, t, u, rp1, depth)
+        outcome = ("n/a" if want[2] else "FAIL" if want[0] else "PASS")
+        kinds.add((outcome, "3n" if m % 3 == 0 and t % 3 == 2 else "full"))
+    assert kinds == {(outcome, source) for outcome in ("PASS", "FAIL", "n/a")
+                     for source in ("3n", "full")}, kinds
+    clear_master_cache()
+
+
+def test_radu_reads_pdo_t_from_the_3n_series_and_stops_at_the_head(
+        capsys, monkeypatch):
+    from pdotq import radu, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the PDO_t map is read from the master series")
+
+    monkeypatch.setattr(radu, "c_r_series", forbidden)
+    # 3 | m and 3 | t + 1: a PASS reads the 3n series only
+    verify.clear_master_cache()
+    code, out, _ = run(capsys, "radu", "--m", "6", "--t", "2", "--u", "4",
+                       "--rprime", "1:5")
+    assert code == 0 and "PASS" in out
+    assert {step for step, _ in verify._MASTER_CACHE} == {3}
+    # a FAIL in the head, c(m n + t) for n <= 2, leaves no master entry
+    # reaching past the head's last index, pdo_t(2 m + t + 1); the full
+    # series serves t = 6, since 3 does not divide t + 1
+    for m, t, u, n, source_step in ((6, 2, 8, 0, 3), (12, 6, 8, 1, 1)):
+        verify.clear_master_cache()
+        code, out, _ = run(capsys, "radu", "--m", str(m), "--t", str(t),
+                           "--u", str(u), "--rprime", f"1:{5 * m // 6}")
+        assert code == 1 and f"FAIL at {{'t': {t}, 'n': {n}," in out, out
+        assert verify._MASTER_CACHE
+        for (step, _), series in verify._MASTER_CACHE.items():
+            assert step == source_step
+            assert step * (series.order - 1) <= 2 * m + t + 1
+    verify.clear_master_cache()
 
 
 def test_radu_json(capsys):

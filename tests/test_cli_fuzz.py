@@ -57,6 +57,15 @@ KNOWN = [
     # one coefficient per read: only the moduli's digits grow with k
     ["check", "--suite", "coexistence", "--kmax", "1000000000000000003",
      "--bound", "0"],
+    # the per-k moduli once built up to the first one too wide to write
+    ["check", "--suite", "powers-of-two", "--kmax", "1000000000000",
+     "--order", "2"],
+    ["check", "--suite", "coexistence", "--kmax", "1000000000000000000",
+     "--bound", "0"],
+    # exponents of 101 bits, about 100 squarings at the full order
+    ["expand", "--eta", "2;1;1:-2000000000000000000000000000000,"
+     "2:1000000000000000000000000000012", "--order", "100000", "--mod",
+     "186624"],
 ]
 
 

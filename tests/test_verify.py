@@ -160,7 +160,7 @@ def test_plan_expands_each_source_once(expansions):
 
 def test_certificates_from_progressions_equal_the_plain_ones():
     from pdotq.verify import (
-        CERTIFICATE_ROWS, PDO_T_EXPONENTS, _shifted_progression,
+        CERTIFICATE_ROWS, PDO_T_EXPONENTS, shifted_progression,
         master_progression,
     )
 
@@ -178,7 +178,7 @@ def test_certificates_from_progressions_equal_the_plain_ones():
         from_series = radu_verify(
             inst, aux, u, min_depth=depth,
             progression=lambda t, n, m=inst.m: plain[t:t + m * n:m])
-        read = _shifted_progression(inst.m, u)
+        read = shifted_progression(inst.m, u)
         assert read(inst.t, 3) == master_progression(
             inst.m, inst.t + 1, 3, u).coeffs
         from_reads = radu_verify(inst, aux, u, progression=read,
