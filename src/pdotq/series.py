@@ -85,7 +85,9 @@ largest one below it when no exponent is negative, so a product never
 becomes a quotient, and r_pd gains j p^(a-1) (`binomial_reduce`).
 Modulo 243 the Sturm quotient
 f1^237 f2^3 f3^-79 f6^3 becomes f1^-6 f2^3 f3^2 f6^3, and modulo 2 the
-PDO_t map becomes f24.  Over Z and modulo a composite nothing changes.
+PDO_t map becomes f24.  Over Z and modulo a composite nothing changes,
+nor modulo an M past 2^32 with no prime factor up to 2^16, which is not
+factored (`_prime_of_power`).
 Then it divides the steps by their gcd and inflates the result back,
 forms each f_d^r by inflating one f_1^|r| (shared by all steps with the
 same |r|), and divides the product of the positive-exponent factors by
@@ -858,6 +860,29 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# the prime of a prime-power modulus is looked for by trial division up to
+# this bound, so a modulus past its square with no prime factor up to it (a
+# prime near 10^18, say) is left unreduced instead of taking some 10^9
+# divisions; 2^k and 3^k moduli are told at the first division
+_PRIME_POWER_TRIAL_BOUND = 1 << 16
+
+
+def _prime_of_power(n: int):
+    """p if n is a power p^a (a >= 1) of one prime that trial division up
+    to _PRIME_POWER_TRIAL_BOUND finds; None if n is not one, or if it has
+    no prime factor up to the bound and is past its square."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            return d if n == 1 else None
+        if d == _PRIME_POWER_TRIAL_BOUND:
+            return None
+        d += 1
+    return n if n > 1 else None
+
+
 def binomial_reduce(exponents: dict, modulus=None) -> dict:
     """The exponent map {d: r_d} with each r_d brought into
     [-p^a/2, p^a/2] by f_d^(p^a) == f_pd^(p^(a-1)) (mod p^a), when the
@@ -869,16 +894,16 @@ def binomial_reduce(exponents: dict, modulus=None) -> dict:
     j the integer nearest r_d/p^a (the smaller |j| on a tie, so
     r_d = +-p^a/2 stays), or j = floor(r_d/p^a) when no exponent is
     negative, and r_pd gains j p^(a-1), in time for its own turn.  Zero
-    exponents are dropped.  Nothing is reduced over Z or modulo a
-    composite, and a map with every |r_d| <= M/2 is returned before M is
-    factored, since no step would change."""
+    exponents are dropped.  Nothing is reduced over Z, modulo a composite,
+    or modulo an M that `_prime_of_power` cannot tell within its bound,
+    and a map with every |r_d| <= M/2 is returned before M is divided,
+    since no step would change."""
     steps = {d: r for d, r in exponents.items() if r}
     if modulus is None or all(2 * abs(r) <= modulus for r in steps.values()):
         return steps
-    primes = prime_factors(modulus)
-    if len(primes) != 1:
+    p = _prime_of_power(modulus)
+    if p is None:
         return steps
-    p = primes[0]
     nearest = min(steps.values()) < 0
     done = {}
     while steps:

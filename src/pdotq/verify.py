@@ -112,7 +112,11 @@ class Report:
         return "\n".join(lines)
 
 
-_MASTER_CACHE: dict = {}  # (step, modulus) -> sum pdo_t(step n) q^n
+# (step, modulus) -> sum pdo_t(step n) q^n.  Entries live as long as the
+# process, or until `clear_master_cache`; a new entry drops those it serves,
+# so a process running certificates modulo many u keeps one entry for each
+# u that no cached series modulo a multiple of u covers
+_MASTER_CACHE: dict = {}
 
 
 def _cached_master(step: int, order: int, modulus):
@@ -135,7 +139,8 @@ def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
     """Cached expansion of sum pdo_t(step n) q^n, for step 1 or 3.  A
     request is served from any cached series of the same step that is at
     least as long and whose modulus reduces onto the requested one;
-    otherwise the expansion is computed and kept."""
+    otherwise the expansion is computed and kept, in place of the cached
+    series of that step that it serves."""
     source = _cached_master(step, order, modulus)
     if source is not None and source.modulus == modulus:
         return source.truncate(order)
@@ -143,6 +148,11 @@ def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
         result = source.truncate(order).reduce_mod(modulus)
     else:
         result = pdo_t_series(order, modulus, step)
+    for (cached_step, cached_mod), series in list(_MASTER_CACHE.items()):
+        if (cached_step == step and series.order <= order
+                and cached_mod is not None and cached_mod != modulus
+                and (modulus is None or modulus % cached_mod == 0)):
+            del _MASTER_CACHE[cached_step, cached_mod]
     _MASTER_CACHE[step, modulus] = result
     return result
 
@@ -429,13 +439,14 @@ def _powers_of_two_progressions(conj_k_max: int):
     for k <= conj_k_max."""
     for step, offset, modulus in POWER_OF_TWO_ROWS:
         yield step, offset, modulus, "proved progression"
+    # shifts, not powers: a budget check may walk k far past any run
     for k in range(conj_k_max + 1):
-        modulus = 2 ** (k + 2)
+        modulus = 1 << (k + 2)
         families = [
-            (3 * 2 ** k, 0),
-            (3 * 2 ** (k + 1), 3 * 2 ** k),
-            (3 * 2 ** (k + 2), 3 * 2 ** k),
-            (3 * 2 ** (k + 2), 9 * 2 ** k),
+            (3 << k, 0),
+            (3 << (k + 1), 3 << k),
+            (3 << (k + 2), 3 << k),
+            (3 << (k + 2), 9 << k),
         ]
         for step, offset in families:
             yield step, offset, modulus, "finite-depth evidence"
@@ -541,15 +552,15 @@ def family(level: int, k: int) -> Family:
     """The level-18 family pdo_t(8 3^k n) mod 3^(k+3), or the level-36 one
     pdo_t(4 3^k n) mod 3^(k+2); each forces Lin's divisibility mod one
     power of 3 less."""
+    power = 3 ** k  # formed once: a budget check may walk k into the 1000s
     if level == 18:
-        return Family(18, k, 8 * 3 ** k, 3 ** (k + 3),
-                      {1: 3 ** (k + 3) - 13, 2: 8, 3: -(3 ** (k + 2) - 7)},
+        return Family(18, k, 8 * power, 27 * power,
+                      {1: 27 * power - 13, 2: 8, 3: -(9 * power - 7)},
                       36, k + 2, k + 2, {1: 2, 2: 2, 3: 2, 6: 2},
                       "(f1 f2 f3 f6)^2")
     if level == 36:
-        return Family(36, k, 4 * 3 ** k, 3 ** (k + 2),
-                      {1: 3 ** (k + 2) - 6, 2: 3,
-                       3: -(3 ** (k + 1) - 2), 6: 3},
+        return Family(36, k, 4 * power, 9 * power,
+                      {1: 9 * power - 6, 2: 3, 3: -(3 * power - 2), 6: 3},
                       6, 2 * k + 1 if k % 2 == 0 else 0, k + 1, {6: 4},
                       "f6^4")
     raise ValueError(f"no 3-adic family at level {level}")

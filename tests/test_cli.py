@@ -260,41 +260,55 @@ def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
         assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
-def test_kmax_past_the_digits_of_its_modulus_is_refused_before_any_read(
-        capsys, monkeypatch):
-    from pdotq import cli, verify
+def test_one_coefficient_per_k_is_refused_at_the_first_modulus_too_wide(
+        capsys):
+    import sys
 
-    # the table matches the suites: their reads at k = kmax are modulo
-    # p^(kmax + e), and no read is modulo more (past the 2^8 of the
-    # proved power-of-two rows)
-    for suite, (p, e) in cli._KMAX_MODULI.items():
-        keyword = cli._SUITE_FLAGS[suite]["kmax"]
-        for k in range(6, 10):
-            reads = list(verify.suite_reads(suite, **{keyword: k}))
-            assert max(modulus for *_, modulus in reads) == p ** (k + e)
+    from pdotq import cli
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("refused before the per-k reads are made")
+    # each k reads index 0 mod 2^(k+2) or 3^(k+3) alone, so only the
+    # plan's modulus grows: the walk stops at the first one past the
+    # interpreter's int -> str limit (k = 14,280 and 9,012 at its default)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int -> str limit to reach")
+    for argv, ring in ((("powers-of-two", "--order", "2"), 2),
+                       (("divisibility", "--nmax", "0"), 3),
+                       (("coexistence", "--bound", "0"), 3)):
+        code, out, err = run(capsys, "check", "--suite", *argv,
+                             "--kmax", "20000")
+        assert (code, out) == (2, ""), argv
+        digits = limit + 1
+        modulus = ring ** math.ceil((digits - 1) / math.log10(ring))
+        assert err == (f"pdotq check: --suite {argv[0]}: coefficients of "
+                       f"{digits} digits mod {cli._written(modulus)} are "
+                       "past the interpreter's limit on int -> str "
+                       "conversion\n"), err
+    # past 20,000 --kmax is refused before any read, also where the limit
+    # is off and the walk would go on to the digits budget
+    code, out, err = run(capsys, "check", "--suite", "coexistence",
+                         "--kmax", "1000000000000000000", "--bound", "0")
+    assert (code, out) == (2, "")
+    assert err == "pdotq check: --kmax must be <= 20000, got 1.00e+18\n"
 
-    monkeypatch.setattr(verify, "_powers_of_two_progressions", forbidden)
-    monkeypatch.setattr(verify, "family", forbidden)
-    for argv, why in (
-            (("powers-of-two", "--kmax", "1000000000000", "--order", "2"),
-             "--kmax 1.00e+12 reads mod 2^1.00e+12, 301029995665 digits"),
-            (("coexistence", "--kmax", "1000000000000000000", "--bound",
-              "0"), "--kmax 1.00e+18 reads mod 3^1.00e+18, 4.77e+17 digits"),
-            (("divisibility", "--kmax", "20959031"),
-             "--kmax 20959031 reads mod 3^20959033, 10000001 digits")):
-        code, out, err = run(capsys, "check", "--suite", *argv)
-        assert (code, out) == (2, "")
-        assert err == (f"pdotq check: --suite {argv[0]}: {why}, over the "
-                       f"budget of {cli._MAX_DIGITS} digits\n"), err
-    # one k less is left to the plan, which refuses it at its first read
-    # past the budget
-    monkeypatch.undo()
-    code, _, err = run(capsys, "check", "--suite", "divisibility", "--kmax",
-                       "20959030")
-    assert code == 2 and "--kmax" not in err
+
+def test_modulus_digits_are_exact_where_they_decide(capsys):
+    import sys
+
+    from pdotq import cli
+
+    # the bit length bounds a modulus's digits from above; where that
+    # bound does not fit, the exact count decides and is the one named
+    count = cli._MAX_DIGITS // 4000
+    assert cli._over_budget(count, 10 ** 3999) is None
+    assert cli._over_budget(count, 10 ** 4000) == (
+        f"{count} coefficients of 4001 digits mod 1.00e+4000 is over the "
+        f"budget of {cli._MAX_DIGITS} digits")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        assert cli._over_budget(1, 10 ** limit - 1) is None
+        assert "past the interpreter's limit" in cli._over_budget(
+            1, 10 ** limit)
 
 
 def test_large_exponents_charge_the_coefficient_budget(capsys, monkeypatch):

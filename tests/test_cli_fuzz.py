@@ -62,6 +62,17 @@ KNOWN = [
      "--order", "2"],
     ["check", "--suite", "coexistence", "--kmax", "1000000000000000000",
      "--bound", "0"],
+    ["check", "--suite", "powers-of-two", "--kmax", "20000", "--order",
+     "2"],
+    # a budget that factored a prime modulus near 10^18 by trial division
+    # before the leading power, or the nonnegativity, was checked
+    ["expand", "--eta", "1;1;1:1000000000000000001", "--order", "3",
+     "--mod", "1000000000000000003"],
+    ["radu", "--m", "1", "--t", "0", "--u", "1000000000000000003", "--r",
+     "1:1000000000000000000,2:-2000000000000000000,3:1000000000000000000",
+     "--rprime", "1:5"],
+    ["expand", "--eta", "1;1;1:24000000000000000000", "--order", "3",
+     "--mod", "1000000000000000003"],
     # exponents of 101 bits, about 100 squarings at the full order
     ["expand", "--eta", "2;1;1:-2000000000000000000000000000000,"
      "2:1000000000000000000000000000012", "--order", "100000", "--mod",

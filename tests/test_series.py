@@ -1293,6 +1293,26 @@ def test_binomial_reduction_frozen_maps():
     assert binomial_reduce({1: 23, 3: -1}, 8) == {1: -1, 2: 4, 3: -1, 4: 4}
 
 
+def test_binomial_reduction_divides_a_modulus_only_to_a_bound():
+    from pdotq.series import binomial_reduce, eta_product
+
+    # primes up to 2^32 are told by trial division up to 2^16 ...
+    assert binomial_reduce({1: 65538}, 65537) == {1: 1, 65537: 1}
+    assert binomial_reduce({1: -4294967290}, 4294967291) == {
+        1: 1, 4294967291: -1}
+    # ... past that, a modulus with no prime factor up to 2^16, prime or a
+    # prime's square, is left unreduced, where it once took some 10^9
+    # divisions to factor (a prime near 10^18 never ended)
+    big = 10 ** 18 + 3
+    assert binomial_reduce({1: 24 * big, 2: -1}, big) == {1: 24 * big, 2: -1}
+    assert binomial_reduce({1: 65537 ** 3}, 65537 ** 2) == {1: 65537 ** 3}
+    assert binomial_reduce({1: 2 * 3 ** 40}, 3 ** 40) == {3: 2 * 3 ** 39}
+    # (1 - q - q^2)^R == 1 - R q + (binom(R, 2) - R) q^2 mod q^3
+    r = 24 * big
+    assert eta_product({1: r}, 3, big).coeffs == tuple(
+        c % big for c in (1, -r, r * (r - 1) // 2 - r))
+
+
 def test_binomial_reduction_keeps_ties_at_half_the_modulus():
     from pdotq.series import binomial_reduce
 

@@ -92,6 +92,26 @@ def test_master_cache_reuse_and_derivation():
     clear_master_cache()
 
 
+def test_master_cache_drops_the_entries_a_new_one_serves():
+    from pdotq.verify import _MASTER_CACHE
+
+    clear_master_cache()
+    master_series(30, 4, step=3)
+    master_series(20, 2, step=3)
+    # no shorter, modulo a multiple of both: it serves them, so they go
+    longer = master_series(40, 8, step=3)
+    assert set(_MASTER_CACHE) == {(3, 8)}
+    assert master_series(30, 4, step=3) == longer.truncate(30).reduce_mod(4)
+    # 3 does not divide 8, and the full series is another source
+    master_series(50, 3, step=3)
+    master_series(10, 8)
+    assert set(_MASTER_CACHE) == {(3, 8), (3, 3), (1, 8), (3, 4)}
+    # over Z it serves every shorter residue series of its step
+    master_series(45, None, step=3)
+    assert set(_MASTER_CACHE) == {(3, 3), (1, 8), (3, None)}
+    clear_master_cache()
+
+
 def test_master_progression_reads_every_kind_of_progression(expansions):
     from pdotq.verify import master_progression
 
