@@ -20,7 +20,7 @@ import json
 import sys
 from decimal import Decimal
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, tee
 from math import e, floor, log10
 
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
@@ -29,8 +29,7 @@ from .partitions import (
     pd_t, pdo, pdo_t, pdo_t_series,
 )
 from .radu import (
-    AuxExponents, CriterionNotApplicable, RaduInstance, nu_bound, p_set,
-    radu_verify,
+    AuxExponents, CriterionNotApplicable, RaduInstance, radu_verify,
 )
 from .series import binomial_reduce, eta_product, too_wide
 from .verify import (
@@ -271,15 +270,14 @@ def _cmd_radu(args) -> int:
         # over m, and radu_verify reads c_r to m depth + max(orbit) + 1,
         # so each is refused past the budget before it is begun
         _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)
-        depth = max(floor(nu_bound(inst, aux)), args.min_depth)
-        _refuse_over_budget(f"depth {_written(depth)}",
-                            inst.m * depth + max(p_set(inst)) + 1, args.u)
         # the PDO_t map is read from the master series, as the
         # certificate table reads it; any other from a fresh c_r expansion
         source = (shifted_progression(inst.m, args.u)
                   if inst.r == PDO_T_EXPONENTS else None)
-        cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth,
-                           progression=source)
+        cert = radu_verify(
+            inst, aux, args.u, min_depth=args.min_depth, progression=source,
+            cost_guard=lambda depth, order: _refuse_over_budget(
+                f"depth {_written(depth)}", order, args.u))
     except CriterionNotApplicable as exc:
         print(f"pdotq radu: criterion not applicable: {exc}",
               file=sys.stderr)
@@ -341,9 +339,9 @@ _EXACT_ORDERS = {"dissection": ("order", "binom_order")}
 # --p is checked by its suite, which rejects anything but a prime p == 5
 # (mod 6), by trial division, and genfun forms 3^k, both before the budget
 # sees a read: at the caps 10^6 steps and a 47,713-digit power.  Each k up
-# to --kmax reads at least one coefficient mod 2^(k+2) or 3^(k+3), so the
-# plan refuses k past 14,280 or 9,012 at the interpreter's default int ->
-# str limit; the --kmax cap ends that walk where the limit is off
+# to --kmax names steps and moduli of at least 0.3 k digits in its checks,
+# so their names pass the digits budget near k = 2,450 (powers of 2) or
+# 3,230 (powers of 3); the --kmax cap bounds that walk
 _FLAG_RANGE = {"order": (1, None), "bound": (0, None), "k": (0, 100_000),
                "kmax": (0, 20_000), "nmax": (0, None),
                "p": (None, 10 ** 12), "ellmax": (0, None)}
@@ -351,15 +349,24 @@ _FLAG_RANGE = {"order": (1, None), "bound": (0, None), "k": (0, 100_000),
 
 def _refuse_suite_over_budget(suite: str, kwargs: dict):
     """Refuse running `suite` with `kwargs` if it would expand a master
-    series, or for its exact orders a series over Z, past its budget: at
-    the first read that takes the plan past it, before any further read."""
+    series, or for its exact orders a series over Z, past its budget, or
+    name more digits in its checks than the digits budget: at the first
+    read that takes either past it, before any further read."""
     for name in _EXACT_ORDERS.get(suite, ()):
         if name in kwargs:
             _refuse_over_budget(f"--suite {suite}", kwargs[name], None)
-    last = {}  # a read changes one series of the plan at most
-    for plan in master_plans(suite_reads(suite, **kwargs)):
+    last, named = {}, 0  # a read changes one series of the plan at most
+    reads, requests = tee(suite_reads(suite, **kwargs))
+    for read, plan in zip(reads, master_plans(requests)):
         for _, size in plan.items() - last.items():
             _refuse_over_budget(f"--suite {suite}", *size)
+        # a check names its read's step, offset and modulus in decimal,
+        # each in at most the digits of 2^b for a number of b bits
+        named += sum(floor(n.bit_length() * log10(2)) + 1
+                     for n in (read[0], read[1], read[3]) if n)
+        if named > _MAX_DIGITS:
+            raise _Refused(f"--suite {suite}: {named} digits of check names "
+                           f"is over the budget of {_MAX_DIGITS} digits")
         last = plan
 
 

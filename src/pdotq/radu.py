@@ -15,20 +15,20 @@ auxiliary exponents r' over the divisors of N:
      t' in P(t) and all n <= floor(nu), the congruence holds for all n.
 
 radu_verify runs the pipeline and returns a Certificate recording every
-quantity exactly (rationals serialize as "num/den" strings).  It reads
-the coefficients from a caller's progression, or expands the c_r series
-itself.  For the PDO_t map, f2 f3^2 f12^2/(f1^2 f6), both the CLI's
-standalone certificate and the certificate table pass one that reads
-the cached master series of `verify` (`verify.shifted_progression`):
-c(m n + t') = pdo_t(m n + t' + 1), from the 3n series, a third as long,
-when 3 divides m and t' + 1.  Its sum d r_d is 24, so each orbit residue
-is t' = s (t + 1) - 1 mod m with s == 1 mod 24: with 3 | m the whole orbit
-lies in the class of t mod 3, and one source serves it.  Every other map
-is expanded afresh.  Either way the head c(m n + t0), n <= 2, is read and
-settled first.  Failed preconditions raise, because they mean the
+quantity exactly (rationals serialize as "num/den" strings).  What does
+not read t (five Delta* conditions, the nonnegativity table, nu but its
+-min(P(t))/m term) is kept per cell (m, M, N, r, r') for the life of the
+process, as verify's master series are; a call forms the orbit, checks
+the fifth condition, finishes nu and scans the coefficients.  For the
+PDO_t map, f2 f3^2 f12^2/(f1^2 f6), the CLI and the certificate table
+read those from verify's master series (`verify.shifted_progression`):
+c(m n + t') = pdo_t(m n + t' + 1), from the 3n series when 3 divides m
+and t' + 1.  Its sum d r_d is 24, so each orbit residue is t' = s (t + 1)
+- 1 mod m with s == 1 mod 24: with 3 | m one source serves the orbit.
+Every other map is expanded afresh.  Either way the head c(m n + t0),
+n <= 2, is read first.  Failed preconditions raise, because the
 criterion does not apply; a failed coefficient check returns a
-verdict-false certificate, because it means the congruence itself is
-false.
+verdict-false certificate, because the congruence itself is false.
 """
 
 from __future__ import annotations
@@ -162,26 +162,13 @@ class Certificate:
     failure: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "M": self.M,
-            "level": self.level,
-            "r": {str(d): v for d, v in self.r.items()},
-            "t": self.t,
-            "rprime": {str(d): v for d, v in self.rprime.items()},
-            "u": self.u,
-            "delta_star": dict(self.delta_star),
-            "p_set": list(self.p_set),
-            "nonneg": [dict(row) for row in self.nonneg],
-            "nu": _frac_str(self.nu),
-            "floor_nu": self.floor_nu,
-            "checked": [[tp, n] for tp, n in self.checked],
-            "verdict": self.verdict,
-            "failure": dict(self.failure) if self.failure else None,
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        # JSON writes the int keys of r and r' as strings and the tuples
+        # of `checked` as lists; nu alone needs writing out
+        return json.dumps({**self.__dict__, "nu": _frac_str(self.nu)},
+                          indent=2)
 
 
 @cache
@@ -208,34 +195,38 @@ def p_set(inst: RaduInstance) -> list[int]:
     return sorted(out)
 
 
-def delta_star_check(inst: RaduInstance) -> dict[str, bool]:
-    """The six admissibility conditions, reported separately."""
-    m, M, N = inst.m, inst.M, inst.level
+def _t_free_conditions(inst: RaduInstance) -> dict[str, bool]:
+    """The Delta* conditions but the fifth, the one that reads t, in
+    integers: the third asks kappa N sum r_d m N / d, over the lcm L of
+    the d, to be a multiple of 24 L."""
+    m, N = inst.m, inst.level
     kappa = inst.kappa
     s2, j = inst.two_adic_split()
-
-    weighted = Fraction(0)
-    for d, v in inst.r.items():
-        weighted += v * Fraction(m * N, d)
-    weighted *= kappa * N
-    cond3 = weighted.denominator == 1 and weighted.numerator % 24 == 0
-
-    g = gcd(-24 * kappa * inst.t - kappa * inst.weighted_exponent_sum, 24 * m)
-    cond6 = True
-    if m % 2 == 0:
-        cond6 = (kappa * N % 4 == 0 and s2 * N % 8 == 0) or (
-            s2 % 2 == 0 and (1 - j) * N % 8 == 0
-        )
+    scale = lcm(*inst.r)
+    weighted = kappa * N * sum(v * m * N * (scale // d)
+                               for d, v in inst.r.items())
+    cond6 = m % 2 == 1 or (kappa * N % 4 == 0 and s2 * N % 8 == 0) or (
+        s2 % 2 == 0 and (1 - j) * N % 8 == 0)
     return {
         "primes_of_m_divide_level": all(N % p == 0 for p in prime_factors(m)),
-        "exponent_divisors_divide_m_level": all(
-            (m * N) % d == 0 for d in inst.r
-        ),
-        "weighted_sum_multiple_of_24": cond3,
+        "exponent_divisors_divide_m_level": all((m * N) % d == 0
+                                                for d in inst.r),
+        "weighted_sum_multiple_of_24": weighted % (24 * scale) == 0,
         "exponent_sum_multiple_of_8": (kappa * N * inst.exponent_sum) % 8 == 0,
-        "progression_gcd_divides_level": N % (24 * m // g) == 0,
         "even_m_two_adic": cond6,
     }
+
+
+def delta_star_check(inst: RaduInstance, t_free=None) -> dict[str, bool]:
+    """The six admissibility conditions, reported separately in a new
+    dict; `t_free` is `_t_free_conditions(inst)` if the caller has it."""
+    kappa = inst.kappa
+    g = gcd(-24 * kappa * inst.t - kappa * inst.weighted_exponent_sum,
+            24 * inst.m)
+    conditions = list((t_free or _t_free_conditions(inst)).items())
+    conditions.insert(4, ("progression_gcd_divides_level",
+                          inst.level % (24 * inst.m // g) == 0))
+    return dict(conditions)
 
 
 def p_mr(inst: RaduInstance, delta: int) -> tuple[Fraction, int]:
@@ -274,19 +265,57 @@ def p_star(aux: AuxExponents, delta: int) -> Fraction:
     return total / 24
 
 
+@dataclass
+class _Cell:
+    conditions: dict  # the Delta* conditions but the fifth
+    nu: Fraction  # nu but its -min(orbit)/m term
+    # (nonnegativity rows, the first negative (delta, bound) or None),
+    # once a certificate gets that far
+    nonneg: Optional[tuple] = None
+
+
+# (m, M, level, r, r') -> its _Cell, what the criterion computes there
+# without reading t.  Entries live as long as the process, as verify's
+# master cache does; callers get only fresh copies
+_CELLS: dict = {}
+
+
+def _cell(inst: RaduInstance, aux: AuxExponents) -> _Cell:
+    key = (inst.m, inst.M, inst.level, tuple(inst.r.items()),
+           tuple(aux.r.items()))
+    if key not in _CELLS:
+        nu = Fraction((inst.exponent_sum + sum(aux.r.values()))
+                      * sl2_index(inst.level)
+                      - sum(d * v for d, v in aux.r.items()), 24)
+        nu -= Fraction(inst.weighted_exponent_sum, 24 * inst.m)
+        _CELLS[key] = _Cell(_t_free_conditions(inst), nu)
+    return _CELLS[key]
+
+
+def _nonnegativity(inst: RaduInstance, aux: AuxExponents) -> tuple:
+    rows = []
+    for delta in divisors(inst.level):
+        bound, lam = p_mr(inst, delta)
+        aux_bound = p_star(aux, delta)
+        total = bound + aux_bound
+        rows.append({"delta": delta, "p_mr": _frac_str(bound),
+                     "lambda": lam, "p_star": _frac_str(aux_bound),
+                     "total": _frac_str(total)})
+        if total < 0:
+            return tuple(rows), (delta, total)
+    return tuple(rows), None
+
+
+def orbit_and_nu(inst: RaduInstance, aux: AuxExponents) -> tuple:
+    """The orbit P(t), formed once, and the bound nu."""
+    orbit = p_set(inst)
+    return orbit, _cell(inst, aux).nu - Fraction(orbit[0], inst.m)
+
+
 def nu_bound(inst: RaduInstance, aux: AuxExponents) -> Fraction:
     """The exact rational verification bound; checking the congruence for
     a full orbit up to floor(nu) proves it for all n."""
-    t_min = min(p_set(inst))
-    total_exponents = inst.exponent_sum + sum(aux.r.values())
-    value = Fraction(
-        total_exponents * sl2_index(inst.level)
-        - sum(d * v for d, v in aux.r.items()),
-        24,
-    )
-    value -= Fraction(inst.weighted_exponent_sum, 24 * inst.m)
-    value -= Fraction(t_min, inst.m)
-    return value
+    return orbit_and_nu(inst, aux)[1]
 
 
 def c_r_series(inst: RaduInstance, order: int, modulus=None) -> TruncSeries:
@@ -313,9 +342,13 @@ def radu_verify(
     u: int,
     min_depth: int = 0,
     progression: Callable[[int, int], Sequence[int]] | None = None,
+    cost_guard: Callable[[int, int], None] | None = None,
 ) -> Certificate:
     """Run the full criterion for c(m n + t') == 0 (mod u) over the orbit
-    of t.  The coefficients come from `progression(t', count)`, which
+    of t.  What does not read t is worked out once per cell (m, M, level,
+    r, r') and kept for the process (`_CELLS`); a call forms the orbit,
+    checks the fifth Delta* condition, takes min(orbit)/m off nu and scans
+    the coefficients.  Those come from `progression(t', count)`, which
     returns c(m n + t') for n < count as integers whose residues mod u are
     the true ones: for the PDO_t map the CLI and the certificate table
     pass `verify.shifted_progression`, which reads the master series (the
@@ -326,12 +359,19 @@ def radu_verify(
     c(m n + t0) for n <= min(2, depth) first: a nonzero there is the
     scan's first failure, and the full progressions are read only when
     there is none.  `min_depth` forces checking beyond floor(nu), which
-    can only strengthen the evidence.
+    can only strengthen the evidence.  `cost_guard(depth, order)`, called
+    before any check, may refuse a scan to order m depth + max(orbit) + 1.
 
     Raises a CriterionNotApplicable subclass when a precondition fails.
     Returns a Certificate whose verdict is False when a coefficient check
     fails (the congruence is then genuinely false at the recorded index).
     """
+    orbit, nu = orbit_and_nu(inst, aux)
+    floor_nu = floor(nu)
+    depth = max(floor_nu, min_depth)
+    order = inst.m * depth + orbit[-1] + 1
+    if cost_guard is not None:
+        cost_guard(depth, order)
     if aux.level != inst.level:
         raise ValueError(
             f"auxiliary exponents are for level {aux.level}, "
@@ -345,35 +385,17 @@ def radu_verify(
             f"level {N}: neither it nor its half is squarefree"
         )
 
-    conditions = delta_star_check(inst)
+    cell = _cell(inst, aux)
+    conditions = delta_star_check(inst, cell.conditions)
     if not all(conditions.values()):
         raise DeltaStarFailure(conditions)
-
-    orbit = p_set(inst)
-
-    nonneg_rows = []
-    for delta in divisors(N):
-        bound, lam = p_mr(inst, delta)
-        aux_bound = p_star(aux, delta)
-        total = bound + aux_bound
-        nonneg_rows.append(
-            {
-                "delta": delta,
-                "p_mr": _frac_str(bound),
-                "lambda": lam,
-                "p_star": _frac_str(aux_bound),
-                "total": _frac_str(total),
-            }
-        )
-        if total < 0:
-            raise NonnegativityFailure(delta, total)
-
-    nu = nu_bound(inst, aux)
-    floor_nu = floor(nu)
-    depth = max(floor_nu, min_depth)
+    if cell.nonneg is None:
+        cell.nonneg = _nonnegativity(inst, aux)
+    rows, negative = cell.nonneg
+    if negative:
+        raise NonnegativityFailure(*negative)
 
     if progression is None:
-        order = inst.m * depth + max(orbit) + 1
         progression = _fresh_progression(
             inst, u, min(order, 2 * inst.m + orbit[0] + 1), order)
 
@@ -408,7 +430,7 @@ def radu_verify(
         u=u,
         delta_star=conditions,
         p_set=orbit,
-        nonneg=nonneg_rows,
+        nonneg=[dict(row) for row in rows],
         nu=nu,
         floor_nu=floor_nu,
         checked=checked,

@@ -48,7 +48,7 @@ from .modforms import (
     u_operator,
 )
 from .partitions import PDO_T_EXPONENTS, pdo_t_series
-from .radu import AuxExponents, RaduInstance, nu_bound, p_set, radu_verify
+from .radu import AuxExponents, RaduInstance, orbit_and_nu, radu_verify
 from .series import (
     TruncSeries, cubic_theta, eta_product, euler_factor, jacobi_cube,
     prime_factors,
@@ -677,20 +677,21 @@ CERTIFICATE_ROWS = [
 
 
 def _certificate_instances():
-    """(instance, auxiliary exponents, u, depth, floor(nu)) per row."""
+    """(instance, aux exponents, u, depth, orbit, floor(nu)) per row."""
     for m, t, rp1, depth, u in CERTIFICATE_ROWS:
         inst = RaduInstance(m=m, M=12, level=12,
                             r=dict(PDO_T_EXPONENTS), t=t)
         aux = AuxExponents(12, {1: rp1})
-        yield inst, aux, u, depth, floor(nu_bound(inst, aux))
+        orbit, nu = orbit_and_nu(inst, aux)
+        yield inst, aux, u, depth, orbit, floor(nu)
 
 
 def _certificate_reads():
     # c(m n + t') = pdo_t(m n + t' + 1) for t' in the orbit of t and
     # n <= max(floor(nu), depth), the coefficients radu_verify checks
     return [(inst.m, t_prime + 1, max(floor_nu, depth) + 1, u)
-            for inst, _, u, depth, floor_nu in _certificate_instances()
-            for t_prime in p_set(inst)]
+            for inst, _, u, depth, orbit, floor_nu in _certificate_instances()
+            for t_prime in orbit]
 
 
 def shifted_progression(m: int, u: int):
@@ -708,7 +709,7 @@ def certificate_table() -> Report:
     report = Report("table", {"rows": len(CERTIFICATE_ROWS)})
     plan_master_series(_certificate_reads())
 
-    for inst, aux, u, depth, floor_nu in _certificate_instances():
+    for inst, aux, u, depth, _, floor_nu in _certificate_instances():
         cert = radu_verify(inst, aux, u,
                            progression=shifted_progression(inst.m, u),
                            min_depth=depth)

@@ -243,16 +243,23 @@ def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
         (("radu", "--m", "6", "--t", "2", "--u", "4", "--rprime", "1:5",
           "--r", big), "depth 18333337: 110000025 coefficients mod 4"),
         # the family pdo_t(3 2^k n) reads index 0 mod 2^(k+2) for every k:
-        # refused at k = 4980, whose modulus is 1500 digits long
+        # at order 200000 refused at k = 493, whose modulus is 150 digits
+        # long
+        (("check", "--suite", "powers-of-two", "--kmax", "20000", "--order",
+          "200000"),
+         "--suite powers-of-two: 66667 coefficients of 150 digits mod "
+         "1.02e+149"),
+        # at the default order the checks' names, which write 3 2^k and
+        # 2^(k+2) in full, pass the digits budget first, near k = 2450
+        # (the plan alone would go on to k = 4980)
         (("check", "--suite", "powers-of-two", "--kmax", "20000"),
-         "--suite powers-of-two: 6667 coefficients of 1500 digits mod "
-         "1.35e+1499"),
+         "--suite powers-of-two: 10000123 digits of check names"),
     )
     for argv, why in cases:
         with monkeypatch.context() as mp:
             if argv[2] == "4194304":
-                mp.setattr(cli, "p_set", forbidden)
-                mp.setattr(cli, "nu_bound", forbidden)
+                mp.setattr(radu, "p_set", forbidden)
+                mp.setattr(radu, "p_mr", forbidden)
             code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"pdotq {argv[0]}: {why} is over the budget "
@@ -261,7 +268,7 @@ def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
 
 
 def test_one_coefficient_per_k_is_refused_at_the_first_modulus_too_wide(
-        capsys):
+        capsys, monkeypatch):
     import sys
 
     from pdotq import cli
@@ -272,6 +279,10 @@ def test_one_coefficient_per_k_is_refused_at_the_first_modulus_too_wide(
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("no int -> str limit to reach")
+    # the checks' names would pass the digits budget first (see
+    # test_check_names_past_the_digits_budget_are_refused), so it is
+    # raised here past what they reach
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 10 ** 9)
     for argv, ring in ((("powers-of-two", "--order", "2"), 2),
                        (("divisibility", "--nmax", "0"), 3),
                        (("coexistence", "--bound", "0"), 3)):
@@ -290,6 +301,39 @@ def test_one_coefficient_per_k_is_refused_at_the_first_modulus_too_wide(
                          "--kmax", "1000000000000000000", "--bound", "0")
     assert (code, out) == (2, "")
     assert err == "pdotq check: --kmax must be <= 20000, got 1.00e+18\n"
+
+
+def test_check_names_past_the_digits_budget_are_refused(capsys,
+                                                         monkeypatch):
+    import re
+    from itertools import chain
+
+    from pdotq import cli, verify
+
+    # each check names its step, offset and modulus in full, so the report
+    # grows as K^2 digits for --kmax K; all three suites are refused at
+    # once, with one line, long before the walk reaches a modulus too wide
+    for argv in (("powers-of-two", "--kmax", "14000", "--order", "2"),
+                 ("divisibility", "--kmax", "20000", "--nmax", "0"),
+                 ("coexistence", "--kmax", "20000", "--bound", "0")):
+        code, out, err = run(capsys, "check", "--suite", *argv)
+        assert (code, out) == (2, ""), argv
+        assert re.fullmatch(
+            rf"pdotq check: --suite {argv[0]}: \d+ digits of check names is "
+            r"over the budget of 10000000 digits\n", err), err
+    # inside the budget the report is written as before; the digits its
+    # names write are charged in full, since one budget digit fewer than
+    # they hold refuses the same request
+    argv = ("check", "--suite", "powers-of-two", "--kmax", "1000", "--order",
+            "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    names = re.findall(r"pdo_t\((\d+)n(?:\+(\d+))?\) == 0 mod (\d+)", out)
+    named = sum(map(len, chain.from_iterable(names)))
+    assert len(names) == 4 * 1001 + len(verify.POWER_OF_TWO_ROWS)
+    monkeypatch.setattr(cli, "_MAX_DIGITS", named - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "digits of check names" in err, err
 
 
 def test_modulus_digits_are_exact_where_they_decide(capsys):

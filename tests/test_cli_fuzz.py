@@ -64,6 +64,9 @@ KNOWN = [
      "--bound", "0"],
     ["check", "--suite", "powers-of-two", "--kmax", "20000", "--order",
      "2"],
+    # inside every expansion budget, but a report of 330 MB of names
+    ["check", "--suite", "powers-of-two", "--kmax", "14000", "--order",
+     "2"],
     # a budget that factored a prime modulus near 10^18 by trial division
     # before the leading power, or the nonnegativity, was checked
     ["expand", "--eta", "1;1;1:1000000000000000001", "--order", "3",

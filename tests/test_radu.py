@@ -451,3 +451,111 @@ def test_fresh_expansion_orders(monkeypatch):
     radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 8,
                 progression=sliced(eta_product(PDO_T_R, 39, 8), 6))
     assert orders == []
+
+
+# --- the per-cell cache: what does not read t is worked out once ---
+
+# a map other than PDO_t's, expanded afresh: its orbit is {2, 3}
+OTHER_MAP = ["--m", "5", "--M", "20", "--level", "20", "--r",
+             "1:-1,2:-2,5:1,10:5,20:3", "--rprime", "1:24"]
+
+
+def cell_cache_grid():
+    """radu argument vectors over steps 6 to 150, levels 12 and 60 and
+    several r'_1 per step, with t spread over its classes mod gcd(m, 8)
+    and mod 3, moduli 2 to 256, a row of the certificate table per step
+    and level, some --min-depth, and one other map."""
+    rng = random.Random(19)
+    jobs = []
+    for m in (6, 12, 24, 48, 96, 150):
+        classes = math.lcm(math.gcd(m, 8), 3)
+        for level in (12, 60):
+            for rp1 in rng.sample((5, 10, 20, 40, 80, 5 * m // 6), 2):
+                for c in rng.sample(range(classes), min(classes, 3)):
+                    t = c + classes * rng.randrange(m // classes)
+                    u = (2 ** rng.randint(1, 8) if rng.random() < 0.75
+                         else rng.randint(2, 256))
+                    jobs.append(["--m", str(m), "--t", str(t), "--u", str(u),
+                                 "--level", str(level), "--rprime",
+                                 f"1:{rp1}"])
+            # a congruence that holds, so the grid has a PASS at each step
+            for row_m, t, u in rng.sample(TABLE_ROWS, len(TABLE_ROWS)):
+                if row_m == m:
+                    jobs.append(["--m", str(m), "--t", str(t), "--u", str(u),
+                                 "--level", str(level), "--rprime",
+                                 f"1:{5 * m // 6}"])
+                    break
+    jobs += [OTHER_MAP + ["--t", str(t), "--u", str(u)]
+             for t in (2, 3, 4) for u in (2, 4)]
+    for job in rng.sample(jobs, 12):
+        jobs.append(job + ["--min-depth", str(rng.randint(0, 30))])
+    return [["radu"] + job + fmt for job in jobs for fmt in ([], ["--json"])]
+
+
+def test_a_warm_cell_cache_gives_the_bytes_of_a_cold_one(capsys):
+    from pdotq import cli, radu, verify
+
+    def outputs(jobs, clear):
+        seen = {}
+        for argv in jobs:
+            if clear:
+                radu._CELLS.clear()
+                squares_mod.cache_clear()
+                verify.clear_master_cache()
+            code = cli.main(argv)
+            seen[tuple(argv)] = (code, *capsys.readouterr())
+        return seen
+
+    jobs = cell_cache_grid()
+    rng = random.Random(20)
+    runs = []
+    for clear in (False, False, True):
+        rng.shuffle(jobs)
+        runs.append(outputs(jobs, clear))
+    assert runs[0] == runs[1] == runs[2]
+    outcomes = Counter()
+    for code, out, err in runs[0].values():
+        outcomes[code, "verdict: FAIL" in out or '"verdict": false' in out,
+                 "not admissible" in err, "negative order bound" in err] += 1
+    # PASS, FAIL, Delta* failure and nonnegativity failure all occur
+    assert set(outcomes) == {(0, False, False, False), (1, True, False, False),
+                             (1, False, True, False), (1, False, False, True)}
+
+
+def test_cell_cache_hands_out_copies_and_runs_p_mr_once_per_delta(
+        monkeypatch):
+    from pdotq import radu
+
+    calls = Counter()
+
+    def counted(inst, delta):
+        calls[delta] += 1
+        return p_mr(inst, delta)
+
+    monkeypatch.setattr(radu, "_CELLS", {})
+    monkeypatch.setattr(radu, "p_mr", counted)
+    aux = AuxExponents(12, {1: 20})
+    certs = {}
+    for t in range(24):
+        try:
+            certs[t] = radu_verify(pdo_t_instance(24, t), aux, 8)
+        except CriterionNotApplicable:
+            continue
+    assert len(certs) == 12
+    assert calls == {delta: 1 for delta in divisors(12)}
+    # a caller changing what a certificate holds changes no later one
+    want = {t: cert.to_dict() for t, cert in certs.items()}
+    for cert in certs.values():
+        cert.p_set.append(1)
+        cert.delta_star["even_m_two_adic"] = False
+        cert.nonneg[0]["total"] = "-1/1"
+        cert.nonneg.append({})
+    for t, cert in want.items():
+        assert radu_verify(pdo_t_instance(24, t), aux, 8).to_dict() == cert
+    with pytest.raises(DeltaStarFailure) as failure:
+        radu_verify(pdo_t_instance(24, 0), aux, 8)
+    failure.value.conditions.clear()
+    with pytest.raises(DeltaStarFailure) as again:
+        radu_verify(pdo_t_instance(24, 0), aux, 8)
+    assert again.value.conditions == delta_star_check(pdo_t_instance(24, 0))
+    assert calls == {delta: 1 for delta in divisors(12)}
