@@ -9,10 +9,12 @@ with signed operands as wide as PDO_t(n) (about 200 bits at n = 3500).
 In both, the operands are either both dense and random, or f_1
 (pentagonal-sparse, as in the Euler factors) against a dense one, and
 the backends' products are checked equal.  Each row reports the best of
---repeats `perf_counter` timings per backend.  These rows are the
-evidence for the order `_SCHOOLBOOK_THRESHOLD` at which `_mul_lists`
-leaves schoolbook for dense operands.  Sparse rows: at n in 2000, 30000
-and 115000 (mod 32 and 729, and over Z at 2000), Euler factor times
+--repeats `perf_counter` timings per backend.  From order 32 up they
+show dense operands multiplied faster by the decimal backend, which
+`_mul_lists` takes for every product with more than
+`_SPARSE_PAIRS_PER_COEFF` nonzero pairs per product coefficient, so for
+dense operands from order 17.  Sparse rows: at n in 2000, 30000 and
+115000 (mod 32 and 729, and over Z at 2000), Euler factor times
 Euler factor, f_1 times an operand with random support sized for a given
 number of nonzero pairs per product coefficient, and f_1 times a dense
 operand, each by schoolbook and by the decimal backend, with the
@@ -43,9 +45,10 @@ of `check --suite all`'s 3n series, and mod 46656, the ring
 `eta_product` expands it in since the scalar 4 of 4q psi(q^2) f6^3 /
 phi(-q)^2 leaves nothing more of it; best of --repeats, with the operand
 encodings one division makes (`_decimal_operand` calls) and the
-coefficients they write.  Newton rows:
-`_invert_list` of phi(-q)^2, the 3n series' denominator, at the orders
-2^k and 2^k + 1 of NEWTON_ROWS, mod 186624 and over Z, best of --repeats.
+coefficients they write.  Newton rows: the inverse of phi(-q)^2, the 3n
+series' denominator, by `_divide_newton` dividing one (num None), at the
+orders 2^k and 2^k + 1 of NEWTON_ROWS, mod 186624 and over Z, best of
+--repeats.
 Newton runs on the precisions ceil(order/2^k), so one more coefficient
 past a power of two costs one more halving step; a schedule that doubled
 up from 1 would pay a whole extra step of the full order there.  Decode
@@ -69,13 +72,12 @@ from pdotq import series
 from pdotq.modforms import EtaQuotient, q_expansion
 from pdotq.partitions import pdo_t_series
 from pdotq.series import (
-    _decode_fields, _divide_newton, _divide_sparse, _invert_list,
-    _mul_decimal, _mul_schoolbook, _nonzero_count, eta_product,
-    euler_factor, phi_minus,
+    _decode_fields, _divide_newton, _divide_sparse, _mul_decimal,
+    _mul_schoolbook, _nonzero_count, eta_product, euler_factor, phi_minus,
 )
 
 # orders at which schoolbook still finishes, in every ring
-SIZES = (128, 256, 512, 1500, 3500)
+SIZES = (32, 64, 96, 128, 256, 512, 1500, 3500)
 MODULI = (2, 32, 243, 256, 729)
 BACKENDS = (("schoolbook_s", _mul_schoolbook), ("decimal_s", _mul_decimal))
 SPARSE_SIZES = (2000, 30000, 115000)
@@ -274,7 +276,7 @@ def encoding_rows(repeats):
 
 def newton_rows(repeats):
     return [{"order": n, "modulus": modulus, "denominator": "phi(-q)^2",
-             "invert_s": best_of(repeats, _invert_list,
+             "invert_s": best_of(repeats, _divide_newton, None,
                                  (phi_minus(n, modulus) ** 2).coeffs, n,
                                  modulus)[0]}
             for n, modulus in NEWTON_ROWS]

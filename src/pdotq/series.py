@@ -7,14 +7,14 @@ The domain is either exact integers (modulus None) or the residue ring Z/MZ
 two series requires identical domains and truncates to the smaller order,
 since nothing past that point is determined by the operands.
 
-Multiplication dispatches on the order and the number of nonzero pairs.
-Schoolbook convolution walks only the nonzero terms of both operands, so
-its cost is the count of nonzero pairs; it takes every product below
-order 128, and at any order a product whose operands have at most 16
-nonzero pairs per product coefficient, such as one pentagonal-sparse
-Euler factor times another.  Every other product, over Z or in a residue
-ring, uses Kronecker substitution in base 10^w: each coefficient becomes
-a zero-padded w-digit field of one integer `decimal.Decimal`, a single
+Multiplication dispatches on the number of nonzero pairs.  Schoolbook
+convolution walks only the nonzero terms of both operands, so its cost is
+the count of nonzero pairs; it takes a product whose operands have at
+most 16 nonzero pairs per product coefficient, such as one
+pentagonal-sparse Euler factor times another, and so every product below
+order 17.  Every other product, over Z or in a residue ring, uses
+Kronecker substitution in base 10^w: each coefficient becomes a
+zero-padded w-digit field of one integer `decimal.Decimal`, a single
 multiply does the whole convolution, and the fields of the product are
 the coefficients.  libmpdec multiplies long operands with a
 number-theoretic transform, which is asymptotically faster than
@@ -46,19 +46,19 @@ one pass of the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i],
 one step per nonzero den[i], so the work is nnz(den) steps per
 coefficient with no inverse and no product formed.  A den with more than
 10 sqrt(order) nonzero terms over Z, or 32 in a residue ring, would make
-that slower than Newton iteration x -> x(2-ax), which doubles the correct
-precision each step.  The precisions are ceil(order/2^k), built down from
-the target (Brent and Zimmermann, Modern Computer Arithmetic, 4.2), so
-every step takes x from ceil(p/2) to p coefficients, and none pays a
-product of the full order to add a few coefficients past a power of two.
-When x is right to half the new precision, ax is 1 plus q^half times an
-error e, so the step reads only coefficients half and up of ax (the product
-decodes no field below them) and appends -x e truncated to the remaining
-length.  Newton stops at h = ceil(order/2), and one Karp-Markstein step
-finishes the quotient: y = num x to h, then num - den y is q^h times e
-below order, and y + q^h x e is the quotient.  So the last full-length
-Newton step and the order-length product of num and the inverse are never
-formed; dividing one goes the same way.
+that slower than Newton division, which goes by halves: 1/den to
+h = ceil(order/2) is the division of one to h, and one Karp-Markstein
+step finishes the quotient from it.  With x that half inverse, y = num x
+to h, and num - den y is q^h times an error e below order, so the step
+reads only coefficients h and up of den y (the product decodes no field
+below them), and y + q^h x e is the quotient.  With num one, y is x and
+the step is Newton's x(2 - den x), which doubles the correct precision.
+So the precisions are ceil(order/2^k), built down from the target (Brent
+and Zimmermann, Modern Computer Arithmetic, 4.2): each step takes the
+inverse, at the last the quotient, from ceil(p/2) to p coefficients with
+two products, none pays a product of the full order to add a few
+coefficients past a power of two, and neither a full-length Newton step
+nor the order-length product of num and the inverse is formed.
 In a residue ring every product of one division takes fields of one width,
 that of its largest product, h (M-1)^2, and den and x, which enter several
 products, keep their encodings (`_Operand`).  Each step reads a longer
@@ -135,12 +135,6 @@ class NotInvertibleError(ValueError):
     """Series inversion attempted when the constant term is not a unit."""
 
 
-def _normalize(coeffs, modulus):
-    if modulus is None:
-        return tuple(coeffs)
-    return tuple([c % modulus for c in coeffs])
-
-
 def _nonzero_count(coeffs, order):
     """Nonzero entries among the first `order` coefficients, counted in C."""
     if len(coeffs) > order:
@@ -162,29 +156,18 @@ def _mul_schoolbook(a, b, order, modulus):
     out = [0] * order
     for i, ai in terms_a:
         room = order - i
-        if ai == 1:
-            for j, bj in terms_b:
-                if j >= room:
-                    break
-                out[i + j] += bj
-        elif ai == -1:
-            for j, bj in terms_b:
-                if j >= room:
-                    break
-                out[i + j] -= bj
-        else:
-            for j, bj in terms_b:
-                if j >= room:
-                    break
-                out[i + j] += ai * bj
+        for j, bj in terms_b:
+            if j >= room:
+                break
+            out[i + j] += ai * bj
     if modulus is not None:
         out = [c % modulus for c in out]
     return out
 
 
-_SCHOOLBOOK_THRESHOLD = 128
-# at any order, schoolbook wins while the nonzero pairs number at most
-# this many per product coefficient (the sparse rows of bench/multiply.py)
+# schoolbook wins while the nonzero pairs number at most this many per
+# product coefficient (the sparse rows of bench/multiply.py); below order
+# 17 every product qualifies, since there nnz(a) nnz(b) <= order^2
 _SPARSE_PAIRS_PER_COEFF = 16
 
 
@@ -391,8 +374,7 @@ def too_wide(w):
 
 def _mul_lists(a, b, order, modulus, lo=0):
     """Coefficients lo..order-1 of the product of coefficient lists."""
-    if (order < _SCHOOLBOOK_THRESHOLD
-            or _nonzero_count(a, order) * _nonzero_count(b, order)
+    if (_nonzero_count(a, order) * _nonzero_count(b, order)
             <= _SPARSE_PAIRS_PER_COEFF * order):
         out = _mul_schoolbook(a, b, order, modulus)
         return out[lo:] if lo else out
@@ -414,35 +396,6 @@ def _unit_inverse(a, modulus):
         raise NotInvertibleError(
             f"constant term {c0} is not invertible mod {modulus}"
         ) from None
-
-
-def _invert_list(a, order, modulus):
-    """Newton iteration for 1/a, given a unit constant term, returned as
-    an `_Operand`, whose encoding a residue division goes on using."""
-    # the precisions ceil(order / 2^k), built down from the target, so each
-    # step takes x from ceil(prec/2) to prec coefficients (the last from
-    # ceil(order/2) to order), and none pays a product of the full order
-    # to add a few coefficients past a power of two.  a and x enter every
-    # step, so in a residue ring each keeps its encoding (`_Operand`)
-    if not isinstance(a, _Operand):
-        a = _Operand(a, _division_floor(order, modulus))
-    precs = []
-    while order > 1:
-        precs.append(order)
-        order = -(-order // 2)
-    x = _Operand([_unit_inverse(a, modulus)], a.width)
-    for prec in reversed(precs):
-        # x is right below `half`, so a x = 1 + q^half e there and the
-        # step x (2 - a x) = x - q^half x e only appends its new half
-        half = len(x)
-        ax = _mul_lists(a, x, prec, modulus, lo=half)
-        if modulus is None:
-            err = [-c for c in ax]
-        else:
-            err = [-c % modulus for c in ax]
-        del ax
-        x += _mul_lists(x, err, prec - half, modulus)
-    return x
 
 
 # the most nonzero terms a denominator may have for the recurrence, which
@@ -486,22 +439,29 @@ def _divide_sparse(num, den, order, modulus):
 
 
 def _divide_newton(num, den, order, modulus):
-    """num/den by one Karp-Markstein step on an inverse to half the order,
-    given a unit constant term in den."""
-    # x = 1/den and y = num x are right below h >= order - h, so below
-    # order num - den y = q^h e, and y + q^h x e is right there.  den and
-    # x enter more than one product, so in a residue ring each keeps its
-    # encoding, and den's is dropped with den once dy is formed
+    """num/den by one Karp-Markstein step on 1/den to half the order, which
+    is this division with num None (one), given a unit constant term in
+    den.  With num None the step is Newton's x(2 - den x), and the inverse
+    comes back as an `_Operand`, whose encoding a residue division goes on
+    using."""
+    # x and y = num x are right below h >= order - h, so below order
+    # num - den y = q^h e, and y + q^h x e is right there.  den and x enter
+    # more than one product, so in a residue ring each keeps its encoding,
+    # and den's is dropped with den once the outermost dy is formed
+    if not isinstance(den, _Operand):
+        den = _Operand(den, _division_floor(order, modulus))
+    if order <= 1:
+        x = _Operand([_unit_inverse(den, modulus)], den.width)
+        return x if num is None else _mul_lists(num, x, order, modulus)
     h = -(-order // 2)
-    den = _Operand(den, _division_floor(order, modulus))
-    x = _invert_list(den, h, modulus)
-    y = _mul_lists(num, x, h, modulus)
+    x = _divide_newton(None, den, h, modulus)
+    y = x if num is None else _mul_lists(num, x, h, modulus)
     dy = _mul_lists(den, y, order, modulus, lo=h)
     del den
-    err = [c - d for c, d in zip_longest(num[h:order], dy, fillvalue=0)]
-    del dy
-    if modulus is not None:
-        err = [c % modulus for c in err]
+    pairs = zip_longest(() if num is None else num[h:order], dy, fillvalue=0)
+    err = ([c - d for c, d in pairs] if modulus is None
+           else [(c - d) % modulus for c, d in pairs])
+    del dy, pairs
     y += _mul_lists(x, err, order - h, modulus)
     return y
 
@@ -527,7 +487,8 @@ class TruncSeries:
     def __init__(self, coeffs, modulus=None):
         if modulus is not None and modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.coeffs = _normalize(coeffs, modulus)
+        self.coeffs = (tuple(coeffs) if modulus is None
+                       else tuple([c % modulus for c in coeffs]))
         self.modulus = modulus
 
     @classmethod
@@ -743,10 +704,7 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
         if hi < order:
             base[hi] = sign
         k += 1
-    f = TruncSeries(base, modulus)
-    if exponent == 1:
-        return f
-    return f ** exponent
+    return TruncSeries(base, modulus) ** exponent
 
 
 def eta_product(exponents: dict, order: int, modulus=None,

@@ -290,7 +290,10 @@ def _zero_progression_check(report: Report, order: int, step: int,
 def dissection_suite(order: int = 500, binom_order: int = 300) -> Report:
     """Exact 2- and 3-dissection identities, the prime-power binomial
     congruences, and the signed odd-cube expansion, all checked
-    coefficient by coefficient."""
+    coefficient by coefficient, to orders of at least 1."""
+    if min(order, binom_order) < 1:
+        raise ValueError(f"orders must be >= 1, got {order} and "
+                         f"{binom_order}")
     report = Report("dissection", {"order": order, "binom_order": binom_order})
     T = order
 
@@ -460,7 +463,13 @@ def _powers_of_two_reads(order: int, conj_k_max: int):
 
 def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
     """The proved power-of-two progressions, then the conjectural
-    extension to every k, checked on all indices below `order`."""
+    extension to every k, checked on all indices below `order`; an order
+    that leaves a progression no index is refused before anything is
+    expanded."""
+    for step, offset, *_ in _powers_of_two_progressions(conj_k_max):
+        if offset >= order:
+            raise ValueError(f"order {order} leaves pdo_t({step}n+{offset}) "
+                             "no index to check")
     report = Report("powers-of-two",
                     {"order": order, "conj_k_max": conj_k_max})
     plan_master_series(_powers_of_two_reads(order, conj_k_max))

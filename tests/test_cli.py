@@ -323,14 +323,16 @@ def test_check_names_past_the_digits_budget_are_refused(capsys,
             r"over the budget of 10000000 digits\n", err), err
     # inside the budget the report is written as before; the digits its
     # names write are charged in full, since one budget digit fewer than
-    # they hold refuses the same request
-    argv = ("check", "--suite", "powers-of-two", "--kmax", "1000", "--order",
-            "2")
+    # they hold refuses the same request.  The order passes every offset,
+    # the largest of which is 9 * 2^4 = 144, and keeps the one expansion
+    # inside that smaller budget
+    argv = ("check", "--suite", "powers-of-two", "--kmax", "4", "--order",
+            "145")
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     names = re.findall(r"pdo_t\((\d+)n(?:\+(\d+))?\) == 0 mod (\d+)", out)
     named = sum(map(len, chain.from_iterable(names)))
-    assert len(names) == 4 * 1001 + len(verify.POWER_OF_TWO_ROWS)
+    assert len(names) == 4 * 5 + len(verify.POWER_OF_TWO_ROWS)
     monkeypatch.setattr(cli, "_MAX_DIGITS", named - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and "digits of check names" in err, err
@@ -622,6 +624,31 @@ def test_check_numeric_flag_ranges(capsys):
         assert code == 2 and out == ""
         assert err.startswith("pdotq check: " + flag)
         assert err.count("\n") == 1
+
+
+def test_check_refuses_orders_that_leave_a_check_no_index(capsys,
+                                                          monkeypatch):
+    from pdotq import verify
+
+    def forbidden(requests):
+        raise AssertionError("planned before the orders were checked")
+
+    # each of these once printed PASS lines over no coefficient at all
+    monkeypatch.setattr(verify, "plan_master_series", forbidden)
+    for argv, message in (
+            (("powers-of-two", "--kmax", "14"),
+             "order 20000 leaves pdo_t(49152n+36864) no index to check"),
+            (("powers-of-two", "--order", "1"),
+             "order 1 leaves pdo_t(6n+3) no index to check"),
+            (("powers-of-two", "--kmax", "1000", "--order", "2"),
+             "order 2 leaves pdo_t(6n+3) no index to check"),
+            (("dissection", "--bound", "0"),
+             "orders must be >= 1, got 500 and 0")):
+        code, out, err = run(capsys, "check", "--suite", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"pdotq check: {message}\n", err
+    with pytest.raises(ValueError, match="^orders must be >= 1"):
+        verify.dissection_suite(order=0)
 
 
 def test_check_all_aggregates(capsys, monkeypatch):

@@ -67,6 +67,10 @@ KNOWN = [
     # inside every expansion budget, but a report of 330 MB of names
     ["check", "--suite", "powers-of-two", "--kmax", "14000", "--order",
      "2"],
+    # an order that leaves a check no index: once PASS over nothing
+    ["check", "--suite", "powers-of-two", "--kmax", "14"],
+    ["check", "--suite", "powers-of-two", "--order", "1"],
+    ["check", "--suite", "dissection", "--bound", "0"],
     # a budget that factored a prime modulus near 10^18 by trial division
     # before the leading power, or the nonnegativity, was checked
     ["expand", "--eta", "1;1;1:1000000000000000001", "--order", "3",

@@ -284,15 +284,16 @@ def _multiply_cases(rng):
     def dense(n, modulus):
         return [rng.randrange(modulus) for _ in range(n)]
 
-    # random orders just above the schoolbook crossover
+    # random orders from 130 to 350
     for _ in range(60):
         modulus = rng.choice([2, 3, 8, 9, 32, 243, 256, 729, 1000])
         order = rng.randrange(130, 350)
         yield dense(order, modulus), dense(order, modulus), order, modulus
     for i, modulus in enumerate(moduli):
-        # both sides of the schoolbook crossover, and near order 2048,
-        # equal lengths
-        for order in (127, 128, 2047 + i % 3):
+        # both sides of order 17, where dense operands leave schoolbook,
+        # orders below 128 that once went to schoolbook whatever their
+        # density, and near order 2048, equal lengths
+        for order in (16, 17, 64, 96, 127, 128, 2047 + i % 3):
             yield dense(order, modulus), dense(order, modulus), order, modulus
         # unequal lengths, truncated below la + lb - 1 and padded above it
         yield dense(2100, modulus), dense(300, modulus), 2200, modulus
@@ -353,8 +354,10 @@ def _exact_multiply_cases(rng):
         return [rng.randrange(-mag, mag + 1) for _ in range(n)]
 
     for mag in (1, 10, 10 ** 30, 10 ** 300):
-        # both sides of the schoolbook crossover, random signs
-        for order in (127, 128, 129, 300):
+        # both sides of order 17, where dense operands leave schoolbook,
+        # and orders below 128 that once went to schoolbook whatever their
+        # density, random signs
+        for order in (16, 17, 64, 96, 127, 128, 129, 300):
             yield signed(order, mag), signed(order, mag), order
             # one list on both sides: a square, encoded once
             square = signed(order, mag)
@@ -416,17 +419,17 @@ def test_exact_coefficients_past_int_str_limit():
 
 def _windowed_cases(rng):
     """(a, b, order, modulus) for windowed products: dense and unequal
-    operands in residue rings and over Z, on both sides of the schoolbook
-    crossover, and fields too wide for int <-> str.  Products longer than
-    the order, whose fields from the order up are cut off before decode,
-    with fields of more than 28 digits, which a Decimal call on the
-    thread's default context would round; and products of several decode
-    slices."""
+    operands in residue rings and over Z, on both sides of order 17, where
+    dense operands leave schoolbook, and fields too wide for int <-> str.
+    Products longer than the order, whose fields from the order up are cut
+    off before decode, with fields of more than 28 digits, which a Decimal
+    call on the thread's default context would round; and products of
+    several decode slices."""
     from pdotq.series import _DECODE_FIELDS
 
     for modulus in (None, 2, 243, 186624):
         wide = 2 ** 60 if modulus is None else modulus
-        for order in (1, 2, 127, 128, 129, 700):
+        for order in (1, 2, 16, 17, 127, 128, 129, 700):
             a = [rng.randrange(wide) for _ in range(order)]
             b = [rng.randrange(wide) for _ in range(order)]
             if modulus is None:
@@ -760,7 +763,8 @@ def test_eta_product_without_negative_exponents_never_inverts(monkeypatch):
     expected = euler_factor(6, 4, 5000, 243)
     phi3 = euler_factor(3, 2, 5000, 243) * euler_factor(6, -1, 5000, 243)
     psi9 = euler_factor(18, 2, 5000) * euler_factor(9, -1, 5000)
-    monkeypatch.setattr(series, "_invert_list", forbidden)
+    for name in ("_divide_newton", "_divide_sparse"):
+        monkeypatch.setattr(series, name, forbidden)
     assert series.eta_product({6: 4}, 5000, 243) == expected
     # f3^2/f6 and f18^2/f9 are the theta series phi(-q^3) and psi(q^9),
     # built without a division
@@ -812,6 +816,15 @@ def test_sparse_products_dispatch_to_schoolbook_and_agree(monkeypatch):
                 assert calls == [order]
                 assert len(got) == order
                 assert got == series._mul_decimal(a, b, order, modulus)
+    # below order 17 no product has more than 16 nonzero pairs per product
+    # coefficient, so all go to schoolbook; a dense one at 17 has 289
+    for modulus in (None, 32):
+        for order in range(1, 18):
+            dense = [1 + i % 7 for i in range(order)]
+            calls.clear()
+            got = series._mul_lists(dense, dense, order, modulus)
+            assert calls == ([order] if order <= 16 else []), order
+            assert got == schoolbook(dense, dense, order, modulus)
 
 
 def test_newton_round_trip_at_orders_off_powers_of_two():
@@ -842,10 +855,11 @@ def _divisor_limit(order, modulus):
 
 
 def _newton_quotient(num, den, order, modulus):
-    """num/den as Newton inversion and one product, the dense path."""
-    from pdotq.series import _invert_list, _mul_lists
+    """num/den as the full Newton inverse and one product."""
+    from pdotq.series import _divide_newton, _mul_lists
 
-    return _mul_lists(num, _invert_list(den, order, modulus), order, modulus)
+    return _mul_lists(num, _divide_newton(None, den, order, modulus), order,
+                      modulus)
 
 
 def _random_unit(rng, modulus):
@@ -1019,7 +1033,7 @@ def test_division_dispatches_on_the_nonzero_count_of_the_divisor(monkeypatch):
             return original(*args)
         return counted
 
-    for name in ("_divide_sparse", "_invert_list"):
+    for name in ("_divide_sparse", "_divide_newton"):
         monkeypatch.setattr(series, name, spy(name))
     # phi(-q) has 60 nonzero terms below 3535: one recurrence pass over Z;
     # f1^2 has 139 below 250, under 10 isqrt(250) = 150, but 482 below
@@ -1028,14 +1042,16 @@ def test_division_dispatches_on_the_nonzero_count_of_the_divisor(monkeypatch):
         calls.clear()
         series.eta_product(exponents, order)
         assert calls == ["_divide_sparse"], (exponents, order)
-    # f1^2 at 1000, f1^24 and phi(-q)^2 are dense: Newton inversion, never
-    # the recurrence
+    # f1^2 at 1000, f1^24 and phi(-q)^2 are dense: Newton division, which
+    # calls itself once per halving of the order down to 1 for the half
+    # inverse, and never the recurrence
     for exponents, order, modulus in (({1: -2}, 1000, None),
                                       ({1: -24}, 5000, None),
                                       (PDO_T_3N_EXPONENTS, 38340, 186624)):
         calls.clear()
         series.eta_product(exponents, order, modulus)
-        assert calls == ["_invert_list"], (exponents, order, modulus)
+        assert calls == ["_divide_newton"] * (
+            (order - 1).bit_length() + 1), (exponents, order, modulus)
 
 
 def _dense_divisor(rng, order, modulus):
@@ -1070,6 +1086,10 @@ def test_karp_markstein_division_matches_the_recurrence_and_newton():
             # below order 4 every divisor is sparse enough for the
             # recurrence, so the Karp-Markstein step is called directly
             divide = _divide_list if order > 3 else _divide_newton
+            # num None divides one: the half inverse's Newton step, with
+            # y = x, against the same division by the numerator 1
+            assert list(_divide_newton(None, den, order, modulus)) == (
+                _divide_newton((1,), den, order, modulus)), (order, modulus)
             for num in ((1,), short, dense):
                 padded = list(num) + [0] * (order - len(num))
                 expected = _divide_sparse(num, den, order, modulus)
@@ -1115,7 +1135,7 @@ def test_karp_markstein_division_never_forms_a_full_length_product(
             # a x from field `half` = len(x) = ceil(prec/2) up, and appends
             # prec - half new coefficients of x times the error
             calls.clear()
-            inverse = series._invert_list(den, order, modulus)
+            inverse = series._divide_newton(None, den, order, modulus)
             assert len(calls) == 2 * (order - 1).bit_length(), (
                 order, modulus)
             for (half, prec, lo), (_, tail, lo2) in zip(calls[::2],
