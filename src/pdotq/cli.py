@@ -34,7 +34,7 @@ from .radu import (
 from .series import binomial_reduce, eta_product, too_wide
 from .verify import (
     SUITES, master_plans, plan_master_series, shifted_progression,
-    suite_reads,
+    shifted_reads, suite_reads,
 )
 
 
@@ -138,19 +138,10 @@ def _over_budget(count, modulus, exponents=None, weight=1):
     A power f^r is about bitlen(r) multiplies at the full order, so the
     largest |r| that `binomial_reduce` leaves of `exponents` charges
     `weight` once more for every _BUDGET_EXPONENT_BITS of its length."""
-    refused = _past_budget(count, modulus, exponents, weight)
-    if refused is None and exponents:
-        # charged only once the count is inside, so that a refusal the
-        # count alone makes keeps its message
+    if exponents:
         largest = max(map(abs, binomial_reduce(exponents, modulus).values()),
                       default=0)
-        shares = -(-largest.bit_length() // _BUDGET_EXPONENT_BITS)
-        if shares > 1:
-            refused = _past_budget(count, modulus, exponents, weight * shares)
-    return refused
-
-
-def _past_budget(count, modulus, exponents, weight):
+        weight *= max(1, -(-largest.bit_length() // _BUDGET_EXPONENT_BITS))
     budget = (_MAX_EXACT_COEFFICIENTS if modulus is None
               else _MAX_COEFFICIENTS) // weight
 
@@ -158,14 +149,14 @@ def _past_budget(count, modulus, exponents, weight):
         return (count <= budget and count * digits <= _MAX_DIGITS // weight
                 and not too_wide(digits))
 
+    # a modulus of b bits has at most the digits of 2^b (one more is a
+    # margin for rounding), which settles a fit without writing M out, as
+    # a plan walk would thousands of times; a refusal counts them
     if modulus is None:
         digits = _exact_digits(min(count, budget), exponents or {})
+    elif fits(floor(modulus.bit_length() * log10(2)) + 2):
+        return None
     else:
-        # a modulus of b bits has at most the digits of 2^b (one more is a
-        # margin for rounding), which settles a fit without writing M out,
-        # as a plan walk would thousands of times; a refusal counts them
-        if fits(floor(modulus.bit_length() * log10(2)) + 2):
-            return None
         digits = Decimal(modulus).adjusted() + 1
     if fits(digits):
         return None
@@ -266,18 +257,29 @@ def _cmd_radu(args) -> int:
         aux = AuxExponents(args.level, rprime)
         _refuse_outside("--min-depth", args.min_depth, 0)
         _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
-        # the orbit runs over the 24 m residues mod 24 m, the cusp bounds
-        # over m, and radu_verify reads c_r to m depth + max(orbit) + 1,
-        # so each is refused past the budget before it is begun
+        # the orbit runs over the 24 m residues mod 24 m and the cusp
+        # bounds over m, so a step past the budget is refused before either
         _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)
         # the PDO_t map is read from the master series, as the
         # certificate table reads it; any other from a fresh c_r expansion
         source = (shifted_progression(inst.m, args.u)
                   if inst.r == PDO_T_EXPONENTS else None)
-        cert = radu_verify(
-            inst, aux, args.u, min_depth=args.min_depth, progression=source,
-            cost_guard=lambda depth, order: _refuse_over_budget(
-                f"depth {_written(depth)}", order, args.u))
+
+        def charge(depth, orbit):
+            # the scan's expansion, whatever the cache holds: c_r to
+            # m depth + max(orbit) + 1, or for the PDO_t map each series
+            # of the plan of its master-series reads
+            if source is None:
+                sizes = [(inst.m * depth + orbit[-1] + 1, args.u)]
+            else:
+                *_, plan = master_plans(
+                    shifted_reads(inst.m, orbit, depth + 1, args.u))
+                sizes = plan.values()
+            for size in sizes:
+                _refuse_over_budget(f"depth {_written(depth)}", *size)
+
+        cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth,
+                           progression=source, cost_guard=charge)
     except CriterionNotApplicable as exc:
         print(f"pdotq radu: criterion not applicable: {exc}",
               file=sys.stderr)

@@ -26,9 +26,10 @@ c(m n + t') = pdo_t(m n + t' + 1), from the 3n series when 3 divides m
 and t' + 1.  Its sum d r_d is 24, so each orbit residue is t' = s (t + 1)
 - 1 mod m with s == 1 mod 24: with 3 | m one source serves the orbit.
 Every other map is expanded afresh.  Either way the head c(m n + t0),
-n <= 2, is read first.  Failed preconditions raise, because the
-criterion does not apply; a failed coefficient check returns a
-verdict-false certificate, because the congruence itself is false.
+n <= 2, is read first, and only a clean head has the whole orbit read,
+in one request.  Failed preconditions raise, because the criterion does
+not apply; a failed coefficient check returns a verdict-false
+certificate, because the congruence itself is false.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .modforms import sl2_index
 from .series import TruncSeries, divisors, eta_product, prime_factors
@@ -323,16 +324,13 @@ def c_r_series(inst: RaduInstance, order: int, modulus=None) -> TruncSeries:
     return eta_product(inst.r, order, modulus)
 
 
-def _fresh_progression(inst: RaduInstance, u: int, head: int, order: int):
-    """c(m n + t') mod u read from expansions of c_r: the first to `head`
-    coefficients, and any that follows to the full `order`."""
-    series = TruncSeries.zero(0, u)
-
-    def progression(offset, count):
-        nonlocal series
-        if series.order < offset + inst.m * (count - 1) + 1:
-            series = c_r_series(inst, order if series.order else head, u)
-        return series.coeffs[offset:offset + inst.m * count:inst.m]
+def _fresh_progression(inst: RaduInstance, u: int):
+    """c(m n + t') mod u for each t' asked, n < count, read from one
+    expansion of c_r to the furthest index asked."""
+    def progression(offsets, count):
+        order = inst.m * (count - 1) + max(offsets) + 1
+        coeffs = c_r_series(inst, order, u).coeffs
+        return [coeffs[t:t + inst.m * count:inst.m] for t in offsets]
     return progression
 
 
@@ -341,26 +339,27 @@ def radu_verify(
     aux: AuxExponents,
     u: int,
     min_depth: int = 0,
-    progression: Callable[[int, int], Sequence[int]] | None = None,
-    cost_guard: Callable[[int, int], None] | None = None,
+    progression: Callable[[list[int], int], list] | None = None,
+    cost_guard: Callable[[int, list[int]], None] | None = None,
 ) -> Certificate:
-    """Run the full criterion for c(m n + t') == 0 (mod u) over the orbit
-    of t.  What does not read t is worked out once per cell (m, M, level,
-    r, r') and kept for the process (`_CELLS`); a call forms the orbit,
-    checks the fifth Delta* condition, takes min(orbit)/m off nu and scans
-    the coefficients.  Those come from `progression(t', count)`, which
-    returns c(m n + t') for n < count as integers whose residues mod u are
-    the true ones: for the PDO_t map the CLI and the certificate table
-    pass `verify.shifted_progression`, which reads the master series (the
-    3n series when 3 divides m and every t' + 1).  Without it they come
-    from a fresh expansion of c_r mod u, made first only to the head
-    2 m + t0 + 1 (t0 the first orbit residue) and again to the full order
-    only if the head is clean.  Whatever the source, the scan reads
-    c(m n + t0) for n <= min(2, depth) first: a nonzero there is the
-    scan's first failure, and the full progressions are read only when
-    there is none.  `min_depth` forces checking beyond floor(nu), which
-    can only strengthen the evidence.  `cost_guard(depth, order)`, called
-    before any check, may refuse a scan to order m depth + max(orbit) + 1.
+    """Run the full criterion for c(m n + t') == 0 (mod u) over the orbit of
+    t.  What does not read t is worked out once per cell (m, M, level, r, r')
+    and kept for the process (`_CELLS`); a call forms the orbit, checks the
+    fifth Delta* condition, takes min(orbit)/m off nu and scans the
+    coefficients.  Those come from `progression(offsets, count)`, which
+    returns, for each t' in `offsets` (orbit residues, ascending), c(m n + t')
+    for n < count as integers whose residues mod u are the true ones: for the
+    PDO_t map the CLI and the certificate table pass
+    `verify.shifted_progression`, which reads the master series (the 3n series
+    when 3 divides m and every t' + 1).  Without it they come from an
+    expansion of c_r mod u to the furthest index a request reads.  Whatever
+    the source, the scan reads the head c(m n + t0), n <= min(2, depth), first
+    (t0 the first orbit residue): a nonzero there is the scan's first failure.
+    Only when there is none does it ask for every orbit progression, in one
+    request, so each source is expanded at most once after the head.
+    `min_depth` forces checking beyond floor(nu), which can only strengthen
+    the evidence.  `cost_guard(depth, orbit)`, called before any check, may
+    refuse a scan of c(m n + t'), n <= depth, t' in the orbit.
 
     Raises a CriterionNotApplicable subclass when a precondition fails.
     Returns a Certificate whose verdict is False when a coefficient check
@@ -369,9 +368,8 @@ def radu_verify(
     orbit, nu = orbit_and_nu(inst, aux)
     floor_nu = floor(nu)
     depth = max(floor_nu, min_depth)
-    order = inst.m * depth + orbit[-1] + 1
     if cost_guard is not None:
-        cost_guard(depth, order)
+        cost_guard(depth, orbit)
     if aux.level != inst.level:
         raise ValueError(
             f"auxiliary exponents are for level {aux.level}, "
@@ -396,29 +394,23 @@ def radu_verify(
         raise NonnegativityFailure(*negative)
 
     if progression is None:
-        progression = _fresh_progression(
-            inst, u, min(order, 2 * inst.m + orbit[0] + 1), order)
-
-    def first_nonzero(t_prime, count):
-        # (n, residue) of the first c(m n + t') nonzero mod u, n < count
-        values = progression(t_prime, count)
-        return next(((n, values[n] % u) for n in range(count)
-                     if values[n] % u), None)
-
-    # a nonzero in the head of the first progression is the scan's first
-    # failure, so it is settled before any full progression is read
-    hit = first_nonzero(orbit[0], min(2, depth) + 1)
-    checked = []
-    failure = None
-    for t_prime in orbit:
-        if hit is None:
-            hit = first_nonzero(t_prime, depth + 1)
+        progression = _fresh_progression(inst, u)
+    # the head is read alone; only a clean one has the rest of the orbit
+    # read, t0 too unless the head already holds all of its progression
+    head = min(2, depth) + 1
+    reads = progression(orbit[:1], head)
+    done = int(head > depth)
+    if orbit[done:] and not any(c % u for c in reads[0]):
+        reads = reads[:done] + progression(orbit[done:], depth + 1)
+    checked, failure = [], None
+    for t_prime, values in zip(orbit, reads, strict=True):
+        hit = next(((n, values[n] % u) for n in range(depth + 1)
+                    if values[n] % u), None)
         checked += [(t_prime, n) for n in range(hit[0] if hit else depth + 1)]
         if hit:
             failure = {"t": t_prime, "n": hit[0],
                        "index": inst.m * hit[0] + t_prime, "residue": hit[1]}
             break
-    verdict = failure is None
 
     return Certificate(
         m=inst.m,
@@ -434,6 +426,6 @@ def radu_verify(
         nu=nu,
         floor_nu=floor_nu,
         checked=checked,
-        verdict=verdict,
+        verdict=failure is None,
         failure=failure,
     )

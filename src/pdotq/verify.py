@@ -26,8 +26,9 @@ modulo the lcm of the moduli (over Z if a request is exact); `check
 the whole run makes one 3n expansion and at most one full one.  Radu
 certificates of the PDO_t map read the same cache through
 `shifted_progression`, in the certificate table and in a standalone
-`pdotq radu` alike; a standalone one plans nothing, so each read expands
-its source only when no cached series reaches far enough.
+`pdotq radu` alike.  A standalone one makes two requests, the head of
+its first progression and then every orbit progression together, so it
+expands each source at most once after the head.
 """
 
 from __future__ import annotations
@@ -696,19 +697,27 @@ def _certificate_instances():
 
 
 def _certificate_reads():
-    # c(m n + t') = pdo_t(m n + t' + 1) for t' in the orbit of t and
-    # n <= max(floor(nu), depth), the coefficients radu_verify checks
-    return [(inst.m, t_prime + 1, max(floor_nu, depth) + 1, u)
-            for inst, _, u, depth, orbit, floor_nu in _certificate_instances()
-            for t_prime in orbit]
+    return [read for inst, _, u, depth, orbit, floor_nu
+            in _certificate_instances()
+            for read in shifted_reads(inst.m, orbit,
+                                      max(floor_nu, depth) + 1, u)]
+
+
+def shifted_reads(m: int, offsets, count: int, u: int):
+    """The master-series reads behind c(m n + t') = pdo_t(m n + t' + 1)
+    mod u, n < count, for each t' in `offsets`: the coefficients of the
+    PDO_t map c_r = f2 f3^2 f12^2/(f1^2 f6) that radu_verify checks."""
+    return [(m, t + 1, count, u) for t in offsets]
 
 
 def shifted_progression(m: int, u: int):
-    """c(m n + t') = pdo_t(m n + t' + 1) mod u, the coefficients of the
-    PDO_t map c_r = f2 f3^2 f12^2/(f1^2 f6) that radu_verify reads, from
-    the master series: the 3n series when 3 divides m and t' + 1."""
-    def progression(offset, count):
-        return master_progression(m, offset + 1, count, u).coeffs
+    """radu_verify's progression source for the PDO_t map, read from the
+    master series (the 3n series when 3 divides m and every t' + 1).  Its
+    offsets ascend, so a request makes its `shifted_reads` furthest first:
+    the first read of each source expands it as far as the rest need."""
+    def progression(offsets, count):
+        reads = reversed(shifted_reads(m, offsets, count, u))
+        return [master_progression(*read).coeffs for read in reads][::-1]
     return progression
 
 
@@ -737,12 +746,6 @@ def certificate_table() -> Report:
 
 # ---------------------------------------------------------------------------
 # Sturm-bound closures at the two eta-quotient levels
-
-
-def eta_families(k: int):
-    """The level-18 and level-36 quotient pairs at parameter k: in each
-    pair the two forms share exponents and differ only in scalar."""
-    return family(18, k).quotients() + family(36, k).quotients()
 
 
 def _sturm_closures(k18: int, k36: int):

@@ -31,8 +31,8 @@ from pdotq.series import TruncSeries
 from pdotq.verify import (
     PDO_T_EXPONENTS,
     dissection_suite,
-    eta_families,
     f_product,
+    family,
     genfun_congruences,
     master_series,
     nonresidue_prime_family,
@@ -93,7 +93,8 @@ def test_criterion_2_certificate_table_reproduction():
     for inst, aux, u, depth in prepared:
         cert = radu_verify(
             inst, aux, u, min_depth=depth,
-            progression=lambda t, n, m=inst.m: shared[t:t + m * n:m])
+            progression=lambda offsets, n, m=inst.m: [
+                shared[t:t + m * n:m] for t in offsets])
         assert cert.verdict, (inst.m, inst.t, cert.failure)
         assert len(cert.checked) == depth + 1
     assert monotonic() - start < 300
@@ -164,9 +165,9 @@ def test_criterion_7_generating_function_constants():
 
 
 def test_criterion_8_modular_form_structure():
-    assert weight(eta_families(2)[0]) == 82
+    assert weight(family(18, 2).quotients()[0]) == 82
     for k in range(4):
-        for eq in eta_families(k):
+        for eq in family(18, k).quotients() + family(36, k).quotients():
             verdict = modularity_check(eq)
             assert verdict.ok, (k, eq, verdict)
             assert verdict.integral_weight

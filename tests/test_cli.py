@@ -230,10 +230,11 @@ def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
                     assert order * len(str(modulus)) < cli._MAX_DIGITS // 20
     big = "1:-20000000,2:10000000,3:20000000,6:-10000000,12:20000000"
     cases = (
-        # the certificate would read c_r through 48 * 3000000 + 23
+        # the certificate would read pdo_t(48 n + 24), n <= 3000000, from
+        # the 3n series, to (24 + 48 * 3000000) / 3
         (("radu", "--m", "48", "--t", "23", "--u", "32", "--rprime", "1:40",
           "--min-depth", "3000000"),
-         "depth 3000000: 144000024 coefficients mod 32"),
+         "depth 3000000: 48000009 coefficients mod 32"),
         # the instance is admissible, but its step alone is past the
         # budget, and the orbit and cusp bounds loop over it
         (("radu", "--m", "4194304", "--t", "4194303", "--u", "2",
@@ -377,6 +378,14 @@ def test_large_exponents_charge_the_coefficient_budget(capsys, monkeypatch):
     assert cli._over_budget(45000, None, exponents={1: 33}) == (
         "45000 coefficients of 118 digits over Z is over the budget of "
         "5000000 digits")
+    # the shares divide the budget before any of it is checked, so a
+    # refusal names the budget that applies: 35 bits are 7 shares
+    assert cli._over_budget(100001, None, exponents={1: 33}) == (
+        "100001 coefficients over Z is over the budget of 50000")
+    assert cli._over_budget(
+        2000, None, exponents={1: -24000000000, 2: 12000000024}) == (
+        "2000 coefficients of 15380 digits over Z is over the budget of "
+        "1428571 digits")
 
     def forbidden(*args):
         raise AssertionError("the budget is checked before any expansion")
@@ -551,6 +560,46 @@ def test_radu_reads_pdo_t_from_the_3n_series_and_stops_at_the_head(
             assert step == source_step
             assert step * (series.order - 1) <= 2 * m + t + 1
     verify.clear_master_cache()
+
+
+def test_radu_is_charged_the_plan_it_expands(capsys, monkeypatch):
+    from pdotq import cli, radu, verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the budget is checked before any expansion")
+
+    argv = ("radu", "--m", "150", "--t", "104", "--u", "64", "--level", "60",
+            "--rprime", "1:125")
+    # floor(nu) = 756 and orbit [44, 104]: the scan reads the 3n series
+    # to pdo_t(150 * 756 + 105), 37836 coefficients mod 64
+    order = 37836
+    verify.clear_master_cache()
+    monkeypatch.setattr(cli, "_MAX_COEFFICIENTS", order)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "verdict: PASS" in out
+    monkeypatch.setattr(cli, "_MAX_COEFFICIENTS", order - 1)
+    monkeypatch.setattr(radu, "c_r_series", forbidden)
+    monkeypatch.setattr(verify, "pdo_t_series", forbidden)
+    # refused alike with that series cached and from a cold cache
+    for cached in (True, False):
+        assert bool(verify._MASTER_CACHE) is cached
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"pdotq radu: depth 756: {order} coefficients mod 64 "
+                       f"is over the budget of {order - 1}\n")
+        verify.clear_master_cache()
+
+
+def test_radu_reads_the_3n_series_past_the_full_series_budget(capsys):
+    from pdotq.verify import clear_master_cache
+
+    # the full c_r series would be 450 * 2246 + 314 + 1 = 1011015
+    # coefficients, past the budget; the 3n series is 337006
+    clear_master_cache()
+    code, out, _ = run(capsys, "radu", "--m", "450", "--t", "314", "--u",
+                       "8", "--level", "60", "--rprime", "1:375")
+    assert code == 0 and "verdict: PASS" in out
+    clear_master_cache()
 
 
 def test_radu_json(capsys):

@@ -306,7 +306,7 @@ def test_radu_verify_argument_errors():
 def sliced(series, m):
     """The progression c(m n + t') read from a c_r series."""
     coeffs = series.coeffs
-    return lambda t, n: coeffs[t:t + m * n:m]
+    return lambda offsets, n: [coeffs[t:t + m * n:m] for t in offsets]
 
 
 def test_series_reuse_matches_fresh_computation():
@@ -316,6 +316,21 @@ def test_series_reuse_matches_fresh_computation():
     shared = c_r_series(inst, 64, 8)
     reused = radu_verify(inst, aux, u=4, progression=sliced(shared, 6))
     assert fresh == reused
+
+
+def test_a_short_progression_is_never_read_as_clean():
+    # floor(nu) = 6 asks for c(6 n + 2), n <= 6, to index 38; a series
+    # to order 30 holds only n <= 4, all 0 mod 4
+    short = sliced(eta_product(PDO_T_R, 30, 4), 6)
+    with pytest.raises(IndexError):
+        radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), u=4,
+                    progression=short)
+    # nor is a source that leaves out an orbit residue
+    inst, aux = PAST_HEAD
+    zero = sliced(TruncSeries([0] * 214, 2), 5)
+    with pytest.raises(ValueError):
+        radu_verify(inst, aux, 2,
+                    progression=lambda offsets, n: zero(offsets[:1], n))
 
 
 def test_min_depth_extends_checking():

@@ -14,8 +14,8 @@ from pdotq.verify import (
     coexistence,
     dissection_suite,
     divisibility_suite,
-    eta_families,
     f_product,
+    family,
     genfun_congruences,
     intermediate_steps,
     master_series,
@@ -197,15 +197,33 @@ def test_certificates_from_progressions_equal_the_plain_ones():
     for inst, aux, u, depth in rows:
         from_series = radu_verify(
             inst, aux, u, min_depth=depth,
-            progression=lambda t, n, m=inst.m: plain[t:t + m * n:m])
+            progression=lambda offsets, n, m=inst.m: [
+                plain[t:t + m * n:m] for t in offsets])
         read = shifted_progression(inst.m, u)
-        assert read(inst.t, 3) == master_progression(
-            inst.m, inst.t + 1, 3, u).coeffs
+        assert read([inst.t], 3) == [master_progression(
+            inst.m, inst.t + 1, 3, u).coeffs]
         from_reads = radu_verify(inst, aux, u, progression=read,
                                  min_depth=depth)
         assert from_reads.to_dict() == from_series.to_dict()
         assert from_reads.verdict
     clear_master_cache()
+
+
+def test_a_standalone_scan_expands_its_3n_source_once_after_the_head(
+        expansions):
+    from pdotq.verify import PDO_T_EXPONENTS, shifted_progression
+
+    inst = RaduInstance(m=150, M=12, level=60, r=dict(PDO_T_EXPONENTS),
+                        t=104)
+    aux = AuxExponents(60, {1: 125})
+    cert = radu_verify(inst, aux, 64,
+                       progression=shifted_progression(inst.m, 64))
+    assert cert.verdict and cert.p_set == [44, 104]
+    assert cert.floor_nu == 756
+    # the head pdo_t(150 n + 45), n <= 2, then both orbit progressions in
+    # one read of the 3n series, to pdo_t(150 * 756 + 105)
+    assert expansions == [(116, 64, 3), (37836, 64, 3)]
+    assert cert == radu_verify(inst, aux, 64, progression=None)
 
 
 def test_check_all_makes_one_3n_expansion_and_one_full_one(
@@ -473,6 +491,12 @@ def test_prime_family_plan_reads_only_the_furthest_progressions():
                  for k in range(1, p)]
         assert master_plan(_prime_family_reads(p, n_max, ell_max)) == (
             master_plan(every))
+
+
+def eta_families(k):
+    """The level-18 and level-36 quotient pairs at parameter k: in each
+    pair the two forms share exponents and differ only in scalar."""
+    return family(18, k).quotients() + family(36, k).quotients()
 
 
 def test_eta_families_shapes():
