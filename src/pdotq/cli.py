@@ -257,6 +257,8 @@ def _cmd_radu(args) -> int:
         aux = AuxExponents(args.level, rprime)
         _refuse_outside("--min-depth", args.min_depth, 0)
         _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
+        # a modulus below 2 is no ring to charge
+        _refuse_outside("modulus u", args.u, 2)
         # the orbit runs over the 24 m residues mod 24 m and the cusp
         # bounds over m, so a step past the budget is refused before either
         _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)

@@ -18,61 +18,56 @@ every cusp d | N,
 
 is nonnegative.  Sturm's bound then turns a congruence between two such
 forms into a finite coefficient check.
+
+Quotients, verdicts and comparison results are named tuples; a quotient
+checks its divisors and drops zero exponents as it is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import floor, gcd
-from typing import NamedTuple
 
 from .series import TruncSeries, divisors, eta_product, prime_factors
 
 
-@dataclass
-class EtaQuotient:
-    """prod_{delta | level} eta(delta z)^(exponents[delta]), times scalar."""
+class EtaQuotient(namedtuple("EtaQuotient", "level exponents scalar")):
+    """prod_{delta | level} eta(delta z)^(exponents[delta]), times scalar:
+    a level, a {delta: r_delta} map and an integer."""
 
-    level: int
-    exponents: dict[int, int]
-    scalar: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        for delta in self.exponents:
-            if delta < 1 or self.level % delta != 0:
+    def __new__(cls, level: int, exponents: dict[int, int], scalar: int = 1):
+        if level < 1:
+            raise ValueError(f"level must be >= 1, got {level}")
+        for delta in exponents:
+            if delta < 1 or level % delta != 0:
                 raise ValueError(
-                    f"divisor {delta} does not divide level {self.level}"
-                )
+                    f"divisor {delta} does not divide level {level}")
         # drop zero exponents so the map is canonical
-        self.exponents = {
-            d: r for d, r in sorted(self.exponents.items()) if r != 0
-        }
+        exponents = {d: r for d, r in sorted(exponents.items()) if r != 0}
+        return super().__new__(cls, level, exponents, scalar)
 
 
-@dataclass
-class ModularityVerdict:
+class ModularityVerdict(namedtuple("ModularityVerdict", [
+        "weight", "integral_weight",
+        "delta_sum_ok",  # sum delta * r_delta == 0 (mod 24)
+        "conjugate_sum_ok",  # sum (N/delta) * r_delta == 0 (mod 24)
+        "character",  # {prime: exponent in s}
+        "cusp_orders",  # {d: order at the cusp of d}, Fractions
+        "holomorphic", "ok"])):
     """Outcome of the eta-quotient holomorphy test, condition by condition."""
 
-    weight: Fraction
-    integral_weight: bool
-    delta_sum_ok: bool            # sum delta * r_delta == 0 (mod 24)
-    conjugate_sum_ok: bool        # sum (N/delta) * r_delta == 0 (mod 24)
-    character: dict[int, int] = field(default_factory=dict)  # prime -> exponent in s
-    cusp_orders: dict[int, Fraction] = field(default_factory=dict)
-    holomorphic: bool = False
-    ok: bool = False
+    __slots__ = ()
 
 
-class CongruenceCheck(NamedTuple):
-    """Coefficient-wise congruence comparison result."""
+class CongruenceCheck(namedtuple("CongruenceCheck",
+                                  "ok first_diff lhs_residue rhs_residue")):
+    """Coefficient-wise congruence comparison result; the index and the two
+    residues where the series first differ, or three Nones."""
 
-    ok: bool
-    first_diff: int | None
-    lhs_residue: int | None
-    rhs_residue: int | None
+    __slots__ = ()
 
 
 def weight(eq: EtaQuotient) -> Fraction:
@@ -159,23 +154,11 @@ def modularity_check(eq: EtaQuotient) -> ModularityVerdict:
     delta_sum = sum(d * r for d, r in eq.exponents.items())
     conj_sum = sum((eq.level // d) * r for d, r in eq.exponents.items())
     orders = {d: cusp_order(eq, d) for d in divisors(eq.level)}
+    conditions = (w.denominator == 1, delta_sum % 24 == 0,
+                  conj_sum % 24 == 0)
     holo = all(v >= 0 for v in orders.values())
-    verdict = ModularityVerdict(
-        weight=w,
-        integral_weight=(w.denominator == 1),
-        delta_sum_ok=(delta_sum % 24 == 0),
-        conjugate_sum_ok=(conj_sum % 24 == 0),
-        character=_character_exponents(eq),
-        cusp_orders=orders,
-        holomorphic=holo,
-    )
-    verdict.ok = (
-        verdict.integral_weight
-        and verdict.delta_sum_ok
-        and verdict.conjugate_sum_ok
-        and holo
-    )
-    return verdict
+    return ModularityVerdict(w, *conditions, _character_exponents(eq),
+                             orders, holo, all(conditions) and holo)
 
 
 def q_expansion(eq: EtaQuotient, order: int, modulus=None) -> TruncSeries:

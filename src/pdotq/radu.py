@@ -14,8 +14,11 @@ auxiliary exponents r' over the divisors of N:
   4. an exact rational bound nu: if c(m n + t') == 0 (mod u) for every
      t' in P(t) and all n <= floor(nu), the congruence holds for all n.
 
-radu_verify runs the pipeline and returns a Certificate recording every
-quantity exactly (rationals serialize as "num/den" strings).  What does
+radu_verify runs the pipeline and returns a Certificate, a named tuple
+recording every quantity exactly; its JSON writes the fields in order, and
+rationals as "num/den" strings.  Instances, auxiliary exponents and
+certificates are named tuples, checked and normalised as they are made,
+and never change after that.  What does
 not read t (five Delta* conditions, the nonnegativity table, nu but its
 -min(P(t))/m term) is kept per cell (m, M, N, r, r') for the life of the
 process, as verify's master series are; a call forms the orbit, checks
@@ -35,11 +38,11 @@ certificate, because the congruence itself is false.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, lcm
-from typing import Callable, Optional
 
 from .modforms import sl2_index
 from .series import TruncSeries, divisors, eta_product, prime_factors
@@ -80,27 +83,23 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass
-class RaduInstance:
+class RaduInstance(namedtuple("RaduInstance", "m M level r t")):
     """One congruence family to verify: the coefficients of
     prod_{delta | M} f_delta^(r[delta]) along the progression m n + t,
     worked on Gamma_0(level)."""
 
-    m: int
-    M: int
-    level: int
-    r: dict[int, int]
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.M < 1 or self.level < 1:
+    def __new__(cls, m: int, M: int, level: int, r: dict[int, int], t: int):
+        if m < 1 or M < 1 or level < 1:
             raise ValueError("m, M and level must all be >= 1")
-        if not 0 <= self.t < self.m:
-            raise ValueError(f"residue t={self.t} out of range for m={self.m}")
-        for delta in self.r:
-            if delta < 1 or self.M % delta != 0:
-                raise ValueError(f"divisor {delta} does not divide M={self.M}")
-        self.r = {d: v for d, v in sorted(self.r.items()) if v != 0}
+        if not 0 <= t < m:
+            raise ValueError(f"residue t={t} out of range for m={m}")
+        for delta in r:
+            if delta < 1 or M % delta != 0:
+                raise ValueError(f"divisor {delta} does not divide M={M}")
+        r = {d: v for d, v in sorted(r.items()) if v != 0}
+        return super().__new__(cls, m, M, level, r, t)
 
     @property
     def kappa(self) -> int:
@@ -126,41 +125,32 @@ class RaduInstance:
         return s, j
 
 
-@dataclass
-class AuxExponents:
+class AuxExponents(namedtuple("AuxExponents", "level r")):
     """Auxiliary eta-product exponents r' over the divisors of the level."""
 
-    level: int
-    r: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for delta in self.r:
-            if delta < 1 or self.level % delta != 0:
+    def __new__(cls, level: int, r: dict[int, int]):
+        for delta in r:
+            if delta < 1 or level % delta != 0:
                 raise ValueError(
-                    f"divisor {delta} does not divide level {self.level}"
-                )
-        self.r = {d: v for d, v in sorted(self.r.items()) if v != 0}
+                    f"divisor {delta} does not divide level {level}")
+        r = {d: v for d, v in sorted(r.items()) if v != 0}
+        return super().__new__(cls, level, r)
 
 
-@dataclass
-class Certificate:
-    """Everything radu_verify computed, exact and JSON-serializable."""
+class Certificate(namedtuple("Certificate", [
+        "m", "M", "level", "r", "t", "rprime", "u",
+        "delta_star",  # {condition name: bool}
+        "p_set",  # the orbit, ascending
+        "nonneg",  # the nonnegativity rows, one dict per delta
+        "nu", "floor_nu",  # a Fraction and its floor
+        "checked",  # the (t', n) pairs checked, in order
+        "verdict", "failure"], defaults=(None,))):
+    """Everything radu_verify computed, exact and JSON-serializable;
+    `failure` is None or the first nonzero coefficient as a dict."""
 
-    m: int
-    M: int
-    level: int
-    r: dict[int, int]
-    t: int
-    rprime: dict[int, int]
-    u: int
-    delta_star: dict[str, bool]
-    p_set: list[int]
-    nonneg: list[dict]
-    nu: Fraction
-    floor_nu: int
-    checked: list[tuple[int, int]]
-    verdict: bool
-    failure: Optional[dict] = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -168,7 +158,7 @@ class Certificate:
     def to_json(self) -> str:
         # JSON writes the int keys of r and r' as strings and the tuples
         # of `checked` as lists; nu alone needs writing out
-        return json.dumps({**self.__dict__, "nu": _frac_str(self.nu)},
+        return json.dumps({**self._asdict(), "nu": _frac_str(self.nu)},
                           indent=2)
 
 
@@ -266,13 +256,13 @@ def p_star(aux: AuxExponents, delta: int) -> Fraction:
     return total / 24
 
 
-@dataclass
 class _Cell:
-    conditions: dict  # the Delta* conditions but the fifth
-    nu: Fraction  # nu but its -min(orbit)/m term
-    # (nonnegativity rows, the first negative (delta, bound) or None),
-    # once a certificate gets that far
-    nonneg: Optional[tuple] = None
+    def __init__(self, conditions: dict, nu: Fraction):
+        self.conditions = conditions  # the Delta* conditions but the fifth
+        self.nu = nu  # nu but its -min(orbit)/m term
+        # (nonnegativity rows, the first negative (delta, bound) or None),
+        # once a certificate gets that far
+        self.nonneg: tuple | None = None
 
 
 # (m, M, level, r, r') -> its _Cell, what the criterion computes there

@@ -2,7 +2,8 @@
 
 Every suite expands q-series with exact or residue-ring arithmetic,
 compares them coefficient by coefficient, and returns a Report listing
-each individual check with a pass/fail status and a short detail line.
+each individual check (a named tuple) with a pass/fail status and a short
+detail line.
 Reports carry no timestamps and serialize deterministically, so the same
 inputs always produce byte-identical output.
 
@@ -33,11 +34,9 @@ expands each source at most once after the head.
 
 from __future__ import annotations
 
-import inspect
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import floor, lcm
-from typing import NamedTuple
 
 from .modforms import (
     EtaQuotient,
@@ -56,22 +55,25 @@ from .series import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name status detail",
+                             defaults=("",))):
+    """One check of a report: its name, "pass" or "fail", and a detail."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    """A suite's name, its parameters and the checks it made, in order."""
+
+    def __init__(self, suite: str, params: dict,
+                 checks: list[CheckResult] | None = None):
+        self.suite = suite
+        self.params = params
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -527,21 +529,14 @@ def intermediate_steps(bound: int = 200) -> Report:
 # the two 3-adic families: closed forms, divisibility, coexistence
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "level k step modulus exponents scalar "
+                                  "two three product product_text")):
     """pdo_t(step n) == 2^two 3^three q prod f_d^(product[d]) mod
     `modulus`, closed at `level` by U(3)^k of the eta quotient with these
-    `exponents`, from the dissection-side `scalar` to the companion's."""
+    `exponents`, from the dissection-side `scalar` to the companion's;
+    `product_text` writes the product out."""
 
-    level: int
-    k: int
-    step: int
-    modulus: int
-    exponents: dict
-    scalar: int
-    two: int
-    three: int
-    product: dict
-    product_text: str
+    __slots__ = ()
 
     @property
     def companion_scalar(self) -> int:
@@ -831,6 +826,9 @@ def suite_reads(name: str, **params):
     parameters range over k are made one at a time, as they are read."""
     if name not in _READS:
         return []
-    signature = inspect.signature(SUITES[name]).parameters.values()
-    return _READS[name](**{p.name: params.get(p.name, p.default)
-                           for p in signature})
+    suite = SUITES[name]
+    while hasattr(suite, "__wrapped__"):  # as inspect.signature unwraps
+        suite = suite.__wrapped__
+    names = suite.__code__.co_varnames[:suite.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(suite.__defaults__ or ())))
+    return _READS[name](**{p: params.get(p, defaults.get(p)) for p in names})

@@ -472,9 +472,15 @@ def test_radu_pass_fail_and_errors(capsys):
                        "--rprime", "oops", "--u", "4")
     assert code == 2 and "exponent" in err
 
-    code, _, err = run(capsys, "radu", "--m", "6", "--t", "2",
-                       "--rprime", "1:5", "--u", "1")
-    assert code == 2 and "u must be" in err
+    # a modulus below 2 is refused as such, also at a depth where the
+    # scan would be over the coefficient budget
+    for u in (0, 1, -4):
+        for depth in (0, 1_000_000):
+            got = run(capsys, "radu", "--m", "6", "--t", "2", "--u", str(u),
+                      "--rprime", "1:5", "--min-depth", str(depth))
+            assert got == (2, "", f"pdotq radu: modulus u must be >= 2, "
+                                  f"got {u}\n"), (u, depth)
+
 
     code, out, err = run(capsys, "radu", "--m", "6", "--t", "2",
                          "--rprime", "1:5", "--u", "4", "--min-depth", "-3")
@@ -611,6 +617,66 @@ def test_radu_json(capsys):
     assert data["nu"] == "151/24"
     assert data["p_set"] == [2]
     assert data["r"] == {"1": -2, "2": 1, "3": 2, "6": -1, "12": 2}
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `radu --m m --t t
+# --u u --rprime 1:r'_1 --min-depth depth --json`, keyed by (m, t, u, r'_1,
+# depth) and recorded while Certificate was still a dataclass: the 18
+# table rows with m <= 96, a FAIL and an instance the criterion does not
+# apply to.  They pin the certificate's field order and value types
+RADU_JSON_DIGESTS = {
+    (6, 2, 4, 5, 6):
+        "89188fd3c2465e562c77c91f5b0287ccd87ef6ed6b4828c78745aff1a62a52e9",
+    (6, 5, 8, 5, 6):
+        "c42d58a9caee3256b42d20a8138efe3bff442758c6305b5a40d67a3768e92224",
+    (12, 2, 4, 10, 11):
+        "c3151547441c90ecfe371a9ca1affa95f6f1b05e1c07a87d1f7d278ca415cdd6",
+    (12, 5, 8, 10, 11):
+        "f37864b1f05bcc29d0db33cf86b264f801abefc1fa014fee2153eeff3db42da3",
+    (12, 8, 4, 10, 10):
+        "310d4f058f72e6c0eca768d1b6d026d5dc9369cf4324ce5ffb8f68cd61211c49",
+    (12, 11, 16, 10, 10):
+        "1db1bf224fd1f07d730649302fdb88800b6f97332f32782085601d6fb6b5b263",
+    (24, 5, 8, 20, 20):
+        "799abf2c58fee27d2ca38d27f325cfd3a6901540b5d6fa97de4044e9a9685429",
+    (24, 11, 16, 20, 20):
+        "6b477f63e5ff14cf486eb393d71b1249eaa4f7f212b58ef47e5a7aaca55e744c",
+    (24, 17, 8, 20, 20):
+        "8bca49bdd80f401f70df9d26e5cb2f315aa38ab4043d3982f4822775c87c84da",
+    (24, 23, 32, 20, 20):
+        "da6c8e98c934ec305495d9f2d85dda4680135c3f2a63c5b035337f13a3b6f065",
+    (48, 11, 16, 40, 40):
+        "fbf5ee8a284d76a68133f064a87b583540032fef08c0c9f4750879a93e4fc507",
+    (48, 23, 32, 40, 39):
+        "bb36e4283c4890edaccfd779a36df2b82bb6496ce13ae57fabf8c39f48187239",
+    (48, 35, 16, 40, 39):
+        "5a385346ae5996584be69269e97cb87fc58e52c20bf4857bf54305175fdb15d7",
+    (48, 47, 64, 40, 39):
+        "e45ae66ae9c06cc4a1b4b5e0a18751e0ec41e1002a5efcb0d10ed1f04282647a",
+    (96, 23, 32, 80, 78):
+        "258f1630fcbe426a627f354cd772e803e8fc2fa1ee5b935ea290c15e462d28b1",
+    (96, 47, 64, 80, 78):
+        "f2267cbdd4f2ed2cb765efa8ceb901122cf69b9ba55401b0e427511685e80c3c",
+    (96, 71, 32, 80, 77):
+        "1b3876861cb94063ff383681dfd9c4a025e81799e3aa90d9c9d0ac03fd310f2c",
+    (96, 95, 128, 80, 77):
+        "264d633591c312f0df25e420c2f5c1d719046e1e1f78d468632862fae9c7cfb1",
+    (6, 2, 8, 5, 0):
+        "134853597756e9688354a7a4d698d1cecf9ac1bb764e0b1ae9333a1b5ffe833b",
+    (24, 0, 8, 20, 0):
+        "eec91440361ee395d2e686fe910583d9247eb98f7481b4f129ff72f031d39d23",
+}
+
+
+def test_radu_json_bytes_are_pinned(capsys):
+    import hashlib
+
+    for (m, t, u, rp1, depth), digest in RADU_JSON_DIGESTS.items():
+        got = run(capsys, "radu", "--m", str(m), "--t", str(t), "--u",
+                  str(u), "--rprime", f"1:{rp1}", "--min-depth", str(depth),
+                  "--json")
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == (
+            digest), (m, t, u, rp1, depth, got)
 
 
 def test_sturm_command(capsys):
