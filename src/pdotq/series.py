@@ -7,6 +7,19 @@ The domain is either exact integers (modulus None) or the residue ring Z/MZ
 two series requires identical domains and truncates to the smaller order,
 since nothing past that point is determined by the operands.
 
+In Z/M with M < 2^63 every residue fits a signed 64-bit word, so the
+coefficients of a series, and every vector the arithmetic below builds,
+are one array('q'): 8 bytes a coefficient, where a list or tuple holds an
+8-byte pointer to an int of 28 bytes or more (`_in_words` is the rule,
+`_vector` makes them).  Over Z and for M >= 2^63, such as the wide fields
+of `expand --mod` past the int/str limit, a series keeps a tuple and is
+built in lists.  Reading an array boxes each item into an int, so passes
+over one are merged: a product's fields are reduced mod M, and in a Newton
+step subtracted from num, as they are decoded; schoolbook sums are reduced
+as they are stored; an array operand is encoded a slice at a time, so no
+full-length tuple of ints is built.  The array module is loaded with the
+first residue vector.
+
 Multiplication dispatches on the number of nonzero pairs.  Schoolbook
 convolution walks only the nonzero terms of both operands, so its cost is
 the count of nonzero pairs; it takes a product whose operands have at
@@ -123,7 +136,7 @@ from decimal import (
     Rounded,
 )
 from functools import cache
-from itertools import zip_longest
+from itertools import chain, islice, repeat
 from math import gcd, isqrt
 
 
@@ -135,6 +148,49 @@ class NotInvertibleError(ValueError):
     """Series inversion attempted when the constant term is not a unit."""
 
 
+# residues mod M < 2^63 fit a signed machine word
+_WORD_MODULI = 1 << 63
+# a vector of machine words is encoded, and filled from Python ints, this
+# many coefficients at a time, so that no full-length list or tuple of ints
+# is built
+_SLICE = 1024
+
+
+def _in_words(modulus):
+    """Whether vectors of residues mod `modulus` are kept as array('q'):
+    in Z/M with M < 2^63, never over Z (modulus None)."""
+    return modulus is not None and modulus < _WORD_MODULI
+
+
+# the array type, imported with the first residue vector, so that work over
+# Z never loads the module
+_array = None
+
+
+def _vector(modulus, values=()):
+    """A new coefficient vector holding `values`: an array('q') of machine
+    words where `_in_words`, a list of ints otherwise."""
+    global _array
+    if not _in_words(modulus):
+        return list(values)
+    if _array is None:
+        from array import array as _array
+    return _array("q", values)
+
+
+def _is_words(coeffs):
+    """Whether `coeffs` is a vector of machine words (an array('q'))."""
+    return hasattr(coeffs, "frombytes")
+
+
+def _kept(coeffs, modulus):
+    """`coeffs` as a series keeps them: an array('q') where `_in_words`
+    (one already built is kept as it is), a tuple otherwise."""
+    if not _in_words(modulus):
+        return tuple(coeffs)
+    return coeffs if _is_words(coeffs) else _vector(modulus, coeffs)
+
+
 def _nonzero_count(coeffs, order):
     """Nonzero entries among the first `order` coefficients, counted in C."""
     if len(coeffs) > order:
@@ -142,26 +198,113 @@ def _nonzero_count(coeffs, order):
     return len(coeffs) - coeffs.count(0)
 
 
+# maps every nonzero byte to 1, so the nonzero words of an array are found
+# by bytes.find
+_NONZERO_BYTES = bytes([0] + [1] * 255)
+
+
 def _nonzero_terms(coeffs, order):
-    return [(i, c) for i, c in enumerate(coeffs[:order]) if c]
+    """The (index, coefficient) pairs of the nonzero coefficients below
+    `order`.  An array of more than 256 words with nonzero bytes in at
+    most a quarter of them has them found by bytes.find, which skips the
+    zeros in C: the inflated theta series of the products before a
+    division have a few hundred nonzero terms in tens of thousands."""
+    head = coeffs[:order]
+    if len(head) > 256 and _is_words(head):
+        flags = head.tobytes().translate(_NONZERO_BYTES)
+        if 4 * flags.count(1) <= len(head):
+            terms = []
+            at = flags.find(1)
+            while at >= 0:
+                i = at >> 3
+                terms.append((i, head[i]))
+                at = flags.find(1, i + 1 << 3)
+            return terms
+    return [(i, c) for i, c in enumerate(head) if c]
 
 
-def _mul_schoolbook(a, b, order, modulus):
+def _extend(out, values):
+    """Append `values` to the vector `out`: to a list as they come, to an
+    array from a list of ints, packed into machine words by one struct
+    call (twice as fast as array.fromlist) when there are more than 64,
+    below which making the Struct costs more.  The Struct is made afresh,
+    as struct.pack's own cache would keep up to 100 formats."""
+    if not _is_words(out):
+        out += values
+    elif len(values) > 64:
+        out.frombytes(struct.Struct("%dq" % len(values)).pack(*values))
+    else:
+        out.fromlist(values)
+
+
+def _finish(out, values, modulus, bias, mins):
+    """Append each of `values` to `out`, less the bias and reduced mod M
+    (over Z, modulus None, not reduced); with `mins`, an iterator, append
+    next(mins) less each instead.  The values of a product are reduced,
+    or subtracted, as they are stored, in one pass."""
+    if mins is not None:
+        values = ([m + bias - v for v, m in zip(values, mins)]
+                  if modulus is None
+                  else [(m - v) % modulus for v, m in zip(values, mins)])
+    elif modulus is not None:
+        values = [v % modulus for v in values]
+    elif bias:
+        values = [v - bias for v in values]
+    _extend(out, values)
+
+
+def _scaled(coeffs, scalar, modulus):
+    """scalar times each of `coeffs` as a new vector, reduced mod M, a
+    slice at a time."""
+    out = _vector(modulus)
+    for start in range(0, len(coeffs), _SLICE):
+        values = coeffs[start:start + _SLICE]
+        if modulus is not None:
+            values = ([c % modulus for c in values] if scalar == 1
+                      else [scalar * c % modulus for c in values])
+        elif scalar != 1:
+            values = [scalar * c for c in values]
+        _extend(out, values)
+    return out
+
+
+def _sparse(terms, order, modulus):
+    """The series to `order` whose coefficient i is terms[i], zero where
+    `terms` has none: the zeros are laid down in C, so the work in Python
+    is one step per term."""
+    out = _vector(modulus, (0,)) * order
+    for i, c in terms.items():
+        if i < order:
+            out[i] = c if modulus is None else c % modulus
+    return TruncSeries._reduced(out, modulus)
+
+
+def _minuend(minuend):
+    """The iterator `_finish` reads a minuend from, zeros past its end."""
+    return None if minuend is None else chain(minuend, repeat(0))
+
+
+def _mul_schoolbook(a, b, order, modulus, lo=0, minuend=None):
     # both operands as their nonzero (index, coefficient) pairs, so the
-    # work is one step per pair of nonzero terms that lands below `order`
+    # work is one step per pair of nonzero terms that lands below `order`;
+    # the sums are reduced as they are stored, a slice at a time
     terms_a = _nonzero_terms(a, order)
     terms_b = _nonzero_terms(b, order)
     if len(terms_a) > len(terms_b):
         terms_a, terms_b = terms_b, terms_a
-    out = [0] * order
+    acc = [0] * order
     for i, ai in terms_a:
         room = order - i
         for j, bj in terms_b:
             if j >= room:
                 break
-            out[i + j] += ai * bj
-    if modulus is not None:
-        out = [c % modulus for c in out]
+            acc[i + j] += ai * bj
+    if modulus is None and lo == 0 and minuend is None:
+        return acc
+    out = _vector(modulus)
+    mins = _minuend(minuend)
+    for start in range(lo, order, _SLICE):
+        _finish(out, acc[start:start + _SLICE], modulus, 0, mins)
     return out
 
 
@@ -188,23 +331,33 @@ def _decimal_operand(coeffs, start, stop, w, wide):
     """sum_{start <= i < stop} coeffs[i] 10^((i - start) w) as a Decimal.
     With a negative coefficient among them, each field is written as
     c + B >= 0 for B = -min c, and B times the repunit of the fields is
-    subtracted again."""
+    subtracted again.  An array('q'), whose residues are never negative,
+    is written a slice at a time, so only a slice of it is boxed at once;
+    a list or tuple in one piece.  The pieces are joined once: grown by +=,
+    the digits of a million coefficients are copied at many of the
+    appends."""
     n = stop - start
-    top = coeffs[stop - 1:start - 1 if start else None:-1]
-    bias = max(0, -min(top))
-    if bias:
-        top = [c + bias for c in top]
-    if wide:
-        x = Decimal("".join([str(Decimal(c)).zfill(w) for c in top]))
-    else:
-        x = Decimal(("%0" + str(w) + "d") * n % tuple(top))
+    words = _is_words(coeffs)
+    bias = 0 if words else max(0, -min(coeffs[start:stop]))
+    pieces = []
+    for hi in range(stop, start, -_SLICE if words else -n):
+        lo = max(start, hi - _SLICE) if words else start
+        top = coeffs[hi - 1:lo - 1 if lo else None:-1]
+        if bias:
+            top = [c + bias for c in top]
+        pieces.append("".join([str(Decimal(c)).zfill(w) for c in top])
+                      if wide else ("%0" + str(w) + "d") * len(top)
+                      % tuple(top))
+        del top
+    x = Decimal(pieces[0] if len(pieces) == 1 else "".join(pieces))
+    del pieces
     if bias:
         x = _EXACT.subtract(x, _repunit(bias, w, n))
     return x
 
 
 class _Operand:
-    """A coefficient list or tuple that enters several products of one
+    """A coefficient vector or tuple that enters several products of one
     division, read through this wrapper without a copy, and the field
     width of that division (`_division_floor`).  In a residue ring every
     product of the division takes fields of that width, and the operand
@@ -249,9 +402,9 @@ def _encoded(a, n, w, wide):
     only the coefficients past it and adds them in, and a shorter one
     subtracts the encoded fields above n, so each coefficient is written
     once per division.  Anything else, an operand at another width (over
-    Z, any width) or a plain list, is encoded afresh."""
+    Z, any width) or a plain vector, is encoded afresh."""
     if getattr(a, "width", 0) != w:
-        return _decimal_operand(a, 0, n, w, wide)
+        return _decimal_operand(getattr(a, "coeffs", a), 0, n, w, wide)
     if a.head < n:
         top = _decimal_operand(a.coeffs, a.head, n, w, wide)
         a.value = (_EXACT.add(a.value, top.scaleb(a.head * w, _EXACT))
@@ -284,33 +437,35 @@ def _slice_splitter(w):
     return _field_splitter(w, _DECODE_FIELDS)
 
 
-def _decode_fields(digits, w, modulus, bias, wide):
+def _decode_fields(digits, w, modulus, bias, wide, mins=None):
     """The w-digit fields of `digits` from its end (the lowest field) to
     its start, each reduced mod M or, over Z (modulus None), less the
-    bias."""
-    end = len(digits)
-    if wide:
-        stops = range(end, 0, -w)
-        if modulus is None:
-            return [int(Decimal(digits[i - w:i])) - bias for i in stops]
-        m = Decimal(modulus)
-        return [int(_EXACT.remainder(Decimal(digits[i - w:i]), m))
-                for i in stops]
-    # each slice is split into bytes fields in C, and int() parses bytes
-    out = []
-    for stop in range(end, 0, -w * _DECODE_FIELDS):
-        start = max(0, stop - w * _DECODE_FIELDS)
-        split = (_slice_splitter(w) if stop - start == w * _DECODE_FIELDS
-                 else _field_splitter(w, (stop - start) // w))
-        fields = reversed(split(digits[start:stop].encode()))
-        if modulus is None:
-            out += [int(f) - bias for f in fields]
+    bias; with `mins` (see `_finish`), each subtracted from the next
+    minuend instead.  They are read in slices of _DECODE_FIELDS, each
+    slice encoded on its own, split into bytes fields by one struct call,
+    parsed by int() and stored.  Fields too wide for int() are read
+    through a Decimal, reduced there mod M first in a residue ring.  The
+    top field may lack its leading zeros; only its slice is padded."""
+    out = _vector(modulus)
+    for stop in range(len(digits), 0, -w * _DECODE_FIELDS):
+        chunk = digits[max(0, stop - w * _DECODE_FIELDS):stop]
+        chunk = chunk.zfill(-(-len(chunk) // w) * w)
+        if wide:
+            fields = map(Decimal, [chunk[i - w:i]
+                                   for i in range(len(chunk), 0, -w)])
+            if modulus is not None:
+                m = Decimal(modulus)
+                fields = [_EXACT.remainder(f, m) for f in fields]
         else:
-            out += [int(f) % modulus for f in fields]
+            k = len(chunk) // w
+            split = (_slice_splitter(w) if k == _DECODE_FIELDS
+                     else _field_splitter(w, k))
+            fields = reversed(split(chunk.encode()))
+        _finish(out, map(int, fields), modulus, bias, mins)
     return out
 
 
-def _mul_decimal(a, b, order, modulus, lo=0):
+def _mul_decimal(a, b, order, modulus, lo=0, minuend=None):
     # Kronecker substitution in base 10^w, with w the digits of the field
     # bound.  Residue coefficients lie in [0, M), so the bound is
     # min(la, lb) (M-1)^2.  Over Z, with A = max |a[i]| and
@@ -330,7 +485,9 @@ def _mul_decimal(a, b, order, modulus, lo=0):
         bias_a = bias_b = bias_h = 0
         bound = min(la, lb) * (modulus - 1) * (modulus - 1)
     if not bound or lo >= n:
-        return [0] * (order - lo)
+        out = _vector(modulus)
+        _finish(out, repeat(0, order - lo), modulus, 0, _minuend(minuend))
+        return out
     # every field, of an operand or of the product, is at most `bound`;
     # an _Operand of a residue division asks for that division's width
     w = max(Decimal(bound).adjusted() + 1, getattr(a, "width", 0),
@@ -355,13 +512,15 @@ def _mul_decimal(a, b, order, modulus, lo=0):
         del top
     if lo:
         z = z.scaleb(-lo * w, _EXACT).to_integral_value(ROUND_DOWN, _EXACT)
-    # the fields above the leading digit of z are zero, so it is padded
-    # to all n - lo of them
-    digits = str(z).zfill((n - lo) * w)
+    # the fields above the leading digit of z are zero and are not written
+    # out; they are read as zero fields, and those from n up as zeros
+    digits = str(z)
     del z
-    out = _decode_fields(digits, w, modulus, bias_h, wide)
+    mins = _minuend(minuend)
+    out = _decode_fields(digits, w, modulus, bias_h, wide, mins)
     del digits
-    out.extend([0] * (order - n))
+    _finish(out, repeat(0, n - lo - len(out)), modulus, bias_h, mins)
+    _finish(out, repeat(0, order - n), modulus, 0, mins)
     return out
 
 
@@ -372,13 +531,27 @@ def too_wide(w):
     return 0 < limit < w
 
 
-def _mul_lists(a, b, order, modulus, lo=0):
-    """Coefficients lo..order-1 of the product of coefficient lists."""
-    if (_nonzero_count(a, order) * _nonzero_count(b, order)
-            <= _SPARSE_PAIRS_PER_COEFF * order):
-        out = _mul_schoolbook(a, b, order, modulus)
-        return out[lo:] if lo else out
-    return _mul_decimal(a, b, order, modulus, lo)
+def _mul_lists(a, b, order, modulus, lo=0, minuend=None):
+    """Coefficients lo..order-1 of the product of coefficient vectors; with
+    a `minuend`, an iterable, its k-th item less coefficient lo + k instead
+    (zero past its end), the error of a Karp-Markstein step."""
+    if _sparse_pairs(a, b, order):
+        return _mul_schoolbook(a, b, order, modulus, lo, minuend)
+    return _mul_decimal(a, b, order, modulus, lo, minuend)
+
+
+def _sparse_pairs(a, b, order):
+    """Whether nnz(a) nnz(b) <= _SPARSE_PAIRS_PER_COEFF order below
+    `order`.  The heads of 16 sqrt(order) coefficients are counted first:
+    operands denser than a quarter already pass the bound there, and
+    every other pair is counted in full, a square's operand once."""
+    bound = _SPARSE_PAIRS_PER_COEFF * order
+    head = 16 * isqrt(order) + 16
+    if head < order and (_nonzero_count(a, head) * _nonzero_count(b, head)
+                         > bound):
+        return False
+    nonzero = _nonzero_count(a, order)
+    return nonzero * (nonzero if b is a else _nonzero_count(b, order)) <= bound
 
 
 def _unit_inverse(a, modulus):
@@ -427,6 +600,9 @@ def _divide_sparse(num, den, order, modulus):
     step per nonzero den[i] with i <= n, given a unit constant term."""
     inv0 = _unit_inverse(den, modulus)
     terms = _nonzero_terms(den, order)[1:]
+    # a list, which the loop reads faster than an array; in a residue ring
+    # this path takes only a den of at most 32 terms, so an order of a few
+    # hundred unless den is far sparser than phi(-q)
     y = []
     for n in range(order):
         acc = num[n] if n < len(num) else 0
@@ -435,7 +611,7 @@ def _divide_sparse(num, den, order, modulus):
                 break
             acc -= c * y[n - i]
         y.append(acc * inv0 if modulus is None else acc * inv0 % modulus)
-    return y
+    return y if modulus is None else _vector(modulus, y)
 
 
 def _divide_newton(num, den, order, modulus):
@@ -451,17 +627,17 @@ def _divide_newton(num, den, order, modulus):
     if not isinstance(den, _Operand):
         den = _Operand(den, _division_floor(order, modulus))
     if order <= 1:
-        x = _Operand([_unit_inverse(den, modulus)], den.width)
+        x = _Operand(_vector(modulus, (_unit_inverse(den, modulus),)),
+                     den.width)
         return x if num is None else _mul_lists(num, x, order, modulus)
     h = -(-order // 2)
     x = _divide_newton(None, den, h, modulus)
     y = x if num is None else _mul_lists(num, x, h, modulus)
-    dy = _mul_lists(den, y, order, modulus, lo=h)
+    # e is decoded from den y as its fields are read, with no den y stored;
+    # num is read from h on through an iterator, so no slice of it is held
+    err = _mul_lists(den, y, order, modulus, lo=h,
+                     minuend=() if num is None else islice(num, h, order))
     del den
-    pairs = zip_longest(() if num is None else num[h:order], dy, fillvalue=0)
-    err = ([c - d for c, d in pairs] if modulus is None
-           else [(c - d) % modulus for c, d in pairs])
-    del dy, pairs
     y += _mul_lists(x, err, order - h, modulus)
     return y
 
@@ -471,10 +647,12 @@ def _divide_list(num, den, order, modulus):
     term in den: by the recurrence when den is sparse, otherwise by
     Newton inversion to half the order and one Karp-Markstein step."""
     if order <= 0:
-        return []
+        return _vector(modulus)
     limit = (_SPARSE_DIVISOR_SCALE * isqrt(order) if modulus is None
              else _SPARSE_DIVISOR_TERMS_RESIDUE)
-    if _nonzero_count(den, order) <= limit:
+    # a dense den is told from a head of 4 limit coefficients
+    if (_nonzero_count(den, 4 * limit) <= limit
+            and _nonzero_count(den, order) <= limit):
         return _divide_sparse(num, den, order, modulus)
     return _divide_newton(num, den, order, modulus)
 
@@ -487,8 +665,12 @@ class TruncSeries:
     def __init__(self, coeffs, modulus=None):
         if modulus is not None and modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.coeffs = (tuple(coeffs) if modulus is None
-                       else tuple([c % modulus for c in coeffs]))
+        if modulus is None:
+            self.coeffs = tuple(coeffs)
+        else:
+            if not hasattr(coeffs, "__getitem__"):
+                coeffs = list(coeffs)
+            self.coeffs = _kept(_scaled(coeffs, 1, modulus), modulus)
         self.modulus = modulus
 
     @classmethod
@@ -496,7 +678,7 @@ class TruncSeries:
         """A series from coefficients already in the domain (reduced into
         [0, M) for a residue ring), without checking or reducing them."""
         out = object.__new__(cls)
-        out.coeffs = tuple(coeffs)
+        out.coeffs = _kept(coeffs, modulus)
         out.modulus = modulus
         return out
 
@@ -530,7 +712,7 @@ class TruncSeries:
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs))
+        return hash((self.modulus, tuple(self.coeffs)))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -568,7 +750,8 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             # a generator, so no unreduced copy is held beside the result
-            return TruncSeries((other * c for c in self.coeffs), self.modulus)
+            return TruncSeries._reduced(
+                _scaled(self.coeffs, other, self.modulus), self.modulus)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_domain(other)
@@ -615,7 +798,7 @@ class TruncSeries:
         if m < 1:
             raise ValueError(f"inflation step must be >= 1, got {m}")
         n = m * self.order if order is None else min(order, m * self.order)
-        out = [0] * n
+        out = _vector(self.modulus, (0,)) * n
         out[::m] = self.coeffs[:-(-n // m)]
         return TruncSeries._reduced(out, self.modulus)
 
@@ -643,7 +826,8 @@ class TruncSeries:
         """Multiply by q^k (k >= 0, order grows by k) or divide by q^k
         (k < 0, dropping the leading coefficients)."""
         if k >= 0:
-            return TruncSeries._reduced((0,) * k + self.coeffs, self.modulus)
+            zeros = _kept(_vector(self.modulus, (0,)) * k, self.modulus)
+            return TruncSeries._reduced(zeros + self.coeffs, self.modulus)
         if -k > self.order:
             raise ValueError(f"cannot shift order-{self.order} series by {k}")
         return TruncSeries._reduced(self.coeffs[-k:], self.modulus)
@@ -690,21 +874,16 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
         raise ValueError(f"Euler factor step must be >= 1, got {step}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    base = [0] * order
-    if order > 0:
-        base[0] = 1
+    base = {0: 1}
     k = 1
     while True:
         lo = step * (k * (3 * k - 1) // 2)
         hi = step * (k * (3 * k + 1) // 2)
         if lo >= order:
             break
-        sign = 1 if k % 2 == 0 else -1
-        base[lo] = sign
-        if hi < order:
-            base[hi] = sign
+        base[lo] = base[hi] = 1 if k % 2 == 0 else -1
         k += 1
-    return TruncSeries(base, modulus) ** exponent
+    return _sparse(base, order, modulus) ** exponent
 
 
 def eta_product(exponents: dict, order: int, modulus=None,
@@ -749,7 +928,7 @@ def eta_product(exponents: dict, order: int, modulus=None,
     body = _eta_body(binomial_reduce(steps, ring), order, ring)
     if scalar == 1:
         return body
-    return TruncSeries((scalar * c for c in body.coeffs), modulus)
+    return TruncSeries._reduced(_scaled(body.coeffs, scalar, modulus), modulus)
 
 
 def _eta_body(steps: dict, order: int, modulus) -> TruncSeries:
@@ -889,36 +1068,34 @@ def _base_power(base, exponent, order, modulus):
 def phi_minus(order: int, modulus=None) -> TruncSeries:
     """Ramanujan's phi(-q) = f_1^2/f_2 written directly as its theta series
     sum over all integers k of (-1)^k q^(k^2)."""
-    out = [0] * order
-    if order > 0:
-        out[0] = 1
+    out = {0: 1}
     k = 1
     while k * k < order:
         out[k * k] = -2 if k % 2 else 2
         k += 1
-    return TruncSeries(out, modulus)
+    return _sparse(out, order, modulus)
 
 
 def psi(order: int, modulus=None) -> TruncSeries:
     """Ramanujan's psi(q) = f_2^2/f_1 written directly as its theta series
     sum_{n>=0} q^(n(n+1)/2)."""
-    out = [0] * order
+    out = {}
     n = 0
     while n * (n + 1) // 2 < order:
         out[n * (n + 1) // 2] = 1
         n += 1
-    return TruncSeries(out, modulus)
+    return _sparse(out, order, modulus)
 
 
 def jacobi_cube(order: int, modulus=None) -> TruncSeries:
     """f_1^3 written directly through Jacobi's identity
     f_1^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2)."""
-    out = [0] * order
+    out = {}
     n = 0
     while n * (n + 1) // 2 < order:
         out[n * (n + 1) // 2] = (2 * n + 1) * (1 if n % 2 == 0 else -1)
         n += 1
-    return TruncSeries(out, modulus)
+    return _sparse(out, order, modulus)
 
 
 def cubic_theta(order: int, modulus=None) -> TruncSeries:

@@ -125,7 +125,7 @@ def test_dissect_odd_part_of_f1():
 
 def test_reduce_mod_f1_cubed():
     got = euler_factor(1, 3, 7).reduce_mod(3)
-    assert got.coeffs == (1, 0, 0, 2, 0, 0, 2)
+    assert tuple(got.coeffs) == (1, 0, 0, 2, 0, 0, 2)
     assert got.modulus == 3
 
 
@@ -179,7 +179,7 @@ def test_domain_mismatch_rejected():
 
 def test_residue_coefficients_normalized():
     s = TruncSeries([-1, 7, 5], modulus=5)
-    assert s.coeffs == (4, 2, 0)
+    assert tuple(s.coeffs) == (4, 2, 0)
 
 
 def test_invert_requires_unit_constant_term():
@@ -196,8 +196,8 @@ def test_reduce_mod_rejects_incompatible_residue_ring():
     s = TruncSeries([1, 2, 3], modulus=8)
     with pytest.raises(DomainMismatchError):
         s.reduce_mod(3)
-    assert s.reduce_mod(4).coeffs == (1, 2, 3)
-    assert s.reduce_mod(2).coeffs == (1, 0, 1)
+    assert tuple(s.reduce_mod(4).coeffs) == (1, 2, 3)
+    assert tuple(s.reduce_mod(2).coeffs) == (1, 0, 1)
 
 
 def test_dissect_validates_residue():
@@ -481,8 +481,8 @@ def test_windowed_products_are_slices_of_the_full_product():
                 order, modulus, lo)
             assert _mul_decimal(a, b, order, modulus, lo) == want, (
                 order, modulus, lo)
-        assert _mul_lists(a, b, order, modulus, lo=order) == []
-        assert _mul_decimal(a, b, order, modulus, order) == []
+        assert list(_mul_lists(a, b, order, modulus, lo=order)) == []
+        assert list(_mul_decimal(a, b, order, modulus, order)) == []
 
 
 def test_newton_inversion_over_integers_through_kronecker():
@@ -802,9 +802,9 @@ def test_sparse_products_dispatch_to_schoolbook_and_agree(monkeypatch):
     calls = []
     schoolbook = series._mul_schoolbook
 
-    def counted(a, b, order, modulus):
+    def counted(a, b, order, modulus, *window):
         calls.append(order)
-        return schoolbook(a, b, order, modulus)
+        return schoolbook(a, b, order, modulus, *window)
 
     monkeypatch.setattr(series, "_mul_schoolbook", counted)
     rng = random.Random(30000)
@@ -947,8 +947,8 @@ def test_division_paths_agree_with_newton_and_a_product():
             assert _divide_sparse(num, den, order, modulus) == expected, (
                 order, modulus)
     for modulus in _DIVISION_RINGS:
-        assert _divide_list([], [], 0, modulus) == []
-        assert TruncSeries([], modulus).invert().coeffs == ()
+        assert list(_divide_list([], [], 0, modulus)) == []
+        assert tuple(TruncSeries([], modulus).invert().coeffs) == ()
 
 
 def _negative_exponents(rng):
@@ -973,8 +973,8 @@ def test_division_of_eta_products_matches_sparse_euler_recurrence():
                                    if r < 0}, order, modulus).coeffs
                 divides = (_divide_list, _divide_sparse, _newton_quotient)
                 for divide in divides if order else ():
-                    assert divide(num, den, order, modulus) == expected, (
-                        divide.__name__, exponents, order, modulus)
+                    assert list(divide(num, den, order, modulus)) == (
+                        expected), (divide.__name__, exponents, order, modulus)
                 assert list(eta_product(exponents, order, modulus).coeffs) == (
                     expected)
     for modulus in (None, 243):
@@ -998,7 +998,7 @@ def test_division_with_a_short_numerator_and_a_negative_unit():
                 expected = _newton_quotient(padded, den, 400, modulus)
                 assert _divide_list(num, den, 400, modulus) == expected
                 assert _divide_sparse(num, den, 400, modulus) == expected
-            assert list(TruncSeries(den, modulus).invert().coeffs) == (
+            assert list(TruncSeries(den, modulus).invert().coeffs) == list(
                 _newton_quotient([1], den, 400, modulus))
 
 
@@ -1088,7 +1088,7 @@ def test_karp_markstein_division_matches_the_recurrence_and_newton():
             divide = _divide_list if order > 3 else _divide_newton
             # num None divides one: the half inverse's Newton step, with
             # y = x, against the same division by the numerator 1
-            assert list(_divide_newton(None, den, order, modulus)) == (
+            assert list(_divide_newton(None, den, order, modulus)) == list(
                 _divide_newton((1,), den, order, modulus)), (order, modulus)
             for num in ((1,), short, dense):
                 padded = list(num) + [0] * (order - len(num))
@@ -1116,9 +1116,9 @@ def test_karp_markstein_division_never_forms_a_full_length_product(
     calls = []
     original = series._mul_lists
 
-    def windowed(a, b, order, modulus, lo=0):
+    def windowed(a, b, order, modulus, lo=0, minuend=None):
         calls.append((len(b), order, lo))
-        return original(a, b, order, modulus, lo)
+        return original(a, b, order, modulus, lo, minuend)
 
     monkeypatch.setattr(series, "_mul_lists", windowed)
     rng = random.Random(38340)
@@ -1150,9 +1150,9 @@ def test_karp_markstein_division_never_forms_a_full_length_product(
             assert calls and all(out - lo <= half for _, out, lo in calls), (
                 order, modulus, calls)
             one = [1] + [0] * (order - 1)
-            assert original(den, inverse, order, modulus) == one, (
+            assert list(original(den, inverse, order, modulus)) == one, (
                 order, modulus)
-            assert original(den, quotient, order, modulus) == num, (
+            assert list(original(den, quotient, order, modulus)) == num, (
                 order, modulus)
 
 
@@ -1210,7 +1210,7 @@ def test_newton_division_encodes_each_coefficient_of_den_once(monkeypatch):
                        if coeffs is den)
         assert spans[0][0] == 0 and spans[-1][1] == order, (order, spans)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:])), spans
-        assert series._mul_lists(den, quotient, order, modulus) == num
+        assert list(series._mul_lists(den, quotient, order, modulus)) == num
 
 
 def test_newton_division_over_z_keeps_no_encoding(monkeypatch):
@@ -1329,7 +1329,7 @@ def test_binomial_reduction_divides_a_modulus_only_to_a_bound():
     assert binomial_reduce({1: 2 * 3 ** 40}, 3 ** 40) == {3: 2 * 3 ** 39}
     # (1 - q - q^2)^R == 1 - R q + (binom(R, 2) - R) q^2 mod q^3
     r = 24 * big
-    assert eta_product({1: r}, 3, big).coeffs == tuple(
+    assert tuple(eta_product({1: r}, 3, big).coeffs) == tuple(
         c % big for c in (1, -r, r * (r - 1) // 2 - r))
 
 

@@ -130,7 +130,7 @@ def test_master_progression_reads_every_kind_of_progression(expansions):
             if modulus is not None:
                 want = tuple(c % modulus for c in want)
             assert got.modulus == modulus
-            assert got.coeffs == want, (step, offset, count, modulus)
+            assert tuple(got.coeffs) == want, (step, offset, count, modulus)
     with pytest.raises(ValueError):
         master_progression(0, 0, 5)
     with pytest.raises(ValueError):
