@@ -9,8 +9,9 @@ Subcommands:
   check    run a named verification suite (or all of them)
 
 Exit status: 0 when every requested check passed, 1 when a check failed
-or a certificate's preconditions do not hold, 2 for usage errors and for
-requests past a budget or cap, refused before anything is expanded.
+or a certificate's preconditions do not hold, 2 for usage errors, for
+requests past a budget or cap, refused before anything is expanded, and
+for a run that the process's memory limit stops.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from math import e, floor, log10
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
 from .partitions import (
     PD_EXPONENTS, PDO_EXPONENTS, PDO_T_EXPONENTS, designated_counts, pd,
-    pd_t, pdo, pdo_t, pdo_t_series,
+    pd_t, pdo, pdo_t,
 )
 from .radu import (
     AuxExponents, CriterionNotApplicable, RaduInstance, radu_verify,
 )
 from .series import binomial_reduce, eta_product, too_wide
 from .verify import (
-    SUITES, master_plans, plan_master_series, shifted_progression,
-    shifted_reads, suite_reads,
+    SUITES, master_plans, master_progression, plan_master_series,
+    shifted_progression, shifted_reads, suite_reads,
 )
 
 
@@ -219,10 +220,12 @@ _TABLES = {"pd": (False, 0), "pd-tagged": (False, 1),
 # took 9.0 s on a 2-core VM (Python 3.11), and the cost grows a little
 # faster than n^2
 _MAX_TABLE_N = 5000
-# sum c(n) q^n to a given order, for each counter with a generating function
+# sum c(n) q^n to a given order, for each counter with a generating
+# function; pdo_t is read from verify's master cache, as every other read
+# of it is, so a longer query continues the series a shorter one expanded
 _SERIES = {"pd": partial(eta_product, PD_EXPONENTS),
            "pdo": partial(eta_product, PDO_EXPONENTS),
-           "pdo-tagged": pdo_t_series}
+           "pdo-tagged": partial(master_progression, 1, 0)}
 
 
 def _cmd_pdot(args) -> int:
@@ -501,8 +504,13 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except _Refused as exc:
-        print(f"pdotq {args.command}: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except MemoryError:
+        # a request inside every budget can still pass a memory limit set
+        # on the process (ulimit -v)
+        message = "out of memory"
+    print(f"pdotq {args.command}: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -95,14 +95,18 @@ def pdo_t(n: int) -> int:
     return designated_counts(n, odd_only=True)[1][n]
 
 
-def pdo_t_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
+def pdo_t_series(order: int, modulus=None, step: int = 1,
+                 known=()) -> TruncSeries:
     """sum_n pdo_t(step n) q^n to the given order, for step 1 or 3: built
-    as q * f2 * f3^2 * f12^2 / (f1^2 * f6), or as 4q * f2 * f4^2 * f6^3 / f1^4."""
+    as q * f2 * f3^2 * f12^2 / (f1^2 * f6), or as 4q * f2 * f4^2 * f6^3 / f1^4.
+    `known`, the coefficients of a shorter such series in the same ring,
+    is continued rather than expanded again where `eta_product` can."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if step == 1:
-        return eta_product(PDO_T_EXPONENTS, order - 1, modulus).shift(1)
+        return eta_product(PDO_T_EXPONENTS, order - 1, modulus,
+                           known=known[1:]).shift(1)
     if step == 3:
         return eta_product(PDO_T_3N_EXPONENTS, order - 1, modulus,
-                           scalar=4).shift(1)
+                           scalar=4, known=known[1:]).shift(1)
     raise ValueError(f"step must be 1 or 3, got {step}")

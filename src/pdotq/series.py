@@ -57,7 +57,10 @@ domain, the order and the number of nonzero terms of den.  A sparse den,
 such as phi(-q) with about 2 sqrt(order) nonzero terms, is divided out in
 one pass of the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i],
 one step per nonzero den[i], so the work is nnz(den) steps per
-coefficient with no inverse and no product formed.  A den with more than
+coefficient with no inverse and no product formed.  Each step reads only
+earlier y, so given a known head of the quotient (a shorter expansion of
+the same series, `eta_product`'s `known`) the recurrence continues after
+it and pays only for the new coefficients.  A den with more than
 10 sqrt(order) nonzero terms over Z, or 32 in a residue ring, would make
 that slower than Newton division, which goes by halves: 1/den to
 h = ceil(order/2) is the division of one to h, and one Karp-Markstein
@@ -72,6 +75,8 @@ inverse, at the last the quotient, from ceil(p/2) to p coefficients with
 two products, none pays a product of the full order to add a few
 coefficients past a power of two, and neither a full-length Newton step
 nor the order-length product of num and the inverse is formed.
+Newton division ignores a known head: continuing it would still need a
+fresh inverse to the full order.
 In a residue ring every product of one division takes fields of one width,
 that of its largest product, h (M-1)^2, and den and x, which enter several
 products, keep their encodings (`_Operand`).  Each step reads a longer
@@ -595,16 +600,18 @@ _SPARSE_DIVISOR_SCALE = 10
 _SPARSE_DIVISOR_TERMS_RESIDUE = 32
 
 
-def _divide_sparse(num, den, order, modulus):
+def _divide_sparse(num, den, order, modulus, known=()):
     """num/den from den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], one
-    step per nonzero den[i] with i <= n, given a unit constant term."""
+    step per nonzero den[i] with i <= n, given a unit constant term.  The
+    recurrence reads only earlier y, so it starts after `known`, a head
+    of the quotient taken as given."""
     inv0 = _unit_inverse(den, modulus)
     terms = _nonzero_terms(den, order)[1:]
     # a list, which the loop reads faster than an array; in a residue ring
     # this path takes only a den of at most 32 terms, so an order of a few
     # hundred unless den is far sparser than phi(-q)
-    y = []
-    for n in range(order):
+    y = list(known[:order])
+    for n in range(len(y), order):
         acc = num[n] if n < len(num) else 0
         for i, c in terms:
             if i > n:
@@ -642,10 +649,11 @@ def _divide_newton(num, den, order, modulus):
     return y
 
 
-def _divide_list(num, den, order, modulus):
+def _divide_list(num, den, order, modulus, known=()):
     """num/den truncated to `order` coefficients, given a unit constant
-    term in den: by the recurrence when den is sparse, otherwise by
-    Newton inversion to half the order and one Karp-Markstein step."""
+    term in den: by the recurrence when den is sparse, continued after
+    `known`, a head of the quotient, otherwise by Newton inversion to half
+    the order and one Karp-Markstein step, which ignores the head."""
     if order <= 0:
         return _vector(modulus)
     limit = (_SPARSE_DIVISOR_SCALE * isqrt(order) if modulus is None
@@ -653,7 +661,7 @@ def _divide_list(num, den, order, modulus):
     # a dense den is told from a head of 4 limit coefficients
     if (_nonzero_count(den, 4 * limit) <= limit
             and _nonzero_count(den, order) <= limit):
-        return _divide_sparse(num, den, order, modulus)
+        return _divide_sparse(num, den, order, modulus, known)
     return _divide_newton(num, den, order, modulus)
 
 
@@ -780,17 +788,19 @@ class TruncSeries:
             return TruncSeries.one(self.order, self.modulus)
         return result
 
-    def invert(self, times=None) -> "TruncSeries":
+    def invert(self, times=None, known=()) -> "TruncSeries":
         """Multiplicative inverse, or with `times` the quotient times/self,
         formed by one division without the inverse; the constant term must
-        be a unit."""
+        be a unit.  `known`, a head of the result's coefficients, is where
+        a sparse division continues from (see `_divide_list`)."""
         if times is None:
             num, n = (1,), self.order
         else:
             self._check_domain(times)
             num, n = times.coeffs, min(self.order, times.order)
         return TruncSeries._reduced(
-            _divide_list(num, self.coeffs, n, self.modulus), self.modulus)
+            _divide_list(num, self.coeffs, n, self.modulus, known),
+            self.modulus)
 
     def inflate(self, m: int, order=None) -> "TruncSeries":
         """Substitute q -> q^m.  The result is known to order m*T, every
@@ -887,7 +897,7 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
 
 
 def eta_product(exponents: dict, order: int, modulus=None,
-                scalar: int = 1) -> TruncSeries:
+                scalar: int = 1, known=()) -> TruncSeries:
     """scalar * prod_d f_d^(r_d) for the map {d: r_d}, to the given order.
 
     Entries with r_d = 0 are ignored.  In Z/M the product is expanded
@@ -915,6 +925,11 @@ def eta_product(exponents: dict, order: int, modulus=None,
     A dense divisor goes through Newton inversion and a Karp-Markstein
     step, which in a residue ring encode each coefficient of the
     divisor and of its inverse once (see the module docstring).
+    `known`, a head of this very result (say a shorter expansion of the
+    same map), lets a sparse divisor's recurrence continue after it.  It
+    is used only where it is the quotient's own head: not with a scalar,
+    nor when the steps share a factor, nor by Newton division; there, and
+    when it is empty, the expansion starts from nothing.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -925,15 +940,17 @@ def eta_product(exponents: dict, order: int, modulus=None,
     ring = None if modulus is None else modulus // gcd(scalar, modulus)
     if not scalar or ring == 1:
         return TruncSeries.zero(order, modulus)
-    body = _eta_body(binomial_reduce(steps, ring), order, ring)
+    body = _eta_body(binomial_reduce(steps, ring), order, ring,
+                     known if scalar == 1 else ())
     if scalar == 1:
         return body
     return TruncSeries._reduced(_scaled(body.coeffs, scalar, modulus), modulus)
 
 
-def _eta_body(steps: dict, order: int, modulus) -> TruncSeries:
+def _eta_body(steps: dict, order: int, modulus, known=()) -> TruncSeries:
     """prod_d f_d^(r_d) for a map of nonzero exponents on valid steps, as
-    it stands (see `eta_product`)."""
+    it stands, continued after `known` if its divisor is sparse (see
+    `eta_product`)."""
     g = gcd(*steps)
     if g > 1:
         body = _eta_body({d // g: r for d, r in steps.items()},
@@ -974,7 +991,7 @@ def _eta_body(steps: dict, order: int, modulus) -> TruncSeries:
         return num
     den = product(inflated(False), order, modulus)
     del powers
-    return den.invert(times=num)
+    return den.invert(times=num, known=known)
 
 
 def divisors(n: int) -> list[int]:

@@ -29,7 +29,12 @@ certificates of the PDO_t map read the same cache through
 `shifted_progression`, in the certificate table and in a standalone
 `pdotq radu` alike.  A standalone one makes two requests, the head of
 its first progression and then every orbit progression together, so it
-expands each source at most once after the head.
+expands each source at most once after the head.  `pdotq pdot` reads
+pdo_t(0..n) as the request `master_progression(1, 0, n + 1)`.  Over Z a
+request longer than the cached exact series continues it: the division
+by the sparse phi(-q) is a recurrence that starts after the cached head,
+so exact queries in one process cost one expansion to the largest n,
+in any order.
 """
 
 from __future__ import annotations
@@ -143,14 +148,19 @@ def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
     request is served from any cached series of the same step that is at
     least as long and whose modulus reduces onto the requested one;
     otherwise the expansion is computed and kept, in place of the cached
-    series of that step that it serves."""
+    series of that step that it serves.  Over Z a shorter cached series
+    is continued (`pdo_t_series` with it as `known`), so exact requests
+    cost one expansion to the longest of them, in any order."""
     source = _cached_master(step, order, modulus)
     if source is not None and source.modulus == modulus:
         return source.truncate(order)
     if source is not None:
         result = source.truncate(order).reduce_mod(modulus)
     else:
-        result = pdo_t_series(order, modulus, step)
+        # over Z a shorter cached series is the head of this one
+        head = _MASTER_CACHE.get((step, None)) if modulus is None else None
+        result = pdo_t_series(order, modulus, step,
+                              known=() if head is None else head.coeffs)
     for (cached_step, cached_mod), series in list(_MASTER_CACHE.items()):
         if (cached_step == step and series.order <= order
                 and cached_mod is not None and cached_mod != modulus

@@ -425,6 +425,73 @@ def test_pdot_series_matches_enum(capsys):
         assert fast == slow
 
 
+def test_exact_values_jobs_in_one_process_print_the_recorded_bytes(
+        capsys, monkeypatch):
+    import hashlib
+    import importlib.util
+    from pathlib import Path
+
+    from pdotq import verify
+
+    path = (Path(__file__).resolve().parent.parent / "perfbench"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # seed 42 asks n <= 1505, 3468, 2482 and seed 44 n <= 2508, 1498, 3534
+    jobs = [argv for seed in (42, 44)
+            for argv in workloads.generate("exact-values", seed)[0]]
+    fresh = []
+    real = verify.pdo_t_series
+
+    def counted(order, modulus=None, step=1, known=()):
+        fresh.append((order, len(known)))
+        return real(order, modulus, step, known)
+
+    monkeypatch.setattr(verify, "pdo_t_series", counted)
+    verify.clear_master_cache()
+    printed = hashlib.sha256()
+    for argv in jobs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        printed.update(out.encode())
+    # every job of both seeds, one after another in one process, prints
+    # the bytes that expanding each series query from nothing printed
+    assert len(jobs) == 10
+    assert printed.hexdigest() == (
+        "15b466436dd947cc01ebb81be45f951d18919462ae5c5da672a4d4823a64ddc0")
+    # of the six series queries only those past the cached series expand,
+    # each continuing it; the rest are served
+    assert fresh == [(1506, 0), (3469, 1506), (3535, 3469)]
+    verify.clear_master_cache()
+
+
+def test_a_run_the_memory_cap_stops_exits_2_with_one_line():
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # address space (VmPeak) measured on Python 3.10, 3.11 and 3.12:
+    # importing pdotq.cli takes 15.2-20.1 MiB and this certificate
+    # 37.8-42.5 MiB, so a 32 MiB cap lets the import through and stops the
+    # expansion with a MemoryError
+    cap = 32 << 20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "pdotq.cli", "radu", "--m", "972", "--t",
+         "971", "--u", "729", "--rprime", "1:810", "--json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=capped,
+        capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == "pdotq radu: out of memory\n"
+
+
 def test_pdot_pd_and_pdo_by_series_never_enumerate(capsys, monkeypatch):
     from pdotq import cli
     from pdotq.series import euler_factor

@@ -728,9 +728,9 @@ def test_scaled_eta_product_expands_in_the_ring_the_scalar_leaves(
     rings = []
     original = series._eta_body
 
-    def spy(steps, order, modulus):
+    def spy(steps, order, modulus, known=()):
         rings.append(modulus)
-        return original(steps, order, modulus)
+        return original(steps, order, modulus, known)
 
     monkeypatch.setattr(series, "_eta_body", spy)
     # the 3n body, the level-18 and level-36 Sturm quotients, and a
@@ -1052,6 +1052,56 @@ def test_division_dispatches_on_the_nonzero_count_of_the_divisor(monkeypatch):
         series.eta_product(exponents, order, modulus)
         assert calls == ["_divide_newton"] * (
             (order - 1).bit_length() + 1), (exponents, order, modulus)
+
+
+def test_eta_product_continues_a_known_head_only_where_it_is_its_own(
+        monkeypatch):
+    from pdotq import series
+    from pdotq.partitions import PDO_T_EXPONENTS
+
+    def tampered(coeffs, n):
+        """The first n coefficients, the last of them off by one."""
+        head = list(coeffs[:n])
+        head[-1] += 1
+        return head
+
+    # the PDO_t map divides by the sparse phi(-q): the recurrence starts
+    # after the head, so any prefix gives the fresh expansion, and a wrong
+    # head is taken as given
+    for modulus in (None, 256):
+        fresh = series.eta_product(PDO_T_EXPONENTS, 700, modulus)
+        for n in (0, 1, 2, 17, 400, 699, 700):
+            assert series.eta_product(PDO_T_EXPONENTS, 700, modulus,
+                                      known=fresh.coeffs[:n]) == fresh
+        # a head as long as the whole order is the whole result
+        assert series.eta_product(PDO_T_EXPONENTS, 250, modulus,
+                                  known=fresh.coeffs) == fresh.truncate(250)
+        continued = series.eta_product(PDO_T_EXPONENTS, 700, modulus,
+                                       known=tampered(fresh.coeffs, 400))
+        assert list(continued.coeffs[:400]) == tampered(fresh.coeffs, 400)
+        assert continued != fresh
+    # where the head is not the quotient's own, it is ignored: with a
+    # scalar, with steps that share a factor, and with a divisor dense
+    # enough for Newton division (f1^5 over Z, and phi(-q) at order 3000
+    # mod 256, whose 55 terms pass the residue limit of 32)
+    inflated = {2 * d: r for d, r in PDO_T_EXPONENTS.items()}
+    for exponents, order, modulus, scalar, newton in (
+            (PDO_T_EXPONENTS, 700, None, 4, False),
+            (PDO_T_EXPONENTS, 700, 256, 4, False),
+            (inflated, 700, None, 1, False),
+            ({1: -5}, 700, None, 1, True),
+            (PDO_T_EXPONENTS, 3000, 256, 1, True)):
+        fresh = series.eta_product(exponents, order, modulus, scalar)
+        if newton:
+            monkeypatch.setattr(series, "_divide_sparse", None)
+        for n in (0, 1, 400, order):
+            assert series.eta_product(exponents, order, modulus, scalar,
+                                      known=fresh.coeffs[:n]) == fresh
+            if n:
+                assert series.eta_product(
+                    exponents, order, modulus, scalar,
+                    known=tampered(fresh.coeffs, n)) == fresh
+        monkeypatch.undo()
 
 
 def _dense_divisor(rng, order, modulus):

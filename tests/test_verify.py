@@ -37,9 +37,9 @@ def expansions(monkeypatch):
     made = []
     real = verify.pdo_t_series
 
-    def counted(order, modulus=None, step=1):
+    def counted(order, modulus=None, step=1, known=()):
         made.append((order, modulus, step))
-        return real(order, modulus, step)
+        return real(order, modulus, step, known)
 
     monkeypatch.setattr(verify, "pdo_t_series", counted)
     clear_master_cache()
@@ -89,6 +89,43 @@ def test_master_cache_reuse_and_derivation():
     longer = master_series(90, 9)
     assert longer == pdo_t_series(90, 9)
     assert master_series(90, 9) == longer
+    clear_master_cache()
+
+
+def test_exact_requests_continue_the_cached_series(monkeypatch):
+    from pdotq import verify
+
+    made = []
+
+    def counted(order, modulus=None, step=1, known=()):
+        made.append((order, step, len(known)))
+        return pdo_t_series(order, modulus, step, known)
+
+    monkeypatch.setattr(verify, "pdo_t_series", counted)
+    # over Z each longer request continues the cached series, which goes
+    # down as its head; a shorter one is served; every answer is the
+    # expansion from nothing, in ascending, descending and repeated order
+    clear_master_cache()
+    orders = (1, 2, 17, 1000, 999, 1001, 3501, 3501, 1500, 1)
+    for order in orders:
+        assert master_series(order) == pdo_t_series(order), order
+    assert made == [(1, 1, 0), (2, 1, 1), (17, 1, 2), (1000, 1, 17),
+                    (1001, 1, 1000), (3501, 1, 1001)]
+    clear_master_cache()
+    made.clear()
+    for order in sorted(orders, reverse=True):
+        assert master_series(order) == pdo_t_series(order), order
+    assert made == [(3501, 1, 0)]
+    # the 3n series over Z is handed its head too, which its scalar 4
+    # makes eta_product ignore
+    for order in (30, 90, 60):
+        assert master_series(order, step=3) == pdo_t_series(order, step=3)
+    assert made[1:] == [(30, 3, 0), (90, 3, 30)]
+    # a residue request keeps its policy: no head, and the exact series
+    # serves any shorter one
+    assert master_series(200, 256) == pdo_t_series(200, 256)
+    master_series(4000, 256)
+    assert made[3:] == [(4000, 1, 0)]
     clear_master_cache()
 
 
