@@ -30,12 +30,18 @@ lowers their exponents by the binomial congruence first.  Division rows:
 the numerator phi(-q^3) f12^2 of the PDO_t quotient divided by each
 denominator of DIVISION_ROWS, from the sparse phi(-q) to the dense f1^6,
 at orders 250, 500, 1000, 3535 and 7600, over Z and mod 4, 32 and 256,
-by the sparse recurrence (`_divide_sparse`) and by Newton inversion to
-half the order and one Karp-Markstein step (`_divide_newton`), with the
-denominator's nonzero count beside them; best of --repeats, the quotients
-checked equal.  They are the evidence for the nonzero-count limits at
-which `_divide_list` leaves the recurrence (over Z a limit that grows
-with the order).  Workload division rows: the largest Newton-path
+by the blocked recurrence (`_divide_sparse`, 32 quotient coefficients a
+block, the far terms that share a coefficient summed in C) and by Newton
+inversion to half the order and one Karp-Markstein step
+(`_divide_newton`), with the denominator's nonzero count beside them;
+best of --repeats, the quotients checked equal.  They are the evidence
+for the nonzero-count limits at which `_divide_list` leaves the
+recurrence (over Z a limit that grows with the order).  On a 2-core
+x86-64 VM (Python 3.11, BENCH_25.json) the blocked recurrence beats
+Newton over Z 3-6x on the rows of up to 143 terms at orders 3535 and
+7600, and mod 32 and 256 on phi(-q) at 3535 (11 ms against 15-18); mod
+4 Newton stays ahead on phi(-q) from order 1000 (2.0 ms against 1.3),
+so no one residue limit is as fast on every row.  Workload division rows: the largest Newton-path
 division of proof-all (the 3n series psi(q^2) f6^3 / phi(-q)^2 to order
 38340 mod 186624) and of certify-batch (the PDO_t quotient
 phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128), by `_divide_newton`

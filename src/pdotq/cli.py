@@ -8,6 +8,9 @@ Subcommands:
   sturm    print a Sturm bound
   check    run a named verification suite (or all of them)
 
+An argv that starts with a subcommand is parsed once, by that subcommand's
+parser alone; the full parser is built only for the usage it prints.
+
 Exit status: 0 when every requested check passed, 1 when a check failed
 or a certificate's preconditions do not hold, 2 for usage errors, for
 requests past a budget or cap, refused before anything is expanded, and
@@ -417,6 +420,84 @@ def _cmd_check(args) -> int:
     return 0 if passed else 1
 
 
+def _expand_arguments(parser):
+    parser.add_argument("--eta", required=True,
+                        help='quotient as "level;scalar;d1:r1,d2:r2"')
+    parser.add_argument("--order", type=int, default=20,
+                        help="number of coefficients (default 20)")
+    parser.add_argument("--mod", type=int, default=None,
+                        help="reduce coefficients modulo this")
+    parser.add_argument("--json", action="store_true")
+
+
+def _pdot_arguments(parser):
+    parser.add_argument("--n", type=int, nargs="+", required=True)
+    parser.add_argument("--counter", choices=sorted(_COUNTERS),
+                        default="pdo-tagged",
+                        help="which statistic to evaluate "
+                             "(default pdo-tagged)")
+    parser.add_argument("--method", choices=("series", "enum"),
+                        default="series",
+                        help="generating function, or enum to count "
+                             "from the multiplicity-profile table "
+                             "(default series; pd-tagged always comes "
+                             "from the table)")
+    parser.add_argument("--json", action="store_true")
+
+
+def _radu_arguments(parser):
+    parser.add_argument("--m", type=int, required=True,
+                        help="progression step")
+    parser.add_argument("--t", type=int, required=True,
+                        help="progression offset")
+    parser.add_argument("--u", type=int, required=True,
+                        help="target modulus")
+    parser.add_argument("--rprime", required=True,
+                        help='auxiliary exponents, e.g. "1:5"')
+    parser.add_argument("--M", dest="big_m", type=int, default=12,
+                        help="divisor bound for the exponent set "
+                             "(default 12)")
+    parser.add_argument("--level", type=int, default=12,
+                        help="congruence subgroup level (default 12)")
+    parser.add_argument("--r", default=None,
+                        help="exponent set (default: the tagged-odd-part "
+                             "generating function)")
+    parser.add_argument("--min-depth", type=int, default=0,
+                        help="check at least this many coefficients per "
+                             "progression")
+    parser.add_argument("--json", action="store_true")
+
+
+def _sturm_arguments(parser):
+    parser.add_argument("--weight", type=int, required=True)
+    parser.add_argument("--level", type=int, required=True)
+    parser.add_argument("--different-character", action="store_true",
+                        help="bound for comparing forms with different "
+                             "characters")
+    parser.add_argument("--json", action="store_true")
+
+
+def _check_arguments(parser):
+    parser.add_argument("--suite", required=True,
+                        choices=sorted(SUITES) + ["all"])
+    for flag in _CHECK_FLAGS:
+        parser.add_argument(f"--{flag}", type=int, default=None)
+    parser.add_argument("--json", action="store_true")
+
+
+# subcommand -> (handler, help, the function that declares its arguments)
+_COMMANDS = {
+    "expand": (_cmd_expand, "expand an eta quotient as a q-series",
+               _expand_arguments),
+    "pdot": (_cmd_pdot, "count partitions with designated summands",
+             _pdot_arguments),
+    "radu": (_cmd_radu, "run one congruence verification certificate",
+             _radu_arguments),
+    "sturm": (_cmd_sturm, "print a Sturm bound", _sturm_arguments),
+    "check": (_cmd_check, "run verification suites", _check_arguments),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use and shared after that:
@@ -428,81 +509,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "congruences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_expand = sub.add_parser(
-        "expand", help="expand an eta quotient as a q-series")
-    p_expand.add_argument("--eta", required=True,
-                          help='quotient as "level;scalar;d1:r1,d2:r2"')
-    p_expand.add_argument("--order", type=int, default=20,
-                          help="number of coefficients (default 20)")
-    p_expand.add_argument("--mod", type=int, default=None,
-                          help="reduce coefficients modulo this")
-    p_expand.add_argument("--json", action="store_true")
-
-    p_pdot = sub.add_parser(
-        "pdot", help="count partitions with designated summands")
-    p_pdot.add_argument("--n", type=int, nargs="+", required=True)
-    p_pdot.add_argument("--counter", choices=sorted(_COUNTERS),
-                        default="pdo-tagged",
-                        help="which statistic to evaluate "
-                             "(default pdo-tagged)")
-    p_pdot.add_argument("--method", choices=("series", "enum"),
-                        default="series",
-                        help="generating function, or enum to count "
-                             "from the multiplicity-profile table "
-                             "(default series; pd-tagged always comes "
-                             "from the table)")
-    p_pdot.add_argument("--json", action="store_true")
-
-    p_radu = sub.add_parser(
-        "radu", help="run one congruence verification certificate")
-    p_radu.add_argument("--m", type=int, required=True,
-                        help="progression step")
-    p_radu.add_argument("--t", type=int, required=True,
-                        help="progression offset")
-    p_radu.add_argument("--u", type=int, required=True,
-                        help="target modulus")
-    p_radu.add_argument("--rprime", required=True,
-                        help='auxiliary exponents, e.g. "1:5"')
-    p_radu.add_argument("--M", dest="big_m", type=int, default=12,
-                        help="divisor bound for the exponent set "
-                             "(default 12)")
-    p_radu.add_argument("--level", type=int, default=12,
-                        help="congruence subgroup level (default 12)")
-    p_radu.add_argument("--r", default=None,
-                        help="exponent set (default: the tagged-odd-part "
-                             "generating function)")
-    p_radu.add_argument("--min-depth", type=int, default=0,
-                        help="check at least this many coefficients per "
-                             "progression")
-    p_radu.add_argument("--json", action="store_true")
-
-    p_sturm = sub.add_parser("sturm", help="print a Sturm bound")
-    p_sturm.add_argument("--weight", type=int, required=True)
-    p_sturm.add_argument("--level", type=int, required=True)
-    p_sturm.add_argument("--different-character", action="store_true",
-                         help="bound for comparing forms with different "
-                              "characters")
-    p_sturm.add_argument("--json", action="store_true")
-
-    p_check = sub.add_parser("check", help="run verification suites")
-    p_check.add_argument("--suite", required=True,
-                         choices=sorted(SUITES) + ["all"])
-    for flag in _CHECK_FLAGS:
-        p_check.add_argument(f"--{flag}", type=int, default=None)
-    p_check.add_argument("--json", action="store_true")
-
+    for name, (_, summary, declare) in _COMMANDS.items():
+        declare(sub.add_parser(name, help=summary))
     return parser
 
 
-_COMMANDS = {"expand": _cmd_expand, "pdot": _cmd_pdot, "radu": _cmd_radu,
-             "sturm": _cmd_sturm, "check": _cmd_check}
+@cache
+def _command_parser(name) -> argparse.ArgumentParser:
+    """Subcommand `name`'s own parser, equal to the full parser's one."""
+    parser = argparse.ArgumentParser(prog=f"pdotq {name}")
+    _COMMANDS[name][2](parser)
+    return parser
+
+
+def _parse(argv):
+    """argv as parsed once, by its subcommand's parser alone; the full
+    parser takes every other argv, and prints the errors it gets."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _Refused as exc:
         message = exc
     except MemoryError:

@@ -54,15 +54,20 @@ written from Decimal(c) and read back through a Decimal, neither of
 which has that limit.
 Division num/den, and inversion as the division of one, dispatches on the
 domain, the order and the number of nonzero terms of den.  A sparse den,
-such as phi(-q) with about 2 sqrt(order) nonzero terms, is divided out in
-one pass of the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i],
-one step per nonzero den[i], so the work is nnz(den) steps per
-coefficient with no inverse and no product formed.  Each step reads only
-earlier y, so given a known head of the quotient (a shorter expansion of
-the same series, `eta_product`'s `known`) the recurrence continues after
-it and pays only for the new coefficients.  A den with more than
-10 sqrt(order) nonzero terms over Z, or 32 in a residue ring, would make
-that slower than Newton division, which goes by halves: 1/den to
+such as phi(-q) with about 2 sqrt(order) nonzero terms, is divided out by
+the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], with no
+inverse and no product formed, a block of 32 coefficients of y at a time.
+A den[i] with i of a block or more, whose y[n-i] all lie below the
+block, adds den[i] times the slice y[n0-i:n1-i] to it; once 12 such
+terms share a coefficient (as phi(-q)'s +-2 do), their slices are summed
+elementwise in C and the sum is scaled once.  Every other nonzero den[i],
+such as each of f_1^3's over Z, which are all distinct, takes one
+interpreted step per coefficient.  Each block reads only earlier y, so
+given a known head of the quotient (a shorter expansion of the same
+series, `eta_product`'s `known`) the recurrence continues after it and
+pays only for the new coefficients.  A den with more than 10 sqrt(order)
+nonzero terms over Z, or 32 in a residue ring, would make that slower
+than Newton division, which goes by halves: 1/den to
 h = ceil(order/2) is the division of one to h, and one Karp-Markstein
 step finishes the quotient from it.  With x that half inverse, y = num x
 to h, and num - den y is q^h times an error e below order, so the step
@@ -136,6 +141,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from bisect import bisect_left, bisect_right
 from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal, Inexact,
     Rounded,
@@ -143,6 +149,7 @@ from decimal import (
 from functools import cache
 from itertools import chain, islice, repeat
 from math import gcd, isqrt
+from operator import mul
 
 
 class DomainMismatchError(ValueError):
@@ -576,48 +583,67 @@ def _unit_inverse(a, modulus):
         ) from None
 
 
-# the most nonzero terms a denominator may have for the recurrence, which
-# costs that many steps per coefficient.  Over Z the limit is 10 sqrt(order),
-# five times the density of phi(-q), since Newton inversion and the
-# Karp-Markstein step cost more per coefficient as the order and the
-# coefficients grow.  In the division rows of bench/multiply.py the
-# recurrence wins on every denominator of up to 153 nonzero terms at order
-# 250 and 177 at 500, and 2-5x on the sparse rows (up to 143 terms) from
-# 1000 to 7600; it loses on f1^2 (258 terms at 500, 482 at 1000), on
-# phi(-q)^2 at 1000 (330 terms; 17 ms against 14 by Newton) and on every
-# row of 1047 terms or more.  The rule picks the slower path only near a
-# tie: f1^6 at 250 (153 terms; 1.8 ms against 3.0) and 500 (289 terms,
-# 7.0 ms both ways).  In a residue ring the product stays cheap and the
-# crossover does not grow: mod 32 and 256 the recurrence wins up to 51-153
-# terms at orders up to 1000 and 60 at 3535, and loses from 84 terms at
-# 3535 and 88 at 7600; mod 4, where Newton's iterates for phi(-q) stay
-# sparse, it loses on phi(-q) from order 500 (23 terms) on.  32 keeps it
-# off phi(-q) mod 4 past order 1024; between 33 and about 60 terms mod 32
-# and 256 that costs a few ms per division.  Certify-batch's longest
-# division, phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128 (87 terms),
-# takes 40 ms by Newton and 49 by the recurrence.
+# the most nonzero terms a denominator may have for the recurrence.  Over Z
+# the limit is 10 sqrt(order), five times the density of phi(-q), since
+# Newton inversion and the Karp-Markstein step cost more per coefficient as
+# the order and the coefficients grow.  In the division rows of
+# bench/multiply.py (BENCH_25.json) the blocked recurrence beats Newton
+# 3-6x on the rows of up to 143 terms at 3535 and 7600, and loses from
+# 258 terms at 500, 482 at 1000 and 1540 at 3535; the rule takes Newton
+# only near a tie: f1^6 at 250 (153 terms; 3.2 ms against 3.5) and
+# phi(-q)^2 at 1000 (330; 18 ms both ways) and 3535 (1047; 125 against
+# 138).  In a residue ring the product stays cheap: mod 32 and 256 the
+# recurrence wins on phi(-q) at 60 terms at 3535 and ties at 88 at 7600,
+# but mod 4, where Newton's iterates for phi(-q) stay sparse, it loses
+# from 32 terms at 1000 (2.0 ms against 1.3) and 2x at 3535.  No one limit
+# is as fast on every row; 32 keeps phi(-q) mod 4 off it past order 1024.
 _SPARSE_DIVISOR_SCALE = 10
 _SPARSE_DIVISOR_TERMS_RESIDUE = 32
+# quotient coefficients per block of the recurrence, and the fewest terms
+# of one coefficient of den whose slices it sums (measured, BENCH_25.json)
+_DIVISION_BLOCK = 32
+_DIVISION_GROUP = 12
 
 
 def _divide_sparse(num, den, order, modulus, known=()):
-    """num/den from den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], one
-    step per nonzero den[i] with i <= n, given a unit constant term.  The
-    recurrence reads only earlier y, so it starts after `known`, a head
-    of the quotient taken as given."""
+    """num/den from den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], given
+    a unit constant term, a block of y at a time (see the module
+    docstring).  The recurrence reads only earlier y, so it starts after
+    `known`, a head of the quotient taken as given."""
     inv0 = _unit_inverse(den, modulus)
-    terms = _nonzero_terms(den, order)[1:]
-    # a list, which the loop reads faster than an array; in a residue ring
-    # this path takes only a den of at most 32 terms, so an order of a few
-    # hundred unless den is far sparser than phi(-q)
+    steps = _nonzero_terms(den, order)[1:]
+    offsets = {}
+    for i, c in steps:
+        if i >= _DIVISION_BLOCK:
+            offsets.setdefault(c, []).append(i)
+    groups = [(c, ii) for c, ii in offsets.items()
+              if len(ii) >= _DIVISION_GROUP]
+    # a list, which the loop reads faster than an array
     y = list(known[:order])
-    for n in range(len(y), order):
-        acc = num[n] if n < len(num) else 0
-        for i, c in terms:
-            if i > n:
-                break
-            acc -= c * y[n - i]
-        y.append(acc * inv0 if modulus is None else acc * inv0 % modulus)
+    nums = chain(islice(num, len(y), None), repeat(0))
+    # up to the first group's _DIVISION_GROUP-th offset, one block
+    first = min((ii[_DIVISION_GROUP - 1] for _, ii in groups), default=order)
+    summed = {}  # coefficient -> how many of its offsets left the steps
+    n0 = len(y)
+    while n0 < order:
+        n1 = min(max(n0 + _DIVISION_BLOCK, first), order)
+        reads = []
+        for c, ii in groups:
+            k = bisect_right(ii, n0)
+            if k >= _DIVISION_GROUP:
+                for i in ii[summed.get(c, 0):k]:
+                    del steps[bisect_left(steps, (i,))]
+                summed[c] = k
+                reads.append(map(mul, repeat(-c), map(sum, zip(
+                    *[y[n0 - i:n1 - i] for i in ii[:k]]))))
+        for n, acc in zip(range(n0, n1),
+                          map(sum, zip(nums, *reads)) if reads else nums):
+            for i, c in steps:
+                if i > n:
+                    break
+                acc -= c * y[n - i]
+            y.append(acc * inv0 if modulus is None else acc * inv0 % modulus)
+        n0 = n1
     return y if modulus is None else _vector(modulus, y)
 
 

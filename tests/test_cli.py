@@ -834,9 +834,13 @@ def test_check_refuses_orders_that_leave_a_check_no_index(capsys,
 
 
 def test_check_all_aggregates(capsys, monkeypatch):
-    # the parser is built once per process and takes its --suite choices
-    # from the suites at that time, so build it before they are replaced
+    # the parsers are built once per process and take their --suite
+    # choices from the suites at that time, so build them before they are
+    # replaced
+    from pdotq.cli import _command_parser
+
     build_parser()
+    _command_parser("check")
     good = Report("alpha", {})
     good.add("a", True)
     bad = Report("beta", {})
@@ -887,3 +891,58 @@ def test_parser_is_built_once_and_parses_afresh(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "all", "--k", "1"])
     assert exc.value.code == 2
+
+
+def _subparsers():
+    import argparse
+
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_each_subcommand_parser_prints_what_the_full_parser_does():
+    from pdotq.cli import _COMMANDS, _command_parser
+
+    subparsers = _subparsers()
+    assert list(subparsers) == list(_COMMANDS)
+    for name, full in subparsers.items():
+        alone = _command_parser(name)
+        assert alone is _command_parser(name)
+        assert alone.format_help() == full.format_help(), name
+        assert alone.format_usage() == full.format_usage(), name
+
+
+def _outcome(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv), argparse's exits
+    included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_parses_once_and_prints_what_the_full_parser_does(
+        capsys, monkeypatch):
+    from test_cli_fuzz import generate
+
+    from pdotq import cli
+
+    cases = [[], ["-h"], ["x"], ["--json", "pdot", "--n", "3"],
+             ["pdot", "--n", "x"], ["radu", "--m", "6"],
+             ["pdot", "--n", "3", "--bogus"], ["sturm", "--weight", "2",
+                                                "--level", "4", "extra"],
+             ["pdot", "-h"], ["check", "--suite", "all", "--k", "1"],
+             ["check", "--suite", "sturm", "--k", "1"]]
+    cases += generate(seed=20261019, count=150) + generate(seed=25, count=150)
+    # each argv through main, then through main with the full parser alone
+    direct = [_outcome(capsys, argv) for argv in cases]
+    monkeypatch.setattr(cli, "_parse", build_parser().parse_args)
+    for argv, want in zip(cases, direct):
+        assert _outcome(capsys, argv) == want, argv
+    # every kind of outcome is among them: help, usage errors from argparse
+    # and from `check`, refusals, failures and passes
+    assert {code for code, _, _ in direct} == {0, 1, 2}
+    assert any(err.startswith("usage: pdotq [-h]") for _, _, err in direct)
+    assert any(err.startswith("usage: pdotq radu") for _, _, err in direct)

@@ -1002,6 +1002,70 @@ def test_division_with_a_short_numerator_and_a_negative_unit():
                 _newton_quotient([1], den, 400, modulus))
 
 
+def _blocked_divisors(rng, order, modulus, block):
+    """(name, den) pairs for the blocked recurrence: few distinct
+    coefficients (phi(-q), psi, f1 and random support with two), all
+    distinct (jacobi_cube and random), the random ones with terms at
+    offsets `block` - 1 and `block` and past the order, each with a unit
+    constant term other than 1."""
+    def distinct(count):
+        return rng.sample(range(2, 10 * count), count)
+
+    dens = [("phi(-q)", list(phi_minus(order, modulus).coeffs)),
+            ("psi", list(psi(order, modulus).coeffs)),
+            ("f1", list(euler_factor(1, 1, order, modulus).coeffs)),
+            ("jacobi_cube", list(jacobi_cube(order, modulus).coeffs))]
+    for name, values in (("two coefficients", [3, -5]),
+                         ("distinct", distinct(order))):
+        den = [0] * (order + 40)
+        for i in rng.sample(range(1, order + 40), min(order // 4, 90)):
+            den[i] = rng.choice(values)
+        den[block - 1] = den[block] = values[0]
+        dens.append((name, den))
+    for name, den in dens:
+        den = [c if modulus is None else c % modulus for c in den]
+        den[0] = -1 if modulus is None else 5
+        yield name, den
+
+
+def _shared_far_coefficient(den, order, block, group):
+    """Whether `group` terms of den at offsets from `block` up to a block
+    below the order share a coefficient, so that some block sums them."""
+    counts = {}
+    for c in den[block:order - block]:
+        if c:
+            counts[c] = counts.get(c, 0) + 1
+    return max(counts.values(), default=0) >= group
+
+
+def test_blocked_recurrence_matches_newton_and_the_product():
+    from pdotq import series
+    from pdotq.series import _divide_newton, _divide_sparse
+
+    block = series._DIVISION_BLOCK
+    rng = random.Random(32)
+    for modulus in (None, 256, 186624):
+        for order in (block - 5, 3 * block + 7, 1300):
+            num = _random_numerator(rng, order, modulus)
+            for name, den in _blocked_divisors(rng, order, modulus, block):
+                want = list(_divide_newton(num, den, order, modulus))
+                for head in (0, block - 1, block, block + 1, 2 * block + 3):
+                    got = _divide_sparse(num, den, order, modulus,
+                                         known=want[:head])
+                    assert list(got) == want, (name, order, modulus, head)
+                # den y == num mod q^order
+                product = poly_mul(den[:order], want, order)
+                if modulus is not None:
+                    product = [c % modulus for c in product]
+                assert product == num, (name, order, modulus)
+                # at order 1300 the few-coefficient divisors are summed by
+                # group, and those with all coefficients distinct are not
+                grouped = _shared_far_coefficient(den, order, block,
+                                                  series._DIVISION_GROUP)
+                if order == 1300 and name != "jacobi_cube":
+                    assert grouped == (name != "distinct"), (name, modulus)
+
+
 def test_division_by_a_non_unit_constant_term_raises_on_both_paths():
     from pdotq.series import _divide_list
 
