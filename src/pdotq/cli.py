@@ -9,24 +9,27 @@ Subcommands:
   check    run a named verification suite (or all of them)
 
 An argv that starts with a subcommand is parsed once, by that subcommand's
-parser alone; the full parser is built only for the usage it prints.
+parser alone; the full parser is built only for the usage it prints.  The
+`--json` of expand, radu and check is json.dumps's text with indent=2.
 
 Exit status: 0 when every requested check passed, 1 when a check failed
 or a certificate's preconditions do not hold, 2 for usage errors, for
-requests past a budget or cap, refused before anything is expanded, and
-for a run that the process's memory limit stops.
+requests past a budget or cap, refused before anything is expanded, for
+a run that the memory limit stops, and for a failed write to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal
 from functools import cache, partial
 from itertools import chain, tee
 from math import e, floor, log10
 
+from . import indented_json
 from .modforms import EtaQuotient, modularity_check, q_expansion, sturm_bound
 from .partitions import (
     PD_EXPONENTS, PDO_EXPONENTS, PDO_T_EXPONENTS, designated_counts, pd,
@@ -205,7 +208,7 @@ def _cmd_expand(args) -> int:
             "holomorphic": modularity_check(eq).ok,
             "coefficients": list(series.coeffs),
         }
-        print(json.dumps(payload, indent=2))
+        print(indented_json(payload))
     else:
         for n, c in enumerate(series.coeffs):
             print(f"{n}\t{c}")
@@ -407,11 +410,8 @@ def _cmd_check(args) -> int:
             raise _Refused(exc) from exc
     passed = all(r.passed for r in reports)
     if args.json:
-        if len(reports) == 1:
-            print(reports[0].to_json())
-        else:
-            print(json.dumps({"reports": [r.to_dict() for r in reports],
-                              "passed": passed}, indent=2))
+        print(reports[0].to_json() if len(reports) == 1 else indented_json(
+            {"reports": [r.to_dict() for r in reports], "passed": passed}))
     else:
         for r in reports:
             print(r.to_text())
@@ -536,13 +536,22 @@ def _parse(argv):
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return _COMMANDS[args.command][0](args)
+        status = _COMMANDS[args.command][0](args)
+        print(end="", flush=True)  # a failed write raises here, not at exit
+        return status
     except _Refused as exc:
         message = exc
     except MemoryError:
         # a request inside every budget can still pass a memory limit set
         # on the process (ulimit -v)
         message = "out of memory"
+    except OSError as exc:  # stdout failed; at exit it flushes into devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 2
+        message = f"cannot write output: {exc}"
     print(f"pdotq {args.command}: {message}", file=sys.stderr)
     return 2
 

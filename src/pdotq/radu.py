@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import cache
 from math import floor, gcd, lcm
 
+from . import indented_json
 from .modforms import sl2_index
 from .series import TruncSeries, divisors, eta_product, prime_factors
 
@@ -158,8 +159,7 @@ class Certificate(namedtuple("Certificate", [
     def to_json(self) -> str:
         # JSON writes the int keys of r and r' as strings and the tuples
         # of `checked` as lists; nu alone needs writing out
-        return json.dumps({**self._asdict(), "nu": _frac_str(self.nu)},
-                          indent=2)
+        return indented_json({**self._asdict(), "nu": _frac_str(self.nu)})
 
 
 @cache

@@ -39,10 +39,10 @@ in any order.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import floor, lcm
 
+from . import indented_json
 from .modforms import (
     EtaQuotient,
     congruent_upto,
@@ -101,7 +101,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return indented_json(self.to_dict())
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]

@@ -946,3 +946,63 @@ def test_main_parses_once_and_prints_what_the_full_parser_does(
     assert {code for code, _, _ in direct} == {0, 1, 2}
     assert any(err.startswith("usage: pdotq [-h]") for _, _, err in direct)
     assert any(err.startswith("usage: pdotq radu") for _, _, err in direct)
+
+
+# each writes more than a pipe buffer (expand, check) or less (radu), so a
+# write fails both inside the command and in main's final flush
+WRITERS = [
+    ["radu", "--m", "96", "--t", "95", "--u", "128", "--rprime", "1:80",
+     "--min-depth", "77", "--json"],
+    ["expand", "--eta", "12;1;1:-2,2:1,3:2,6:-1,12:2", "--order", "2000",
+     "--json"],
+    ["check", "--suite", "powers-of-two"],
+]
+
+
+def run_into(stdout, argv):
+    """Exit status and stderr of `python -m pdotq.cli argv` in a fresh
+    process whose stdout is the file descriptor `stdout`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-m", "pdotq.cli", *argv],
+                           stdout=stdout, stderr=subprocess.PIPE, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)),
+                           timeout=120)
+    return child.returncode, child.stderr
+
+
+def closed_pipe():
+    """The write end of a pipe whose read end is already closed, so the
+    first write to it fails with EPIPE, whenever it comes."""
+    import os
+
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def test_a_closed_stdout_pipe_exits_2_silently():
+    import os
+
+    for argv in WRITERS:
+        stdout = closed_pipe()
+        try:
+            assert run_into(stdout, argv) == (2, ""), argv
+        finally:
+            os.close(stdout)
+
+
+def test_a_full_disk_exits_2_with_one_line():
+    import os
+
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    for argv in WRITERS:
+        with open("/dev/full", "wb") as full:
+            code, err = run_into(full.fileno(), argv)
+        assert (code, err) == (2, f"pdotq {argv[0]}: cannot write output: "
+                                  "[Errno 28] No space left on device\n")

@@ -5,7 +5,8 @@ checks (not from argparse) must print exactly one stderr line.
 
 The cases run in one child process under an address-space cap, each under
 its own alarm, so an input that allocates without bound or never ends fails
-here instead of exhausting the machine or hanging the suite."""
+here instead of exhausting the machine or hanging the suite.  The KNOWN
+cases also run each in a process of its own whose stdout is a closed pipe."""
 
 import json
 import os
@@ -221,3 +222,28 @@ def test_every_argv_exits_0_1_or_2_without_a_traceback():
     # program's own checks
     assert {code for code, *_ in results} == {0, 1, 2}
     assert {parsed for _, _, parsed, _ in results} == {True, False}
+
+
+def test_known_argv_into_a_closed_pipe_ends_without_a_traceback():
+    import resource
+
+    def capped():
+        cap = 2_000_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    # each in its own process, so that the interpreter's flush at exit
+    # runs too, into a pipe whose read end is closed before it starts
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in KNOWN:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "pdotq.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, text=True, env=env,
+                preexec_fn=capped, timeout=60)
+        finally:
+            os.close(write)
+        assert child.returncode in (0, 1, 2), (argv, child.returncode)
+        assert "Traceback" not in child.stderr, (argv, child.stderr)
+        assert child.stderr.count("\n") <= 1, (argv, child.stderr)
