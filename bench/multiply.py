@@ -1,6 +1,7 @@
 """Time the multiply backends of pdotq.series.
 
     PYTHONPATH=src python3 bench/multiply.py [--repeats 5] [--seed 1]
+        [--against DIR]
 
 Residue rows: for each length n and modulus M, two operands of length n
 are multiplied to order n by schoolbook (`_mul_schoolbook`) and by the
@@ -20,12 +21,13 @@ number of nonzero pairs per product coefficient, and f_1 times a dense
 operand, each by schoolbook and by the decimal backend, with the
 nonzero-pair count beside them.  They are the evidence for
 `_SPARSE_PAIRS_PER_COEFF`.
-Series rows: one whole `pdo_t_series` expansion at each (order, modulus,
-step) of SERIES_ROWS, best of --repeats, the layer that sits between one
-multiply and a suite; step 3 is the 3n series that `check --suite all`
-expands once.  Quotient rows: the `q_expansion` of the Sturm suite's
-level-18 and level-36 quotients at the depths and modulus it expands
-them to, best of --repeats; modulo the prime power 243, `eta_product`
+Series rows: one whole `pdo_t_series` expansion (its eta product, shifted
+by q) at each (order, modulus, step) of SERIES_ROWS, best of --repeats,
+the layer that sits between one multiply and a suite; step 3 is the 3n
+series that `check --suite all` expands once.  Quotient rows: the
+`q_expansion` (its eta product) of the Sturm suite's level-18 and
+level-36 quotients at the depths and modulus it expands them to, best of
+--repeats; modulo the prime power 243, `eta_product`
 lowers their exponents by the binomial congruence first.  Division rows:
 the numerator phi(-q^3) f12^2 of the PDO_t quotient divided by each
 denominator of DIVISION_ROWS, from the sparse phi(-q) to the dense f1^6,
@@ -60,7 +62,15 @@ past a power of two costs one more halving step; a schedule that doubled
 up from 1 would pay a whole extra step of the full order there.  Decode
 row: `_decode_fields` on DECODE_FIELDS random fields of DECODE_WIDTH
 digits reduced mod 186624, the final product of the 3n division (den y
-of 57,508 fields), best of --repeats.  The result is printed as one JSON
+of 57,508 fields), best of --repeats.  Store rows: a series made from a
+list of ints, and its multiple by an int, mod 186624 at that size and
+over Z with 200-bit coefficients at 3500, each stored by one pass.
+With --against DIR, DIR/src/pdotq/series.py is loaded beside this tree's
+series module (it imports only the standard library), every row is timed
+on both trees in turn, call by call, and each time becomes {"this",
+"against", "ratio"}, ratio this/against; the trees' results are checked
+equal.  Two trees timed in one process share its drift, which runs
+minutes apart on a shared VM do not.  The result is printed as one JSON
 object.
 """
 
@@ -74,18 +84,34 @@ import random
 import sys
 import time
 
+import importlib.util
+from pathlib import Path
+
 from pdotq import series
-from pdotq.modforms import EtaQuotient, q_expansion
-from pdotq.partitions import pdo_t_series
-from pdotq.series import (
-    _decode_fields, _divide_newton, _divide_sparse, _mul_decimal,
-    _mul_schoolbook, _nonzero_count, eta_product, euler_factor, phi_minus,
+from pdotq.partitions import (
+    PDO_T_3N_EXPONENTS, PDO_T_EXPONENTS, pdo_t_series,
 )
+from pdotq.series import _nonzero_count, eta_product, euler_factor, phi_minus
 
 # orders at which schoolbook still finishes, in every ring
 SIZES = (32, 64, 96, 128, 256, 512, 1500, 3500)
 MODULI = (2, 32, 243, 256, 729)
-BACKENDS = (("schoolbook_s", _mul_schoolbook), ("decimal_s", _mul_decimal))
+
+# the series modules every row is timed on: this tree's, and with --against
+# DIR the one of DIR, loaded beside it
+TREES = {"this": series}
+
+
+def kernel(name):
+    """The function s.<name>(*args) of a series module s."""
+    def call(s, *args):
+        return getattr(s, name)(*args)
+    call.__name__ = name
+    return call
+
+
+BACKENDS = (("schoolbook_s", kernel("_mul_schoolbook")),
+            ("decimal_s", kernel("_mul_decimal")))
 SPARSE_SIZES = (2000, 30000, 115000)
 SPARSE_MODULI = (32, 729)
 SPARSE_EXACT_SIZE = 2000
@@ -133,13 +159,51 @@ DECODE_MODULUS = 186624
 
 
 def best_of(repeats, fn, *args):
-    best = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        out = fn(*args)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, out
+    """(best time, result) of `repeats` calls of fn(s, *args), s this
+    tree's series module.  With a second tree the trees take turns, call by
+    call, the first of each turn alternating, and the time is
+    {"this": best, "against": best, "ratio": this/against}; the trees'
+    results must be equal."""
+    best = dict.fromkeys(TREES, float("inf"))
+    outs = {}
+    for k in range(repeats):
+        for tree in (list(TREES) if k % 2 == 0 else list(TREES)[::-1]):
+            started = time.perf_counter()
+            outs[tree] = fn(TREES[tree], *args)
+            best[tree] = min(best[tree], time.perf_counter() - started)
+    if len(TREES) == 1:
+        return best["this"], outs["this"]
+    this, against = (list(getattr(out, "coeffs", out)) for out in
+                     outs.values())
+    if this != against:
+        raise SystemExit(f"the trees disagree in {fn.__name__}")
+    best["ratio"] = round(best["this"] / best["against"], 4)
+    return best, outs["this"]
+
+
+def load_against(root):
+    """ROOT/src/pdotq/series.py as a module of its own, which imports
+    only the standard library, so two trees run in one process."""
+    path = Path(root) / "src" / "pdotq" / "series.py"
+    spec = importlib.util.spec_from_file_location("against_series", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pdo_t_expansion(s, order, modulus, step):
+    """`pdo_t_series(order, modulus, step)` through the series module s."""
+    exponents, scalar = {1: (PDO_T_EXPONENTS, 1),
+                         3: (PDO_T_3N_EXPONENTS, 4)}[step]
+    return s.eta_product(exponents, order - 1, modulus,
+                         scalar=scalar).shift(1)
+
+
+def quotient_expansion(s, exponents, order, modulus):
+    """The q-expansion of the eta quotient with these exponents (scalar
+    1), as `modforms.q_expansion` forms it, through the series module s."""
+    shift = sum(d * r for d, r in exponents.items()) // 24
+    return s.eta_product(exponents, order - shift, modulus).shift(shift)
 
 
 def signed(rng, n, bits):
@@ -203,22 +267,23 @@ def sparse_rows(rng, repeats, widths):
 def series_rows(repeats):
     return [{"order": n, "modulus": modulus, "step": step,
              "pdo_t_series_s":
-                 best_of(repeats, pdo_t_series, n, modulus, step)[0]}
+                 best_of(repeats, pdo_t_expansion, n, modulus, step)[0]}
             for n, modulus, step in SERIES_ROWS]
 
 
 def quotient_rows(repeats):
     return [{"level": level, "exponents": exps,
              "order": n, "modulus": modulus,
-             "q_expansion_s": best_of(repeats, q_expansion,
-                                      EtaQuotient(level, exps), n, modulus)[0]}
+             "q_expansion_s": best_of(repeats, quotient_expansion, exps,
+                                      n, modulus)[0]}
             for level, exps, n, modulus in QUOTIENT_ROWS]
 
 
 def division_rows(repeats):
     """Rows of recurrence and Newton division times; None if they differ."""
     rows = []
-    backends = (("recurrence_s", _divide_sparse), ("newton_s", _divide_newton))
+    backends = (("recurrence_s", kernel("_divide_sparse")),
+                ("newton_s", kernel("_divide_newton")))
     for modulus in DIVISION_MODULI:
         for n in DIVISION_ORDERS:
             num = eta_product(DIVISION_NUMERATOR, n, modulus).coeffs
@@ -242,9 +307,9 @@ def workload_division_rows(repeats):
         row = {"workload": workload, "n": n, "modulus": modulus,
                "operands": numerator, "denominator": denominator,
                "nonzero": _nonzero_count(den, n)}
-        backends = [("newton_s", _divide_newton)]
+        backends = [("newton_s", kernel("_divide_newton"))]
         if row["nonzero"] * n <= RECURRENCE_STEPS:
-            backends.append(("recurrence_s", _divide_sparse))
+            backends.append(("recurrence_s", kernel("_divide_sparse")))
         if not timed_row(row, backends, num, den, n, modulus, repeats):
             return None
         rows.append(row)
@@ -269,20 +334,20 @@ def encoding_rows(repeats):
 
         series._decimal_operand = counted
         try:
-            _divide_newton(num, den, n, modulus)
+            series._divide_newton(num, den, n, modulus)
         finally:
             series._decimal_operand = encode
         rows.append({"n": n, "modulus": modulus, "operands": numerator,
                      "denominator": denominator, "encodings": len(spans),
                      "encoded_coeffs": sum(spans),
-                     "newton_s": best_of(repeats, _divide_newton, num, den,
-                                         n, modulus)[0]})
+                     "newton_s": best_of(repeats, kernel("_divide_newton"),
+                                         num, den, n, modulus)[0]})
     return rows
 
 
 def newton_rows(repeats):
     return [{"order": n, "modulus": modulus, "denominator": "phi(-q)^2",
-             "invert_s": best_of(repeats, _divide_newton, None,
+             "invert_s": best_of(repeats, kernel("_divide_newton"), None,
                                  (phi_minus(n, modulus) ** 2).coeffs, n,
                                  modulus)[0]}
             for n, modulus in NEWTON_ROWS]
@@ -293,17 +358,39 @@ def decode_row(rng, repeats):
         DECODE_WIDTH) for _ in range(DECODE_FIELDS))
     return {"fields": DECODE_FIELDS, "width": DECODE_WIDTH,
             "modulus": DECODE_MODULUS,
-            "decode_s": best_of(repeats, _decode_fields, digits, DECODE_WIDTH,
-                                DECODE_MODULUS, 0, False)[0]}
+            "decode_s": best_of(repeats, kernel("_decode_fields"), digits,
+                                DECODE_WIDTH, DECODE_MODULUS, 0, False)[0]}
+
+
+def store_rows(rng, repeats):
+    """A series made from a list of ints and a scalar multiple of one, each
+    stored by one pass over its values, at the 3n division's order mod
+    186624 and over Z with 200-bit coefficients."""
+    rows = []
+    for modulus, values in ((DECODE_MODULUS, [rng.randrange(DECODE_MODULUS)
+                                              for _ in range(DECODE_FIELDS)]),
+                            (None, signed(rng, 3500, 200))):
+        made = series.TruncSeries(values, modulus)
+        rows.append({"n": len(values), "modulus": modulus,
+                     "from_list_s": best_of(repeats, lambda s: s.TruncSeries(
+                         values, modulus))[0],
+                     "times_int_s": best_of(repeats, lambda s: s.TruncSeries
+                                            .__mul__(made, 5))[0]})
+    return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", metavar="DIR",
+                        help="another checkout whose src/pdotq/series.py is "
+                             "timed beside this one, row by row")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if args.against:
+        TREES["against"] = load_against(args.against)
     rng = random.Random(args.seed)
     rows = []
     for n in SIZES:
@@ -345,6 +432,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "repeats": args.repeats,
         "seed": args.seed,
+        "against": args.against,
         "rows": rows,
         "exact_rows": exact_rows,
         "sparse_rows": rows_sparse,
@@ -355,6 +443,7 @@ def main(argv=None) -> int:
         "encoding_rows": encoding_rows(args.repeats),
         "newton_rows": newton_rows(args.repeats),
         "decode_row": decode_row(rng, args.repeats),
+        "store_rows": store_rows(rng, args.repeats),
     }, indent=2))
     return 0
 

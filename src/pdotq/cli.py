@@ -1,12 +1,5 @@
-"""Command line front end.
-
-Subcommands:
-
-  expand   print coefficients of an eta-quotient expansion
-  pdot     evaluate the designated-summand counting functions
-  radu     run one congruence verification certificate
-  sturm    print a Sturm bound
-  check    run a named verification suite (or all of them)
+"""Command line front end: the subcommands expand, pdot, radu, sturm and
+check (`_COMMANDS`, with their help lines).
 
 An argv that starts with a subcommand is parsed once, by that subcommand's
 parser alone; the full parser is built only for the usage it prints.  The
@@ -97,8 +90,8 @@ _MAX_EXACT_COEFFICIENTS = 100_000
 # mod M each coefficient costs about as many digits of every product as M
 # has, so the count times the digits of M has a budget too; the budget of
 # coefficients mod 186624 (6 digits) spends 6,000,000 of it.  Just inside
-# it, `check --suite powers-of-two --kmax 4970` (6667 coefficients mod
-# 2^4972, 1497 digits) took 13.2 s and 185 MiB on a 2-core VM
+# it (order 10001 is refused), `expand --eta "12;1;1:-2,2:1,3:2,6:-1,12:2"
+# --order 10000 --mod 10^999` took 7.7 s and 105 MiB on a 2-core VM
 _MAX_DIGITS = 10_000_000
 # the budgets above were timed on exponents of at most 5 bits; each 5 bits
 # more of the largest charges an expansion one budget more, which refuses
@@ -215,8 +208,8 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-# the one-n counter behind each --counter choice; perfbench's tracer wraps
-# the functions through this dict
+# the --counter choices, and the one-n counters that perfbench's tracer
+# wraps through this dict; `_TABLES` and `_SERIES` answer every query
 _COUNTERS = {"pd": pd, "pd-tagged": pd_t, "pdo": pdo, "pdo-tagged": pdo_t}
 # counter -> (only odd parts allowed, index of its list), the table of
 # partitions.designated_counts that a query reads all its n from

@@ -13,17 +13,13 @@ per distinct size).  The four counting functions are
 
 All four are read from one table over multiplicity profiles,
 designated_counts, built from plain integer lists without the series
-module.  pd and pdo also have the eta-quotient generating functions
-PD_EXPONENTS and PDO_EXPONENTS; pd_t has none here and comes from the
-table alone.
-pdo_t is the statistic the rest of the package is about.  Its generating
-function is q * f2 * f3^2 * f12^2 / (f1^2 * f6) with f_m the Euler product
-over step m; pdo_t_series builds that via the series module, so the
-combinatorial count here and the product expansion check each other.
-The 3-dissection of 1/phi(-q) = f2/f1^2 (Hirschhorn and Sellers,
+module; pd and pdo also have the eta-quotient generating functions
+PD_EXPONENTS and PDO_EXPONENTS.  pdo_t, the statistic the rest of the
+package is about, has q f2 f3^2 f12^2/(f1^2 f6), with f_m the Euler
+product over step m, so the count here and the expansion check each
+other.  The 3-dissection of 1/phi(-q) = f2/f1^2 (Hirschhorn and Sellers,
 "Arithmetic relations for overpartitions", JCMCC 53, 2005) gives its 3n
-progression, sum pdo_t(3n) q^n = 4q f2 f4^2 f6^3 / f1^4, a third as long
-for the same reach; pdo_t_series builds that one too.
+progression, a third as long for the same reach.
 """
 
 from __future__ import annotations

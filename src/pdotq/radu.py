@@ -18,21 +18,9 @@ radu_verify runs the pipeline and returns a Certificate, a named tuple
 recording every quantity exactly; its JSON writes the fields in order, and
 rationals as "num/den" strings.  Instances, auxiliary exponents and
 certificates are named tuples, checked and normalised as they are made,
-and never change after that.  What does
-not read t (five Delta* conditions, the nonnegativity table, nu but its
--min(P(t))/m term) is kept per cell (m, M, N, r, r') for the life of the
-process, as verify's master series are; a call forms the orbit, checks
-the fifth condition, finishes nu and scans the coefficients.  For the
-PDO_t map, f2 f3^2 f12^2/(f1^2 f6), the CLI and the certificate table
-read those from verify's master series (`verify.shifted_progression`):
-c(m n + t') = pdo_t(m n + t' + 1), from the 3n series when 3 divides m
-and t' + 1.  Its sum d r_d is 24, so each orbit residue is t' = s (t + 1)
-- 1 mod m with s == 1 mod 24: with 3 | m one source serves the orbit.
-Every other map is expanded afresh.  Either way the head c(m n + t0),
-n <= 2, is read first, and only a clean head has the whole orbit read,
-in one request.  Failed preconditions raise, because the criterion does
-not apply; a failed coefficient check returns a verdict-false
-certificate, because the congruence itself is false.
+and never change after that.  For the PDO_t map f2 f3^2 f12^2/(f1^2 f6),
+whose sum d r_d is 24, each orbit residue is t' = s (t + 1) - 1 mod m
+with s == 1 mod 24, so with 3 | m the 3n master series serves the orbit.
 """
 
 from __future__ import annotations
@@ -336,24 +324,21 @@ def radu_verify(
     t.  What does not read t is worked out once per cell (m, M, level, r, r')
     and kept for the process (`_CELLS`); a call forms the orbit, checks the
     fifth Delta* condition, takes min(orbit)/m off nu and scans the
-    coefficients.  Those come from `progression(offsets, count)`, which
-    returns, for each t' in `offsets` (orbit residues, ascending), c(m n + t')
-    for n < count as integers whose residues mod u are the true ones: for the
-    PDO_t map the CLI and the certificate table pass
-    `verify.shifted_progression`, which reads the master series (the 3n series
-    when 3 divides m and every t' + 1).  Without it they come from an
-    expansion of c_r mod u to the furthest index a request reads.  Whatever
-    the source, the scan reads the head c(m n + t0), n <= min(2, depth), first
-    (t0 the first orbit residue): a nonzero there is the scan's first failure.
-    Only when there is none does it ask for every orbit progression, in one
-    request, so each source is expanded at most once after the head.
-    `min_depth` forces checking beyond floor(nu), which can only strengthen
-    the evidence.  `cost_guard(depth, orbit)`, called before any check, may
-    refuse a scan of c(m n + t'), n <= depth, t' in the orbit.
+    coefficients.  `progression(offsets, count)` returns, for each t' in
+    `offsets` (orbit residues, ascending), c(m n + t') for n < count as
+    integers whose residues mod u are the true ones: for the PDO_t map
+    `verify.shifted_progression` reads the master series, and without it
+    c_r is expanded mod u to the furthest index a request reads.  The scan
+    reads the head c(m n + t0), n <= min(2, depth), first: only a clean
+    head has every orbit progression asked for, in one request, so each
+    source is expanded at most once after the head.  `min_depth` forces
+    checking beyond floor(nu).  `cost_guard(depth, orbit)`, called before
+    any check, may refuse a scan of c(m n + t'), n <= depth, t' in the orbit.
 
-    Raises a CriterionNotApplicable subclass when a precondition fails.
-    Returns a Certificate whose verdict is False when a coefficient check
-    fails (the congruence is then genuinely false at the recorded index).
+    Raises a CriterionNotApplicable subclass when a precondition fails, as
+    the criterion does not apply.  Returns a Certificate whose verdict is
+    False when a coefficient check fails (the congruence is then false at
+    the recorded index).
     """
     orbit, nu = orbit_and_nu(inst, aux)
     floor_nu = floor(nu)

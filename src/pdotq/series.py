@@ -1,140 +1,27 @@
 """Truncated formal power series over Z or Z/MZ, with the q-series builders
 used everywhere else in this package.
 
-A TruncSeries holds the coefficients c[0..T-1] of a series known modulo q^T.
-The domain is either exact integers (modulus None) or the residue ring Z/MZ
-(modulus M >= 2, coefficients normalized into [0, M)).  Arithmetic between
-two series requires identical domains and truncates to the smaller order,
-since nothing past that point is determined by the operands.
+A TruncSeries holds the coefficients c[0..T-1] of a series known modulo
+q^T, over Z (modulus None) or in Z/MZ (M >= 2, residues in [0, M)).
+Arithmetic between two series needs one domain and truncates to the
+smaller order, since nothing past that point is determined.  Each rule of
+the arithmetic is stated once, in the docstring of the function that
+owns it:
 
-In Z/M with M < 2^63 every residue fits a signed 64-bit word, so the
-coefficients of a series, and every vector the arithmetic below builds,
-are one array('q'): 8 bytes a coefficient, where a list or tuple holds an
-8-byte pointer to an int of 28 bytes or more (`_in_words` is the rule,
-`_vector` makes them).  Over Z and for M >= 2^63, such as the wide fields
-of `expand --mod` past the int/str limit, a series keeps a tuple and is
-built in lists.  Reading an array boxes each item into an int, so passes
-over one are merged: a product's fields are reduced mod M, and in a Newton
-step subtracted from num, as they are decoded; schoolbook sums are reduced
-as they are stored; an array operand is encoded a slice at a time, so no
-full-length tuple of ints is built.  The array module is loaded with the
-first residue vector.
-
-Multiplication dispatches on the number of nonzero pairs.  Schoolbook
-convolution walks only the nonzero terms of both operands, so its cost is
-the count of nonzero pairs; it takes a product whose operands have at
-most 16 nonzero pairs per product coefficient, such as one
-pentagonal-sparse Euler factor times another, and so every product below
-order 17.  Every other product, over Z or in a residue ring, uses
-Kronecker substitution in base 10^w: each coefficient becomes a
-zero-padded w-digit field of one integer `decimal.Decimal`, a single
-multiply does the whole convolution, and the fields of the product are
-the coefficients.  libmpdec multiplies long operands with a
-number-theoretic transform, which is asymptotically faster than
-CPython's Karatsuba.  This is still exact integer arithmetic, not
-floating point: the operands are integers with exponent 0, the context
-has precision MAX_PREC, and its Inexact and Rounded traps make any
-result that would need rounding raise instead.
-Exact coefficients are signed.  A field holds c + B with B the largest -c
-of its operand, and B times the repunit of the fields is subtracted again,
-so the big number carries the signed values.  After the multiply a bias
-H, no smaller than any |c| of the product, is added to every field, so
-each field lies in [0, 2H] and none borrows from its neighbour.
-Only the fields a caller reads are written out: the product's fields
-from the order up, and those below a window start, are cut off in
-Decimal first (scaleb, round down, subtract, each call on the exact
-context, since the thread's default one rounds to 28 digits).  The digit
-string left is read in slices of 128 fields; each slice is encoded on
-its own and split into its fields by one struct call, and int() parses
-them, so the per-field work runs in C and no copy of the whole string is
-made.
-A field with more digits than the interpreter converts between int and
-str (M above about 10^2150, or exact coefficients about as long) is
-written from Decimal(c) and read back through a Decimal, neither of
-which has that limit.
-Division num/den, and inversion as the division of one, dispatches on the
-domain, the order and the number of nonzero terms of den.  A sparse den,
-such as phi(-q) with about 2 sqrt(order) nonzero terms, is divided out by
-the recurrence den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], with no
-inverse and no product formed, a block of 32 coefficients of y at a time.
-A den[i] with i of a block or more, whose y[n-i] all lie below the
-block, adds den[i] times the slice y[n0-i:n1-i] to it; once 12 such
-terms share a coefficient (as phi(-q)'s +-2 do), their slices are summed
-elementwise in C and the sum is scaled once.  Every other nonzero den[i],
-such as each of f_1^3's over Z, which are all distinct, takes one
-interpreted step per coefficient.  Each block reads only earlier y, so
-given a known head of the quotient (a shorter expansion of the same
-series, `eta_product`'s `known`) the recurrence continues after it and
-pays only for the new coefficients.  A den with more than 10 sqrt(order)
-nonzero terms over Z, or 32 in a residue ring, would make that slower
-than Newton division, which goes by halves: 1/den to
-h = ceil(order/2) is the division of one to h, and one Karp-Markstein
-step finishes the quotient from it.  With x that half inverse, y = num x
-to h, and num - den y is q^h times an error e below order, so the step
-reads only coefficients h and up of den y (the product decodes no field
-below them), and y + q^h x e is the quotient.  With num one, y is x and
-the step is Newton's x(2 - den x), which doubles the correct precision.
-So the precisions are ceil(order/2^k), built down from the target (Brent
-and Zimmermann, Modern Computer Arithmetic, 4.2): each step takes the
-inverse, at the last the quotient, from ceil(p/2) to p coefficients with
-two products, none pays a product of the full order to add a few
-coefficients past a power of two, and neither a full-length Newton step
-nor the order-length product of num and the inverse is formed.
-Newton division ignores a known head: continuing it would still need a
-fresh inverse to the full order.
-In a residue ring every product of one division takes fields of one width,
-that of its largest product, h (M-1)^2, and den and x, which enter several
-products, keep their encodings (`_Operand`).  Each step reads a longer
-head of den and of x; only the coefficients past the encoded head are
-written and added in, in Decimal, so each coefficient of den and of x is
-encoded once per division, and a head one field shorter is the encoding
-less its top field.  Only num, y and each step's error are written once
-for their one product.  Over Z each product takes the width of its own
-bound, which the products of a division seldom share, so nothing is kept
-and each product encodes its operands afresh.  A square encodes its one
-operand once, and libmpdec squares faster than it multiplies.
-
-Every eta product s prod f_d^(r_d) is built by `eta_product`.  In Z/M,
-s P mod M depends only on P mod M/gcd(s, M), so P is expanded in that
-smaller ring and scaled back: the 3n body below mod 46656 for 186624, the
-level-18 Sturm quotient (s = 36) mod 27 for 243 and the level-36 one
-(s = 6) mod 81, each companion 2^a 3^b q prod f_d^(r_d) mod M/3^b, and
-nothing at all when M divides s.  Modulo a power p^a of one prime, M's
-or the smaller ring's, it first lowers the exponents by the binomial
-congruence (1 - x)^(p^a) == (1 - x^p)^(p^(a-1)) (mod p^a), so
-f_d^(p^a) == f_pd^(p^(a-1)): walking the steps in ascending order, r_d
-loses the multiple j p^a nearest it (the smaller |j| on a tie), or the
-largest one below it when no exponent is negative, so a product never
-becomes a quotient, and r_pd gains j p^(a-1) (`binomial_reduce`).
-Modulo 243 the Sturm quotient
-f1^237 f2^3 f3^-79 f6^3 becomes f1^-6 f2^3 f3^2 f6^3, and modulo 2 the
-PDO_t map becomes f24.  Over Z and modulo a composite nothing changes,
-nor modulo an M past 2^32 with no prime factor up to 2^16, which is not
-factored (`_prime_of_power`).
-Then it divides the steps by their gcd and inflates the result back,
-forms each f_d^r by inflating one f_1^|r| (shared by all steps with the
-same |r|), and divides the product of the positive-exponent factors by
-that of the negative-exponent ones, if there are any.
-
-Before that it pulls out theta factors.  Ramanujan's phi(-q) = f_1^2/f_2
-= sum_k (-1)^k q^(k^2) and psi(q) = f_2^2/f_1 = sum_{n>=0} q^(n(n+1)/2)
-(Berndt, Ramanujan's Notebooks, Part III, Entry 22) have only about
-2 sqrt(order) and sqrt(2 order) nonzero terms, and are written down
-directly like `jacobi_cube`.  A pair of steps d, 2d with r_d = -2 r_2d
-is phi(-q^d)^(-r_2d), and one with r_2d = -2 r_d is psi(q^d)^(-r_d); the
-steps are paired in ascending order, each at most once.  Where neither
-holds but r_d is even and r_2d has the opposite sign, phi(-q^d)^(r_d/2)
-takes all of f_d^(r_d) and the rest, r_2d + r_d/2, stays on step 2d,
-which may then pair with 4d.  A theta factor joins the numerator or the
-denominator by the sign of its exponent, like any other factor, so the
-sparse-product dispatch and the single division apply to it unchanged.
-A power f_1^(3j) is (f_1^3)^j, starting from the sparse `jacobi_cube`.
-The PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is q phi(-q^3) f12^2/phi(-q):
-one sparse factor times f12^2, divided by the sparse phi(-q) in one
-recurrence pass, where the Euler factors alone need four dense products
-and an inversion.
-Its 3n progression 4q f2 f4^2 f6^3/f1^4 is 4q psi(q^2) f6^3/phi(-q)^2,
-built from three sparse series.
+- storage: a residue vector with M < 2^63 is one array('q') of machine
+  words, any other a list, kept by a series as a tuple (`_vector`); every
+  vector the arithmetic builds is stored by one pass (`_finish`);
+- products: schoolbook convolution over the nonzero terms or Kronecker
+  substitution into one Decimal, by the count of nonzero pairs
+  (`_mul_lists`); the encoding into fields and its bias (`_mul_decimal`,
+  `_decimal_operand`) and the decoding (`_decode_fields`);
+- division: the blocked recurrence for a sparse divisor, Newton inversion
+  and one Karp-Markstein step otherwise (`_divide_list`); the operands
+  that enter several products of one division keep their encodings
+  (`_Operand`);
+- eta products: the smaller ring, the binomial congruence, the theta
+  factors phi(-q), psi(q) and f_1^3, and the one division of the plan
+  (`eta_product`).
 """
 
 from __future__ import annotations
@@ -149,7 +36,7 @@ from decimal import (
 from functools import cache
 from itertools import chain, islice, repeat
 from math import gcd, isqrt
-from operator import mul
+from operator import add, mul, neg, sub
 
 
 class DomainMismatchError(ValueError):
@@ -162,9 +49,8 @@ class NotInvertibleError(ValueError):
 
 # residues mod M < 2^63 fit a signed machine word
 _WORD_MODULI = 1 << 63
-# a vector of machine words is encoded, and filled from Python ints, this
-# many coefficients at a time, so that no full-length list or tuple of ints
-# is built
+# coefficients a vector is stored, and an array encoded, at a time, so that
+# no full-length list or tuple of ints is built
 _SLICE = 1024
 
 
@@ -180,8 +66,11 @@ _array = None
 
 
 def _vector(modulus, values=()):
-    """A new coefficient vector holding `values`: an array('q') of machine
-    words where `_in_words`, a list of ints otherwise."""
+    """A new coefficient vector holding `values`.  Where `_in_words`, every
+    residue fits a signed 64-bit word, so the vector is one array('q'):
+    8 bytes a coefficient, where a list holds an 8-byte pointer to an int
+    of 28 bytes or more.  Over Z and for M >= 2^63 (such as the wide
+    fields of `expand --mod` past the int/str limit) it is a list."""
     global _array
     if not _in_words(modulus):
         return list(values)
@@ -249,35 +138,34 @@ def _extend(out, values):
         out.fromlist(values)
 
 
-def _finish(out, values, modulus, bias, mins):
-    """Append each of `values` to `out`, less the bias and reduced mod M
-    (over Z, modulus None, not reduced); with `mins`, an iterator, append
-    next(mins) less each instead.  The values of a product are reduced,
-    or subtracted, as they are stored, in one pass."""
-    if mins is not None:
-        values = ([m + bias - v for v, m in zip(values, mins)]
-                  if modulus is None
-                  else [(m - v) % modulus for v, m in zip(values, mins)])
-    elif modulus is not None:
-        values = [v % modulus for v in values]
-    elif bias:
-        values = [v - bias for v in values]
-    _extend(out, values)
-
-
-def _scaled(coeffs, scalar, modulus):
-    """scalar times each of `coeffs` as a new vector, reduced mod M, a
-    slice at a time."""
+def _finish(values, modulus, bias=0, minuend=None, scalar=1):
+    """A new vector (`_vector`) of `values`, an iterable, each less `bias`
+    (a product's over Z) or times `scalar` (a scalar multiple's) and
+    reduced mod M (over Z, modulus None, not reduced); with a `minuend`,
+    an iterable read as zeros past its end, each subtracted from the next
+    minuend item instead.  Reading an array
+    boxes every item into an int, so each vector the arithmetic builds,
+    from a product, a scalar multiple or a series made from a list, is
+    stored by this one pass, _SLICE values at a time."""
     out = _vector(modulus)
-    for start in range(0, len(coeffs), _SLICE):
-        values = coeffs[start:start + _SLICE]
-        if modulus is not None:
-            values = ([c % modulus for c in values] if scalar == 1
-                      else [scalar * c % modulus for c in values])
-        elif scalar != 1:
-            values = [scalar * c for c in values]
-        _extend(out, values)
-    return out
+    values = iter(values)
+    mins = None if minuend is None else chain(minuend, repeat(0))
+    while True:
+        head = islice(values, _SLICE)
+        if mins is not None:
+            head = ([m + bias - v for v, m in zip(head, mins)]
+                    if modulus is None
+                    else [(m - v) % modulus for v, m in zip(head, mins)])
+        elif modulus is not None:
+            head = ([v % modulus for v in head] if scalar == 1
+                    else [scalar * v % modulus for v in head])
+        elif bias:
+            head = [v - bias for v in head]
+        else:
+            head = [scalar * v for v in head] if scalar != 1 else list(head)
+        _extend(out, head)
+        if len(head) < _SLICE:
+            return out
 
 
 def _sparse(terms, order, modulus):
@@ -291,15 +179,9 @@ def _sparse(terms, order, modulus):
     return TruncSeries._reduced(out, modulus)
 
 
-def _minuend(minuend):
-    """The iterator `_finish` reads a minuend from, zeros past its end."""
-    return None if minuend is None else chain(minuend, repeat(0))
-
-
 def _mul_schoolbook(a, b, order, modulus, lo=0, minuend=None):
     # both operands as their nonzero (index, coefficient) pairs, so the
-    # work is one step per pair of nonzero terms that lands below `order`;
-    # the sums are reduced as they are stored, a slice at a time
+    # work is one step per pair of nonzero terms that lands below `order`
     terms_a = _nonzero_terms(a, order)
     terms_b = _nonzero_terms(b, order)
     if len(terms_a) > len(terms_b):
@@ -313,16 +195,11 @@ def _mul_schoolbook(a, b, order, modulus, lo=0, minuend=None):
             acc[i + j] += ai * bj
     if modulus is None and lo == 0 and minuend is None:
         return acc
-    out = _vector(modulus)
-    mins = _minuend(minuend)
-    for start in range(lo, order, _SLICE):
-        _finish(out, acc[start:start + _SLICE], modulus, 0, mins)
-    return out
+    return _finish(islice(acc, lo, None), modulus, 0, minuend)
 
 
 # schoolbook wins while the nonzero pairs number at most this many per
-# product coefficient (the sparse rows of bench/multiply.py); below order
-# 17 every product qualifies, since there nnz(a) nnz(b) <= order^2
+# product coefficient (the sparse rows of bench/multiply.py, BENCH_4.json)
 _SPARSE_PAIRS_PER_COEFF = 16
 
 
@@ -340,41 +217,42 @@ def _repunit(value, w, n):
 
 
 def _decimal_operand(coeffs, start, stop, w, wide):
-    """sum_{start <= i < stop} coeffs[i] 10^((i - start) w) as a Decimal.
-    With a negative coefficient among them, each field is written as
-    c + B >= 0 for B = -min c, and B times the repunit of the fields is
-    subtracted again.  An array('q'), whose residues are never negative,
-    is written a slice at a time, so only a slice of it is boxed at once;
-    a list or tuple in one piece.  The pieces are joined once: grown by +=,
-    the digits of a million coefficients are copied at many of the
-    appends."""
-    n = stop - start
-    words = _is_words(coeffs)
-    bias = 0 if words else max(0, -min(coeffs[start:stop]))
+    """sum_{start <= i < stop} coeffs[i] 10^((i - start) w) as a Decimal,
+    each coefficient a zero-padded w-digit field, written by Decimal(c)
+    where `wide` (past the int/str limit).  Exact coefficients are signed:
+    with a negative one among them, each field is written as c + B >= 0
+    for B = -min c, and B times the repunit of the fields is subtracted
+    again; an array('q') of residues is never negative and is not scanned
+    for one.  The fields are written _SLICE at a time, so only a slice of
+    an array is boxed at once, and the pieces are joined once: grown by
+    +=, the digits of a million coefficients are copied at many appends."""
+    bias = 0 if _is_words(coeffs) else max(0, -min(coeffs[start:stop]))
     pieces = []
-    for hi in range(stop, start, -_SLICE if words else -n):
-        lo = max(start, hi - _SLICE) if words else start
+    for hi in range(stop, start, -_SLICE):
+        lo = max(start, hi - _SLICE)
         top = coeffs[hi - 1:lo - 1 if lo else None:-1]
         if bias:
             top = [c + bias for c in top]
         pieces.append("".join([str(Decimal(c)).zfill(w) for c in top])
                       if wide else ("%0" + str(w) + "d") * len(top)
                       % tuple(top))
-        del top
     x = Decimal(pieces[0] if len(pieces) == 1 else "".join(pieces))
     del pieces
     if bias:
-        x = _EXACT.subtract(x, _repunit(bias, w, n))
+        x = _EXACT.subtract(x, _repunit(bias, w, stop - start))
     return x
 
 
 class _Operand:
     """A coefficient vector or tuple that enters several products of one
-    division, read through this wrapper without a copy, and the field
-    width of that division (`_division_floor`).  In a residue ring every
-    product of the division takes fields of that width, and the operand
-    keeps the Kronecker encoding sum_{i < head} c_i 10^(iw) of its head
-    (`_encoded`); over Z the width is 0, none, and nothing is kept."""
+    Newton division (den and its inverse x), read through this wrapper
+    without a copy, with the field width of that division: in a residue
+    ring every product of the division takes the width of its largest,
+    h (M-1)^2 for h = ceil(order/2), and the operand keeps the encoding
+    sum_{i < head} c_i 10^(iw) of the longest head it was asked for
+    (`_encoded`).  Over Z each product takes the width of its own bound,
+    which the products of a division seldom share, so the width is 0 and
+    nothing is kept."""
 
     __slots__ = ("coeffs", "width", "head", "value")
 
@@ -399,22 +277,13 @@ class _Operand:
         return self
 
 
-def _division_floor(order, modulus):
-    """The field width of the largest product of a Newton division to
-    `order` in Z/M, with ceil(order/2) coefficients in its shorter
-    operand, which every product of the division takes; 0 over Z."""
-    if modulus is None:
-        return 0
-    return Decimal(-(-order // 2) * (modulus - 1) ** 2).adjusted() + 1
-
-
 def _encoded(a, n, w, wide):
-    """sum_{i < n} a[i] 10^(iw) as a Decimal.  An _Operand keeps this for
-    its head at the width of its residue division: a longer head encodes
-    only the coefficients past it and adds them in, and a shorter one
-    subtracts the encoded fields above n, so each coefficient is written
-    once per division.  Anything else, an operand at another width (over
-    Z, any width) or a plain vector, is encoded afresh."""
+    """sum_{i < n} a[i] 10^(iw) as a Decimal.  An _Operand at width w
+    encodes only the coefficients past its kept head and adds them in, and
+    for a shorter head subtracts the encoded fields above n, so each
+    coefficient of den and of x is written once per division.  Anything
+    else, an operand at another width (over Z, any width) or a plain
+    vector such as num, y or a step's error, is encoded afresh."""
     if getattr(a, "width", 0) != w:
         return _decimal_operand(getattr(a, "coeffs", a), 0, n, w, wide)
     if a.head < n:
@@ -428,11 +297,8 @@ def _encoded(a, n, w, wide):
     return a.value
 
 
-# fields decoded per slice of the product's digit string: each slice is
-# encoded on its own and split by one struct call, so no copy of the whole
-# string is made.  Slices of 128 decode as fast as slices of 1024 (57,508
-# fields of 16 digits in about 19 ms either way on a 2-core VM, against
-# 32 ms field by field) and hold an eighth of the fields at a time
+# fields decoded per slice of a product's digit string: 128 decode as fast
+# as 1024 and hold an eighth of the fields at a time (BENCH_13.json)
 _DECODE_FIELDS = 128
 
 
@@ -449,42 +315,54 @@ def _slice_splitter(w):
     return _field_splitter(w, _DECODE_FIELDS)
 
 
-def _decode_fields(digits, w, modulus, bias, wide, mins=None):
+def _decode_fields(digits, w, modulus, bias, wide, minuend=None, n=0,
+                   order=0):
     """The w-digit fields of `digits` from its end (the lowest field) to
-    its start, each reduced mod M or, over Z (modulus None), less the
-    bias; with `mins` (see `_finish`), each subtracted from the next
-    minuend instead.  They are read in slices of _DECODE_FIELDS, each
-    slice encoded on its own, split into bytes fields by one struct call,
-    parsed by int() and stored.  Fields too wide for int() are read
-    through a Decimal, reduced there mod M first in a residue ring.  The
-    top field may lack its leading zeros; only its slice is padded."""
-    out = _vector(modulus)
-    for stop in range(len(digits), 0, -w * _DECODE_FIELDS):
-        chunk = digits[max(0, stop - w * _DECODE_FIELDS):stop]
-        chunk = chunk.zfill(-(-len(chunk) // w) * w)
-        if wide:
-            fields = map(Decimal, [chunk[i - w:i]
-                                   for i in range(len(chunk), 0, -w)])
-            if modulus is not None:
-                m = Decimal(modulus)
-                fields = [_EXACT.remainder(f, m) for f in fields]
-        else:
-            k = len(chunk) // w
-            split = (_slice_splitter(w) if k == _DECODE_FIELDS
-                     else _field_splitter(w, k))
-            fields = reversed(split(chunk.encode()))
-        _finish(out, map(int, fields), modulus, bias, mins)
-    return out
+    its start, stored by `_finish` with `bias` and `minuend`, then zero
+    fields up to n fields in all and zero coefficients up to `order`.
+    They are read _DECODE_FIELDS at a time, each slice encoded on its own,
+    split into bytes fields by one struct call and parsed by int(), so the
+    per-field work runs in C and no copy of the whole string is made.
+    Fields too wide for int() are read through a Decimal, reduced there
+    mod M first in a residue ring.  The top field may lack its leading
+    zeros; only its slice is padded."""
+    def slices():
+        for stop in range(len(digits), 0, -w * _DECODE_FIELDS):
+            chunk = digits[max(0, stop - w * _DECODE_FIELDS):stop]
+            chunk = chunk.zfill(-(-len(chunk) // w) * w)
+            if wide:
+                fields = map(Decimal, [chunk[i - w:i]
+                                       for i in range(len(chunk), 0, -w)])
+                if modulus is not None:
+                    m = Decimal(modulus)
+                    fields = [_EXACT.remainder(f, m) for f in fields]
+            else:
+                k = len(chunk) // w
+                split = (_slice_splitter(w) if k == _DECODE_FIELDS
+                         else _field_splitter(w, k))
+                fields = reversed(split(chunk.encode()))
+            yield map(int, fields)
+        # a zero field is -bias, and a zero coefficient is bias less bias
+        count = -(-len(digits) // w)
+        yield repeat(0, n - count)
+        yield repeat(bias, order - max(n, count))
+
+    return _finish(chain.from_iterable(slices()), modulus, bias, minuend)
 
 
 def _mul_decimal(a, b, order, modulus, lo=0, minuend=None):
-    # Kronecker substitution in base 10^w, with w the digits of the field
-    # bound.  Residue coefficients lie in [0, M), so the bound is
-    # min(la, lb) (M-1)^2.  Over Z, with A = max |a[i]| and
-    # B = max |b[j]|, every |c[k]| is at most H = min(la, lb) A B, and H is
-    # added to every product field, so each lies in [0, 2H].  Each
-    # temporary is dropped as soon as it is consumed, to keep peak memory
-    # down.
+    """Coefficients lo..order-1 of a product by Kronecker substitution in
+    base 10^w: each coefficient becomes a w-digit field of one integer
+    Decimal, a single multiply does the whole convolution, and the fields
+    of the product are its coefficients.  libmpdec multiplies long
+    operands by a number-theoretic transform, asymptotically faster than
+    CPython's Karatsuba, and squares faster than it multiplies.  This is
+    exact integer arithmetic, not floating point (`_EXACT`).  w holds the
+    field bound: min(la, lb) (M-1)^2 in a residue ring; over Z, with
+    A = max |a[i]| and B = max |b[j]|, every |c[k]| is at most
+    H = min(la, lb) A B, and H is added to every product field, so each
+    lies in [0, 2H] and none borrows from its neighbour.  Fields past the
+    int/str limit (M above about 10^2150) go through Decimal both ways."""
     la = min(len(a), order)
     lb = min(len(b), order)
     n = min(order, la + lb - 1)
@@ -494,20 +372,15 @@ def _mul_decimal(a, b, order, modulus, lo=0, minuend=None):
         bias_h = min(la, lb) * bias_a * bias_b
         bound = 2 * bias_h
     else:
-        bias_a = bias_b = bias_h = 0
+        bias_h = 0
         bound = min(la, lb) * (modulus - 1) * (modulus - 1)
     if not bound or lo >= n:
-        out = _vector(modulus)
-        _finish(out, repeat(0, order - lo), modulus, 0, _minuend(minuend))
-        return out
-    # every field, of an operand or of the product, is at most `bound`;
+        return _finish(repeat(0, order - lo), modulus, 0, minuend)
     # an _Operand of a residue division asks for that division's width
     w = max(Decimal(bound).adjusted() + 1, getattr(a, "width", 0),
             getattr(b, "width", 0))
     wide = too_wide(w)
     x = _encoded(a, la, w, wide)
-    # a square is encoded once, and libmpdec squares one operand faster
-    # than it multiplies two equal ones
     y = x if b is a else _encoded(b, lb, w, wide)
     z = _EXACT.multiply(x, y)
     del x, y
@@ -524,16 +397,10 @@ def _mul_decimal(a, b, order, modulus, lo=0, minuend=None):
         del top
     if lo:
         z = z.scaleb(-lo * w, _EXACT).to_integral_value(ROUND_DOWN, _EXACT)
-    # the fields above the leading digit of z are zero and are not written
-    # out; they are read as zero fields, and those from n up as zeros
     digits = str(z)
     del z
-    mins = _minuend(minuend)
-    out = _decode_fields(digits, w, modulus, bias_h, wide, mins)
-    del digits
-    _finish(out, repeat(0, n - lo - len(out)), modulus, bias_h, mins)
-    _finish(out, repeat(0, order - n), modulus, 0, mins)
-    return out
+    return _decode_fields(digits, w, modulus, bias_h, wide, minuend, n - lo,
+                          order - lo)
 
 
 def too_wide(w):
@@ -546,7 +413,12 @@ def too_wide(w):
 def _mul_lists(a, b, order, modulus, lo=0, minuend=None):
     """Coefficients lo..order-1 of the product of coefficient vectors; with
     a `minuend`, an iterable, its k-th item less coefficient lo + k instead
-    (zero past its end), the error of a Karp-Markstein step."""
+    (zero past its end), the error of a Karp-Markstein step.  Schoolbook
+    convolution costs one step per pair of nonzero terms, so it takes a
+    product with at most _SPARSE_PAIRS_PER_COEFF nonzero pairs per product
+    coefficient, such as one pentagonal-sparse Euler factor times another,
+    and so every product below order 17; every other product, over Z or in
+    a residue ring, goes through `_mul_decimal`."""
     if _sparse_pairs(a, b, order):
         return _mul_schoolbook(a, b, order, modulus, lo, minuend)
     return _mul_decimal(a, b, order, modulus, lo, minuend)
@@ -583,20 +455,11 @@ def _unit_inverse(a, modulus):
         ) from None
 
 
-# the most nonzero terms a denominator may have for the recurrence.  Over Z
-# the limit is 10 sqrt(order), five times the density of phi(-q), since
-# Newton inversion and the Karp-Markstein step cost more per coefficient as
-# the order and the coefficients grow.  In the division rows of
-# bench/multiply.py (BENCH_25.json) the blocked recurrence beats Newton
-# 3-6x on the rows of up to 143 terms at 3535 and 7600, and loses from
-# 258 terms at 500, 482 at 1000 and 1540 at 3535; the rule takes Newton
-# only near a tie: f1^6 at 250 (153 terms; 3.2 ms against 3.5) and
-# phi(-q)^2 at 1000 (330; 18 ms both ways) and 3535 (1047; 125 against
-# 138).  In a residue ring the product stays cheap: mod 32 and 256 the
-# recurrence wins on phi(-q) at 60 terms at 3535 and ties at 88 at 7600,
-# but mod 4, where Newton's iterates for phi(-q) stay sparse, it loses
-# from 32 terms at 1000 (2.0 ms against 1.3) and 2x at 3535.  No one limit
-# is as fast on every row; 32 keeps phi(-q) mod 4 off it past order 1024.
+# the most nonzero terms a divisor may have for the recurrence: over Z five
+# times phi(-q)'s density, since Newton costs more per coefficient as the
+# coefficients grow; in a residue ring 32, which keeps phi(-q) mod 4 on
+# Newton past order 1024.  No one limit wins every division row
+# (BENCH_25.json)
 _SPARSE_DIVISOR_SCALE = 10
 _SPARSE_DIVISOR_TERMS_RESIDUE = 32
 # quotient coefficients per block of the recurrence, and the fewest terms
@@ -607,9 +470,15 @@ _DIVISION_GROUP = 12
 
 def _divide_sparse(num, den, order, modulus, known=()):
     """num/den from den[0] y[n] = num[n] - sum_{i>=1} den[i] y[n-i], given
-    a unit constant term, a block of y at a time (see the module
-    docstring).  The recurrence reads only earlier y, so it starts after
-    `known`, a head of the quotient taken as given."""
+    a unit constant term, with no inverse and no product formed, a block of
+    _DIVISION_BLOCK coefficients of y at a time.  A den[i] with i of a
+    block or more, whose y[n-i] all lie below the block, adds den[i] times
+    the slice y[n0-i:n1-i] to it; once _DIVISION_GROUP such terms share a
+    coefficient (as phi(-q)'s +-2 do), their slices are summed elementwise
+    in C and the sum is scaled once.  Every other term, such as each of
+    f_1^3's over Z, which are all distinct, takes one interpreted step per
+    coefficient.  Each block reads only earlier y, so the recurrence
+    starts after `known`, a head of the quotient taken as given."""
     inv0 = _unit_inverse(den, modulus)
     steps = _nonzero_terms(den, order)[1:]
     offsets = {}
@@ -648,17 +517,23 @@ def _divide_sparse(num, den, order, modulus, known=()):
 
 
 def _divide_newton(num, den, order, modulus):
-    """num/den by one Karp-Markstein step on 1/den to half the order, which
-    is this division with num None (one), given a unit constant term in
-    den.  With num None the step is Newton's x(2 - den x), and the inverse
+    """num/den, given a unit constant term in den, by halves (Brent and
+    Zimmermann, Modern Computer Arithmetic, 4.2): 1/den to h = ceil(order/2)
+    is this division with num None (one), and one Karp-Markstein step
+    finishes the quotient from that half inverse x.  y = num x is right
+    below h, num - den y is q^h times an error e below order, so the step
+    reads only coefficients h and up of den y, and y + q^h x e is the
+    quotient; with num one, y is x and the step is Newton's x(2 - den x).
+    The precisions are ceil(order/2^k), built down from the target, so no
+    step pays a product of the full order to add a few coefficients past a
+    power of two, and neither a full-length Newton step nor the order-long
+    product of num and the inverse is formed.  With num None the inverse
     comes back as an `_Operand`, whose encoding a residue division goes on
-    using."""
-    # x and y = num x are right below h >= order - h, so below order
-    # num - den y = q^h e, and y + q^h x e is right there.  den and x enter
-    # more than one product, so in a residue ring each keeps its encoding,
-    # and den's is dropped with den once the outermost dy is formed
+    using.  A known head of the quotient would not help: continuing would
+    still need a fresh inverse to the full order."""
     if not isinstance(den, _Operand):
-        den = _Operand(den, _division_floor(order, modulus))
+        den = _Operand(den, 0 if modulus is None else Decimal(
+            -(-order // 2) * (modulus - 1) ** 2).adjusted() + 1)
     if order <= 1:
         x = _Operand(_vector(modulus, (_unit_inverse(den, modulus),)),
                      den.width)
@@ -667,7 +542,8 @@ def _divide_newton(num, den, order, modulus):
     x = _divide_newton(None, den, h, modulus)
     y = x if num is None else _mul_lists(num, x, h, modulus)
     # e is decoded from den y as its fields are read, with no den y stored;
-    # num is read from h on through an iterator, so no slice of it is held
+    # num is read from h on through an iterator, so no slice of it is held.
+    # den's encoding is dropped with den once the outermost den y is formed
     err = _mul_lists(den, y, order, modulus, lo=h,
                      minuend=() if num is None else islice(num, h, order))
     del den
@@ -677,9 +553,11 @@ def _divide_newton(num, den, order, modulus):
 
 def _divide_list(num, den, order, modulus, known=()):
     """num/den truncated to `order` coefficients, given a unit constant
-    term in den: by the recurrence when den is sparse, continued after
-    `known`, a head of the quotient, otherwise by Newton inversion to half
-    the order and one Karp-Markstein step, which ignores the head."""
+    term in den: by the recurrence (`_divide_sparse`), continued after
+    `known`, a head of the quotient, when den has at most 10 sqrt(order)
+    nonzero terms over Z or 32 in a residue ring, such as phi(-q) with
+    about 2 sqrt(order); otherwise by `_divide_newton`, which ignores the
+    head."""
     if order <= 0:
         return _vector(modulus)
     limit = (_SPARSE_DIVISOR_SCALE * isqrt(order) if modulus is None
@@ -699,12 +577,8 @@ class TruncSeries:
     def __init__(self, coeffs, modulus=None):
         if modulus is not None and modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if modulus is None:
-            self.coeffs = tuple(coeffs)
-        else:
-            if not hasattr(coeffs, "__getitem__"):
-                coeffs = list(coeffs)
-            self.coeffs = _kept(_scaled(coeffs, 1, modulus), modulus)
+        self.coeffs = (tuple(coeffs) if modulus is None
+                       else _kept(_finish(coeffs, modulus), modulus))
         self.modulus = modulus
 
     @classmethod
@@ -764,28 +638,23 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_domain(other)
-        n = min(self.order, other.order)
-        return TruncSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n)], self.modulus
-        )
+        return TruncSeries(map(add, self.coeffs, other.coeffs), self.modulus)
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_domain(other)
-        n = min(self.order, other.order)
-        return TruncSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n)], self.modulus
-        )
+        return TruncSeries(map(sub, self.coeffs, other.coeffs), self.modulus)
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.modulus)
+        return TruncSeries(map(neg, self.coeffs), self.modulus)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            # a generator, so no unreduced copy is held beside the result
+            # `_finish` stores the scaled vector a slice at a time, so no
+            # unreduced copy is held beside the result
             return TruncSeries._reduced(
-                _scaled(self.coeffs, other, self.modulus), self.modulus)
+                _finish(self.coeffs, self.modulus, scalar=other), self.modulus)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_domain(other)
@@ -883,7 +752,7 @@ class TruncSeries:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
 
 def product(factors, order: int, modulus=None) -> TruncSeries:
@@ -900,12 +769,9 @@ def product(factors, order: int, modulus=None) -> TruncSeries:
 
 def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSeries:
     """The Euler product f_step = prod_{j>=1} (1 - q^(j*step)), raised to
-    `exponent` (negative exponents invert).
-
-    The base polynomial comes from the pentagonal number theorem,
-    f_1 = sum_k (-1)^k q^(k(3k-1)/2) over all integers k, so it has only
-    O(sqrt(order/step)) nonzero terms.
-    """
+    `exponent` (negative exponents invert), from the pentagonal number
+    theorem f_1 = sum_k (-1)^k q^(k(3k-1)/2) over all integers k, with
+    O(sqrt(order/step)) nonzero terms."""
     if step < 1:
         raise ValueError(f"Euler factor step must be >= 1, got {step}")
     if order < 0:
@@ -924,33 +790,38 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
 
 def eta_product(exponents: dict, order: int, modulus=None,
                 scalar: int = 1, known=()) -> TruncSeries:
-    """scalar * prod_d f_d^(r_d) for the map {d: r_d}, to the given order.
+    """scalar * prod_d f_d^(r_d) for the map {d: r_d}, to the given order;
+    every eta product of the package is built here.
 
-    Entries with r_d = 0 are ignored.  In Z/M the product is expanded
-    modulo M/gcd(scalar, M), since scalar * P mod M depends on nothing
-    more of P, and scaled back into Z/M; it is zero when M divides the
-    scalar.  Modulo a prime power p^a, that ring's or M's, the map is
-    first lowered by f_d^(p^a) == f_pd^(p^(a-1)) (`binomial_reduce`), so
-    every |r_d| is at most p^a/2 (every r_d below p^a for a map with no
-    negative exponent), and a map that reduces to nothing gives one; over
-    Z or modulo a composite it is used as given.  With g the gcd of the
-    remaining steps, the product is the order-ceil(order/g) expansion
-    for the steps d/g, inflated by g.  Walking the steps in ascending order,
-    a step d whose partner 2d is unused becomes a theta factor with it:
+    In Z/M the product is expanded modulo M/gcd(scalar, M), since
+    scalar * P mod M depends on nothing more of P, and scaled back: the 3n
+    body mod 46656 for 186624, the level-18 Sturm quotient (scalar 36) mod
+    27 for 243; it is zero when M divides the scalar.  Modulo a prime
+    power, that ring's or M's, the map is first lowered by the binomial
+    congruence (`binomial_reduce`): mod 243 the Sturm quotient
+    f1^237 f2^3 f3^-79 f6^3 becomes f1^-6 f2^3 f3^2 f6^3, and mod 2 the
+    PDO_t map becomes f24; a map that reduces to nothing gives one.  With
+    g the gcd of the remaining steps, the product is the order-ceil(order/g)
+    expansion for the steps d/g, inflated by g.
+
+    Theta factors come first: Ramanujan's phi(-q) = f_1^2/f_2 and
+    psi(q) = f_2^2/f_1 (Berndt, Ramanujan's Notebooks, Part III, Entry 22)
+    have only about 2 sqrt(order) and sqrt(2 order) nonzero terms.  In
+    ascending order, a step d whose partner 2d is unused pairs with it:
     f_d^(r_d) f_2d^(r_2d) is phi(-q^d)^(-r_2d) when r_d = -2 r_2d, and
     psi(q^d)^(-r_d) when r_2d = -2 r_d.  Failing both, an even r_d whose
     partner has the opposite sign becomes phi(-q^d)^(r_d/2), and step 2d
-    keeps the exponent r_2d + r_d/2 for its own turn, where it can still
-    pair with 4d.  Every other step is a factor f_d^(r_d).  Each factor is
-    its base series (f_1, phi(-q) or psi(q)) raised to |r| (one power per
-    distinct base and |r|, at the largest order any step needs; f_1^(3j) is
-    (f_1^3)^j from `jacobi_cube`), truncated to ceil(order/d) and inflated
-    by d.  The factors with r > 0 are multiplied together, and so are
-    those with r < 0; the first product (one, when there are none) is
-    divided by the second once, and not at all when there is no r < 0.
-    A dense divisor goes through Newton inversion and a Karp-Markstein
-    step, which in a residue ring encode each coefficient of the
-    divisor and of its inverse once (see the module docstring).
+    keeps r_2d + r_d/2 for its own turn, where it can still pair with 4d.
+    Every other step is f_d^(r_d), and f_1^(3j) is (f_1^3)^j from
+    `jacobi_cube`.  Each factor is its base
+    series raised to |r| (one power per base and |r|, at the largest order
+    any step needs), truncated to ceil(order/d) and inflated by d.  The
+    factors with r > 0 are multiplied together, and so are those with
+    r < 0; the first product (one, when there are none) is divided by the
+    second once (`_divide_list`), and not at all when there is no r < 0.
+    So the PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is q phi(-q^3) f12^2
+    divided by the sparse phi(-q) in one recurrence, and its 3n
+    progression 4q f2 f4^2 f6^3/f1^4 is 4q psi(q^2) f6^3/phi(-q)^2.
     `known`, a head of this very result (say a shorter expansion of the
     same map), lets a sparse divisor's recurrence continue after it.  It
     is used only where it is the quotient's own head: not with a scalar,
@@ -970,7 +841,8 @@ def eta_product(exponents: dict, order: int, modulus=None,
                      known if scalar == 1 else ())
     if scalar == 1:
         return body
-    return TruncSeries._reduced(_scaled(body.coeffs, scalar, modulus), modulus)
+    return TruncSeries._reduced(_finish(body.coeffs, modulus, scalar=scalar),
+                                modulus)
 
 
 def _eta_body(steps: dict, order: int, modulus, known=()) -> TruncSeries:
@@ -1069,15 +941,12 @@ def binomial_reduce(exponents: dict, modulus=None) -> dict:
     modulus is a power p^a of one prime; otherwise the map unchanged.
     A map with no negative exponent has each r_d brought into [0, p^a)
     instead, so a product stays a product and needs no inversion.
-
-    The steps are walked in ascending order.  Each r_d loses j p^a, with
-    j the integer nearest r_d/p^a (the smaller |j| on a tie, so
-    r_d = +-p^a/2 stays), or j = floor(r_d/p^a) when no exponent is
-    negative, and r_pd gains j p^(a-1), in time for its own turn.  Zero
-    exponents are dropped.  Nothing is reduced over Z, modulo a composite,
-    or modulo an M that `_prime_of_power` cannot tell within its bound,
-    and a map with every |r_d| <= M/2 is returned before M is divided,
-    since no step would change."""
+    Walking the steps in ascending order, r_d loses the multiple j p^a
+    nearest it (the smaller |j| on a tie), or with no negative exponent the
+    largest one at most r_d, and r_pd gains j p^(a-1) in time for its own
+    turn.  Zero exponents are dropped.  A map with every |r_d| <= M/2 is
+    returned before M is factored, and one modulo an M that
+    `_prime_of_power` cannot tell is returned unreduced."""
     steps = {d: r for d, r in exponents.items() if r}
     if modulus is None or all(2 * abs(r) <= modulus for r in steps.values()):
         return steps
@@ -1108,46 +977,41 @@ def _base_power(base, exponent, order, modulus):
     return base(order, modulus) ** exponent
 
 
+def _theta(order, modulus, weight, index=lambda n: n * (n + 1) // 2):
+    """sum_{n>=0} weight(n) q^index(n) to `order`, for an increasing index,
+    the triangular numbers or the squares, so a series with O(sqrt(order))
+    nonzero terms."""
+    terms = {}
+    n = 0
+    while index(n) < order:
+        terms[index(n)] = weight(n)
+        n += 1
+    return _sparse(terms, order, modulus)
+
+
 def phi_minus(order: int, modulus=None) -> TruncSeries:
     """Ramanujan's phi(-q) = f_1^2/f_2 written directly as its theta series
     sum over all integers k of (-1)^k q^(k^2)."""
-    out = {0: 1}
-    k = 1
-    while k * k < order:
-        out[k * k] = -2 if k % 2 else 2
-        k += 1
-    return _sparse(out, order, modulus)
+    return _theta(order, modulus, lambda k: (-2 if k % 2 else 2) if k else 1,
+                  lambda k: k * k)
 
 
 def psi(order: int, modulus=None) -> TruncSeries:
     """Ramanujan's psi(q) = f_2^2/f_1 written directly as its theta series
     sum_{n>=0} q^(n(n+1)/2)."""
-    out = {}
-    n = 0
-    while n * (n + 1) // 2 < order:
-        out[n * (n + 1) // 2] = 1
-        n += 1
-    return _sparse(out, order, modulus)
+    return _theta(order, modulus, lambda n: 1)
 
 
 def jacobi_cube(order: int, modulus=None) -> TruncSeries:
     """f_1^3 written directly through Jacobi's identity
     f_1^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2)."""
-    out = {}
-    n = 0
-    while n * (n + 1) // 2 < order:
-        out[n * (n + 1) // 2] = (2 * n + 1) * (1 if n % 2 == 0 else -1)
-        n += 1
-    return _sparse(out, order, modulus)
+    return _theta(order, modulus, lambda n: -2 * n - 1 if n % 2 else 2 * n + 1)
 
 
 def cubic_theta(order: int, modulus=None) -> TruncSeries:
     """The cubic theta series c(q) = sum over integer pairs (m, n) of
-    q^(m^2 + mn + n^2).
-
-    Since m^2 + mn + n^2 >= (m^2 + n^2)/2, pairs with max(|m|, |n|)
-    above sqrt(2*order) cannot contribute below the truncation.
-    """
+    q^(m^2 + mn + n^2); since m^2 + mn + n^2 >= (m^2 + n^2)/2, pairs with
+    max(|m|, |n|) above sqrt(2*order) cannot contribute below the order."""
     out = [0] * order
     bound = isqrt(2 * order) + 1
     for m in range(-bound, bound + 1):

@@ -7,34 +7,30 @@ detail line.
 Reports carry no timestamps and serialize deterministically, so the same
 inputs always produce byte-identical output.
 
-Checks fall into two strengths, stated in each detail string:
+Each passing check's detail names what it rests on, by one of six labels:
 
-  * closure checks, where agreement up to an explicit bound (a Sturm
-    bound, or the rational bound of a verification certificate) proves
-    the congruence for every index;
-  * finite-depth evidence, where the statement ranges over infinitely
-    many cases and the suite confirms a stated initial segment.
+  * "closure check": a proof.  Agreement up to an explicit bound proves
+    the congruence for every index: floor(nu) of a Radu certificate
+    (`radu.radu_verify`), or the Sturm bound of a holomorphic quotient of
+    known weight and level (`modforms.sturm_bound`); the Sturm suite's
+    pdo_t line also rests on U(3)^k of the quotient being that series;
+  * "finite-depth evidence": a statement about infinitely many indices,
+    confirmed on the stated initial segment only;
+  * "exact identity": an identity over Z, from the literature or the
+    paper, compared coefficient by coefficient through the stated q^N;
+  * "binomial congruence": f_1^(p^a) == f_p^(p^(a-1)) (mod p^a), which
+    holds for every index, checked or used through the stated q^N;
+  * "proved progression": a power-of-two congruence the paper proves,
+    read below the stated order;
+  * "forced by the closed form through q^N": a divisibility that follows
+    from the closed-form congruence, itself checked through q^N.
 
 Every read of sum pdo_t(n) q^n is a progression request
-`master_progression(step, offset, count, modulus)`.  Requests whose
-indices are all multiples of 3 are served from the 3n series
-sum pdo_t(3n) q^n, a third as long; the rest (exact values, or a step
-such as 8) from the full series.  Both are cached.  Each suite first
-declares its requests to `plan_master_series`, which expands each source
-of their plan (`master_plans`) once, to the furthest index read and
-modulo the lcm of the moduli (over Z if a request is exact); `check
---suite all` plans every suite's `suite_reads` together the same way, so
-the whole run makes one 3n expansion and at most one full one.  Radu
-certificates of the PDO_t map read the same cache through
-`shifted_progression`, in the certificate table and in a standalone
-`pdotq radu` alike.  A standalone one makes two requests, the head of
-its first progression and then every orbit progression together, so it
-expands each source at most once after the head.  `pdotq pdot` reads
-pdo_t(0..n) as the request `master_progression(1, 0, n + 1)`.  Over Z a
-request longer than the cached exact series continues it: the division
-by the sparse phi(-q) is a recurrence that starts after the cached head,
-so exact queries in one process cost one expansion to the largest n,
-in any order.
+`master_progression(step, offset, count, modulus)`, served from the
+cached full series or the 3n series sum pdo_t(3n) q^n, a third as long.
+Each suite declares its requests to `plan_master_series` first, and
+`check --suite all` plans every suite's `suite_reads` together, so the
+whole run makes one 3n expansion and at most one full one.
 """
 
 from __future__ import annotations
@@ -144,13 +140,11 @@ def _cached_master(step: int, order: int, modulus):
 
 
 def master_series(order: int, modulus=None, step: int = 1) -> TruncSeries:
-    """Cached expansion of sum pdo_t(step n) q^n, for step 1 or 3.  A
-    request is served from any cached series of the same step that is at
-    least as long and whose modulus reduces onto the requested one;
-    otherwise the expansion is computed and kept, in place of the cached
-    series of that step that it serves.  Over Z a shorter cached series
-    is continued (`pdo_t_series` with it as `known`), so exact requests
-    cost one expansion to the longest of them, in any order."""
+    """Cached expansion of sum pdo_t(step n) q^n, for step 1 or 3, served
+    by `_cached_master` where it can be; otherwise computed and kept, in
+    place of the cached series of that step that it serves.  Over Z a
+    shorter cached series is continued (`pdo_t_series` with it as
+    `known`), so exact requests cost one expansion to the longest."""
     source = _cached_master(step, order, modulus)
     if source is not None and source.modulus == modulus:
         return source.truncate(order)
@@ -188,11 +182,9 @@ def _source(step: int, offset: int, count: int, modulus):
 def master_progression(step: int, offset: int, count: int,
                        modulus=None) -> TruncSeries:
     """pdo_t(step n + offset) for 0 <= n < count, as a series of order
-    `count` over Z or Z/modulus.  It is read from the cached 3n series when
-    3 divides step and offset and the ring is a residue ring, otherwise
-    from the full series; a source is expanded (through `master_series`)
-    only when no cached one reaches far enough, and only the coefficients
-    read are reduced."""
+    `count` over Z or Z/modulus, read from the source `_source` names; it
+    is expanded (`master_series`) only when no cached one reaches far
+    enough, and only the coefficients read are reduced."""
     if step < 1 or offset < 0 or count < 0:
         raise ValueError(
             f"bad progression: step {step}, offset {offset}, count {count}")
