@@ -5,10 +5,12 @@ An argv that starts with a subcommand is parsed once, by that subcommand's
 parser alone; the full parser is built only for the usage it prints.  The
 `--json` of expand, radu and check is json.dumps's text with indent=2.
 
-Exit status: 0 when every requested check passed, 1 when a check failed
-or a certificate's preconditions do not hold, 2 for usage errors, for
-requests past a budget or cap, refused before anything is expanded, for
-a run that the memory limit stops, and for a failed write to stdout.
+Exit status: 0 when every requested check passed.  1 only for a failed
+check, a FAIL verdict, a certificate whose criterion does not apply, or
+a quotient that cannot be expanded.  2 for usage errors, and from `main`
+for any parameter the library rejects (a ValueError, such as a request
+past a budget or cap, refused before anything is expanded), for a run
+that the memory limit stops, and for a failed write to stdout.
 """
 
 from __future__ import annotations
@@ -103,16 +105,11 @@ _BUDGET_EXPONENT_BITS = 5
 _MAX_LEVEL = 1_000_000
 
 
-class _Refused(Exception):
-    """A usage error or a request past a budget or cap: `main` prints
-    `pdotq <command>: <message>` as one stderr line and exits 2."""
-
-
 def _refuse_outside(name, value, least=None, most=None):
     if least is not None and value < least:
-        raise _Refused(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
-        raise _Refused(f"{name} must be <= {most}, got {_written(value)}")
+        raise ValueError(f"{name} must be <= {most}, got {_written(value)}")
 
 
 def _written(n):
@@ -174,14 +171,11 @@ def _over_budget(count, modulus, exponents=None, weight=1):
 def _refuse_over_budget(what, count, modulus, **cost):
     refused = _over_budget(count, modulus, **cost)
     if refused:
-        raise _Refused(f"{what}: {refused}")
+        raise ValueError(f"{what}: {refused}")
 
 
 def _cmd_expand(args) -> int:
-    try:
-        eq = parse_eta_quotient(args.eta)
-    except ValueError as exc:
-        raise _Refused(exc) from exc
+    eq = parse_eta_quotient(args.eta)
     _refuse_outside("--order", args.order, 0)
     if args.mod is not None:
         _refuse_outside("--mod", args.mod, 2)
@@ -230,11 +224,11 @@ _SERIES = {"pd": partial(eta_product, PD_EXPONENTS),
 def _cmd_pdot(args) -> int:
     values = sorted(set(args.n))
     if values[0] < 0:
-        raise _Refused("n must be >= 0")
+        raise ValueError("n must be >= 0")
     if args.method == "enum" or args.counter not in _SERIES:
         if values[-1] > _MAX_TABLE_N:
-            raise _Refused(f"n must be <= {_MAX_TABLE_N} to count "
-                           f"{args.counter} from its table")
+            raise ValueError(f"n must be <= {_MAX_TABLE_N} to count "
+                             f"{args.counter} from its table")
         odd_only, which = _TABLES[args.counter]
         coeffs = designated_counts(values[-1], odd_only)[which]
     else:
@@ -251,45 +245,43 @@ def _cmd_pdot(args) -> int:
 
 
 def _cmd_radu(args) -> int:
+    r = parse_exponents(args.r) if args.r else dict(PDO_T_EXPONENTS)
+    rprime = parse_exponents(args.rprime)
+    inst = RaduInstance(m=args.m, M=args.big_m, level=args.level, r=r,
+                        t=args.t)
+    aux = AuxExponents(args.level, rprime)
+    _refuse_outside("--min-depth", args.min_depth, 0)
+    _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
+    # a modulus below 2 is no ring to charge
+    _refuse_outside("modulus u", args.u, 2)
+    # the orbit runs over the 24 m residues mod 24 m and the cusp bounds
+    # over m, so a step past the budget is refused before either
+    _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)
+    # the PDO_t map is read from the master series, as the certificate
+    # table reads it; any other from a fresh c_r expansion
+    source = (shifted_progression(inst.m, args.u)
+              if inst.r == PDO_T_EXPONENTS else None)
+
+    def charge(depth, orbit):
+        # the scan's expansion, whatever the cache holds: c_r to
+        # m depth + max(orbit) + 1, or for the PDO_t map each series of
+        # the plan of its master-series reads
+        if source is None:
+            sizes = [(inst.m * depth + orbit[-1] + 1, args.u)]
+        else:
+            *_, plan = master_plans(
+                shifted_reads(inst.m, orbit, depth + 1, args.u))
+            sizes = plan.values()
+        for size in sizes:
+            _refuse_over_budget(f"depth {_written(depth)}", *size)
+
     try:
-        r = parse_exponents(args.r) if args.r else dict(PDO_T_EXPONENTS)
-        rprime = parse_exponents(args.rprime)
-        inst = RaduInstance(m=args.m, M=args.big_m, level=args.level,
-                            r=r, t=args.t)
-        aux = AuxExponents(args.level, rprime)
-        _refuse_outside("--min-depth", args.min_depth, 0)
-        _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
-        # a modulus below 2 is no ring to charge
-        _refuse_outside("modulus u", args.u, 2)
-        # the orbit runs over the 24 m residues mod 24 m and the cusp
-        # bounds over m, so a step past the budget is refused before either
-        _refuse_over_budget(f"--m {inst.m}", inst.m, args.u, weight=24)
-        # the PDO_t map is read from the master series, as the
-        # certificate table reads it; any other from a fresh c_r expansion
-        source = (shifted_progression(inst.m, args.u)
-                  if inst.r == PDO_T_EXPONENTS else None)
-
-        def charge(depth, orbit):
-            # the scan's expansion, whatever the cache holds: c_r to
-            # m depth + max(orbit) + 1, or for the PDO_t map each series
-            # of the plan of its master-series reads
-            if source is None:
-                sizes = [(inst.m * depth + orbit[-1] + 1, args.u)]
-            else:
-                *_, plan = master_plans(
-                    shifted_reads(inst.m, orbit, depth + 1, args.u))
-                sizes = plan.values()
-            for size in sizes:
-                _refuse_over_budget(f"depth {_written(depth)}", *size)
-
         cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth,
                            progression=source, cost_guard=charge)
     except CriterionNotApplicable as exc:
         print(f"pdotq radu: criterion not applicable: {exc}",
               file=sys.stderr)
         return 1
-    except ValueError as exc:
-        raise _Refused(exc) from exc
     if args.json:
         print(cert.to_json())
     else:
@@ -309,11 +301,8 @@ def _cmd_radu(args) -> int:
 
 def _cmd_sturm(args) -> int:
     _refuse_outside("--level", args.level, most=_MAX_LEVEL)
-    try:
-        bound = sturm_bound(args.weight, args.level,
-                            same_character=not args.different_character)
-    except ValueError as exc:
-        raise _Refused(exc) from exc
+    bound = sturm_bound(args.weight, args.level,
+                        same_character=not args.different_character)
     if args.json:
         print(json.dumps({"weight": args.weight, "level": args.level,
                           "same_character": not args.different_character,
@@ -371,8 +360,8 @@ def _refuse_suite_over_budget(suite: str, kwargs: dict):
         named += sum(floor(n.bit_length() * log10(2)) + 1
                      for n in (read[0], read[1], read[3]) if n)
         if named > _MAX_DIGITS:
-            raise _Refused(f"--suite {suite}: {named} digits of check names "
-                           f"is over the budget of {_MAX_DIGITS} digits")
+            raise ValueError(f"--suite {suite}: {named} digits of check names "
+                             f"is over the budget of {_MAX_DIGITS} digits")
         last = plan
 
 
@@ -396,11 +385,8 @@ def _cmd_check(args) -> int:
         for name, value in provided.items():
             _refuse_outside(f"--{name}", value, *_FLAG_RANGE[name])
         kwargs = {flags[name]: value for name, value in provided.items()}
-        try:
-            _refuse_suite_over_budget(args.suite, kwargs)
-            reports = [SUITES[args.suite](**kwargs)]
-        except ValueError as exc:  # only for parameters a suite cannot take
-            raise _Refused(exc) from exc
+        _refuse_suite_over_budget(args.suite, kwargs)
+        reports = [SUITES[args.suite](**kwargs)]
     passed = all(r.passed for r in reports)
     if args.json:
         print(reports[0].to_json() if len(reports) == 1 else indented_json(
@@ -532,7 +518,7 @@ def main(argv=None) -> int:
         status = _COMMANDS[args.command][0](args)
         print(end="", flush=True)  # a failed write raises here, not at exit
         return status
-    except _Refused as exc:
+    except ValueError as exc:  # a parameter or request the code rejects
         message = exc
     except MemoryError:
         # a request inside every budget can still pass a memory limit set

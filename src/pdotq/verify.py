@@ -274,11 +274,16 @@ def _congruence_check(report: Report, name: str, lhs: TruncSeries,
                    f"{result.lhs_residue} vs {result.rhs_residue}")
 
 
+def _count_below(order: int, step: int, offset: int) -> int:
+    # len(range(offset, order, step)), which len() cannot take past 2^63
+    return max(0, -((offset - order) // step))
+
+
 def _zero_progression_check(report: Report, order: int, step: int,
                             offset: int, modulus: int, strength: str):
     """pdo_t(step n + offset) == 0 mod `modulus` on every index below
     `order`."""
-    count = len(range(offset, order, step))
+    count = _count_below(order, step, offset)
     name = f"pdo_t({step}n{f'+{offset}' if offset else ''}) == 0 mod {modulus}"
     bad = _first_nonzero(step, offset, count, modulus)
     if bad:
@@ -292,6 +297,26 @@ def _zero_progression_check(report: Report, order: int, step: int,
 # dissections and the binomial congruences
 
 
+# (name, lhs exponents, terms): prod f_d^(r_d) == the sum over the terms
+# (exponents, scalar, shift) of scalar q^shift prod f_d^(r_d), over Z
+_DISSECTIONS = (
+    ("f1*f3 2-dissection", {1: 1, 3: 1},
+     (({2: 1, 8: 2, 12: 4, 4: -2, 6: -1, 24: -2}, 1, 0),
+      ({4: 4, 6: 1, 24: 2, 2: -1, 8: -2, 12: -2}, -1, 1))),
+    ("f3/f1^3 2-dissection", {3: 1, 1: -3},
+     (({4: 6, 6: 3, 2: -9, 12: -2}, 1, 0),
+      ({4: 2, 6: 1, 12: 2, 2: -7}, 3, 1))),
+    ("f1^3 3-dissection", {1: 3},
+     (({6: 1, 9: 6, 3: -1, 18: -3}, 1, 0), ({9: 3}, -3, 1),
+      ({3: 2, 18: 6, 6: -2, 9: -3}, 4, 3))),
+    ("f1^2/f2 3-dissection", {1: 2, 2: -1},
+     (({9: 2, 18: -1}, 1, 0), ({3: 1, 18: 2, 6: -1, 9: -1}, -2, 1))),
+    ("f2/f1^2 3-dissection", {2: 1, 1: -2},
+     (({6: 4, 9: 6, 3: -8, 18: -3}, 1, 0),
+      ({6: 3, 9: 3, 3: -7}, 2, 1), ({6: 2, 18: 3, 3: -6}, 4, 2))),
+)
+
+
 def dissection_suite(order: int = 500, binom_order: int = 300) -> Report:
     """Exact 2- and 3-dissection identities, the prime-power binomial
     congruences, and the signed odd-cube expansion, all checked
@@ -301,43 +326,10 @@ def dissection_suite(order: int = 500, binom_order: int = 300) -> Report:
                          f"{binom_order}")
     report = Report("dissection", {"order": order, "binom_order": binom_order})
     T = order
-
-    lhs = f_product({1: 1, 3: 1}, T)
-    rhs = (
-        f_product({2: 1, 8: 2, 12: 4, 4: -2, 6: -1, 24: -2}, T)
-        - f_product({4: 4, 6: 1, 24: 2, 2: -1, 8: -2, 12: -2}, T, shift=1)
-    )
-    _equal_check(report, "f1*f3 2-dissection", lhs, rhs, "exact identity")
-
-    lhs = f_product({3: 1, 1: -3}, T)
-    rhs = (
-        f_product({4: 6, 6: 3, 2: -9, 12: -2}, T)
-        + f_product({4: 2, 6: 1, 12: 2, 2: -7}, T, scalar=3, shift=1)
-    )
-    _equal_check(report, "f3/f1^3 2-dissection", lhs, rhs, "exact identity")
-
-    lhs = f_product({1: 3}, T)
-    rhs = (
-        f_product({6: 1, 9: 6, 3: -1, 18: -3}, T)
-        - f_product({9: 3}, T, scalar=3, shift=1)
-        + f_product({3: 2, 18: 6, 6: -2, 9: -3}, T, scalar=4, shift=3)
-    )
-    _equal_check(report, "f1^3 3-dissection", lhs, rhs, "exact identity")
-
-    lhs = f_product({1: 2, 2: -1}, T)
-    rhs = (
-        f_product({9: 2, 18: -1}, T)
-        - f_product({3: 1, 18: 2, 6: -1, 9: -1}, T, scalar=2, shift=1)
-    )
-    _equal_check(report, "f1^2/f2 3-dissection", lhs, rhs, "exact identity")
-
-    lhs = f_product({2: 1, 1: -2}, T)
-    rhs = (
-        f_product({6: 4, 9: 6, 3: -8, 18: -3}, T)
-        + f_product({6: 3, 9: 3, 3: -7}, T, scalar=2, shift=1)
-        + f_product({6: 2, 18: 3, 3: -6}, T, scalar=4, shift=2)
-    )
-    _equal_check(report, "f2/f1^2 3-dissection", lhs, rhs, "exact identity")
+    for name, exponents, terms in _DISSECTIONS:
+        rhs = [f_product(r, T, scalar=s, shift=k) for r, s, k in terms]
+        _equal_check(report, name, f_product(exponents, T),
+                     sum(rhs[1:], rhs[0]), "exact identity")
 
     c3 = cubic_theta((T + 2) // 3 + 1).inflate(3, T)
     lhs = f_product({1: -3}, T)
@@ -461,7 +453,7 @@ def _powers_of_two_progressions(conj_k_max: int):
 
 
 def _powers_of_two_reads(order: int, conj_k_max: int):
-    return ((step, offset, max(0, -((offset - order) // step)), modulus)
+    return ((step, offset, _count_below(order, step, offset), modulus)
             for step, offset, modulus, _ in
             _powers_of_two_progressions(conj_k_max))
 

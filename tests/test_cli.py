@@ -766,6 +766,41 @@ def test_sturm_usage_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_a_value_error_in_any_subcommand_exits_2_with_one_line(
+        capsys, monkeypatch):
+    from pdotq import cli
+
+    def rejects(*args, **kwargs):
+        raise ValueError("rejected")
+
+    # one library call of each subcommand, made to reject its input
+    monkeypatch.setattr(cli, "EtaQuotient", rejects)
+    monkeypatch.setattr(cli, "designated_counts", rejects)
+    monkeypatch.setattr(cli, "radu_verify", rejects)
+    monkeypatch.setattr(cli, "sturm_bound", rejects)
+    monkeypatch.setitem(cli.SUITES, "dissection", rejects)
+    for argv in (["expand", "--eta", "6;1;1:-2,2:1"],
+                 ["pdot", "--n", "4", "--method", "enum"],
+                 ["radu", "--m", "6", "--t", "2", "--u", "4",
+                  "--rprime", "1:5"],
+                 ["sturm", "--weight", "2", "--level", "6"],
+                 ["check", "--suite", "dissection"]):
+        got = run(capsys, *argv)
+        assert got == (2, "", f"pdotq {argv[0]}: rejected\n"), argv
+    monkeypatch.undo()
+
+    # the exit-1 results the handlers keep
+    code, out, err = run(capsys, "expand", "--eta", "6;1;1:1")
+    assert (code, out) == (1, "")
+    assert err.startswith("pdotq expand: not expandable: ")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, "radu", "--m", "24", "--t", "0",
+                         "--rprime", "1:20", "--u", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("pdotq radu: criterion not applicable: ")
+    assert err.count("\n") == 1
+
+
 def test_check_single_suite(capsys):
     code, out, _ = run(capsys, "check", "--suite", "genfun",
                        "--k", "0", "--bound", "20")

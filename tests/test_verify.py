@@ -20,8 +20,10 @@ from pdotq.verify import (
     intermediate_steps,
     master_series,
     nonresidue_prime_family,
+    plan_master_series,
     powers_of_two_suite,
     sturm_suite,
+    suite_reads,
     SUITES,
 )
 from pdotq.modforms import modularity_check
@@ -282,11 +284,34 @@ def test_check_all_makes_one_3n_expansion_and_one_full_one(
         digests["check --suite all --json"])
 
 
+# one parameter set of each suite other than its defaults; the
+# certificate table has no parameters
+_OTHER_PARAMS = {
+    "dissection": {"order": 40, "binom_order": 20},
+    "sturm": {"k18": 1, "k36": 1},
+    "genfun": {"k": 1, "bound": 40},
+    "divisibility": {"k_max": 2, "n_max": 20},
+    "coexistence": {"k_max": 1, "bound": 50},
+    "prime-family": {"p": 11, "n_max": 5, "ell_max": 1},
+    "intermediate": {"bound": 50},
+    "powers-of-two": {"order": 3000, "conj_k_max": 3},
+}
+
+
 def test_single_suite_plans_only_its_own_reads(expansions):
     report = genfun_congruences(k=0, bound=30)
     assert report.passed
     # 8n needs the full series, 12n only the 3n one
     assert sorted(expansions) == [(121, 27, 3), (241, 27, 1)]
+    # every suite, at its defaults and at one other parameter set: the
+    # series that its declared reads expand are all that it reads
+    for name, params in [*((name, {}) for name in SUITES),
+                         *_OTHER_PARAMS.items()]:
+        clear_master_cache()
+        plan_master_series(suite_reads(name, **params))
+        planned = list(expansions)
+        assert SUITES[name](**params).passed, (name, params)
+        assert expansions == planned, (name, params)
 
 
 def test_f_product_inverse_pairs():
