@@ -28,14 +28,17 @@ Each passing check's detail names what it rests on, by one of six labels:
 Every read of sum pdo_t(n) q^n is a progression request
 `master_progression(step, offset, count, modulus)`, served from the
 cached full series or the 3n series sum pdo_t(3n) q^n, a third as long.
-Each suite declares its requests to `plan_master_series` first, and
-`check --suite all` plans every suite's `suite_reads` together, so the
-whole run makes one 3n expansion and at most one full one.
+A suite that reads it checks its parameters, yields its requests, plans
+them (`plan_master_series`) and then makes its checks; `suite_reads`
+stops it at the yield, and `check --suite all` plans every suite's reads
+together, so the whole run makes one 3n expansion and at most one full
+one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import wraps
 from math import floor, lcm
 
 from . import indented_json
@@ -232,6 +235,25 @@ def plan_master_series(requests):
             master_series(order, modulus, source_step)
 
 
+def _planned(body):
+    """The suite whose generator `body` checks its parameters, yields its
+    master-series reads, plans them and yields its Report: calling the
+    suite returns the Report, and its `reads(**params)` runs the body only
+    as far as the reads, so nothing is expanded."""
+    @wraps(body)
+    def suite(*args, **kwargs):
+        _, report = body(*args, **kwargs)
+        return report
+    suite.reads = lambda **params: next(body(**params))
+    return suite
+
+
+def _refuse_negative(**params):
+    for name, value in params.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _first_nonzero(step: int, offset: int, count: int, modulus: int):
     """The first n < count with pdo_t(step n + offset) nonzero mod
     `modulus`, as (n, residue), or None when there is none."""
@@ -374,29 +396,28 @@ def _prime_family_progression(p: int, ell: int, a: int, b: int, k: int):
     return scale * a * p * p, scale * (a * k * p + b * p * p)
 
 
-def _prime_family_reads(p: int, n_max: int, ell_max: int):
-    # each row's progressions all come from the 3n series mod one modulus,
-    # so only the furthest, k = p - 1, sets the plan; p is checked now,
-    # and the rows are made as they are read
-    if p < 5 or p % 6 != 5 or prime_factors(p) != [p]:
-        raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
-    return ((*_prime_family_progression(p, ell, a, b, p - 1), n_max + 1,
-             modulus)
-            for ell in range(ell_max + 1)
-            for modulus, a, b in _PRIME_FAMILY_CHECKS)
-
-
-def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Report:
+@_planned
+def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2):
     """For a prime p == 5 (mod 6), the vanishing of pdo_t on
     3^ell (6 p^2 n + 6 k p + 3 p^2) mod 8 and 3^ell (24 p^2 n + 24 k p
     + 12 p^2) mod 32, for k = 1..p-1, checked for n <= n_max and
     ell <= ell_max."""
-    reads = _prime_family_reads(p, n_max, ell_max)
+    if p < 5 or p % 6 != 5 or prime_factors(p) != [p]:
+        raise ValueError(f"prime p == 5 (mod 6) required, got {p}")
+    _refuse_negative(n_max=n_max, ell_max=ell_max)
+    # each row's progressions all come from the 3n series mod one modulus,
+    # so only the furthest, k = p - 1, sets the plan; the rows are made as
+    # they are read
+    reads = ((*_prime_family_progression(p, ell, a, b, p - 1), n_max + 1,
+              modulus)
+             for ell in range(ell_max + 1)
+             for modulus, a, b in _PRIME_FAMILY_CHECKS)
+    yield reads
+    plan_master_series(reads)
     report = Report("prime-family",
                     {"p": p, "n_max": n_max, "ell_max": ell_max})
     report.add(f"-3 is a quadratic nonresidue mod {p}",
                kronecker_symbol(-3, p) == -1, "hypothesis on p")
-    plan_master_series(reads)
 
     for ell in range(ell_max + 1):
         for modulus, a, b in _PRIME_FAMILY_CHECKS:
@@ -414,7 +435,7 @@ def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2) -> Re
                 report.add(name, True, f"finite-depth evidence, "
                            f"{(p - 1) * (n_max + 1)} cases "
                            f"(k<{p}, n<={n_max})")
-    return report
+    yield report
 
 
 # ---------------------------------------------------------------------------
@@ -452,29 +473,30 @@ def _powers_of_two_progressions(conj_k_max: int):
             yield step, offset, modulus, "finite-depth evidence"
 
 
-def _powers_of_two_reads(order: int, conj_k_max: int):
-    return ((step, offset, _count_below(order, step, offset), modulus)
-            for step, offset, modulus, _ in
-            _powers_of_two_progressions(conj_k_max))
-
-
-def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6) -> Report:
+@_planned
+def powers_of_two_suite(order: int = 20000, conj_k_max: int = 6):
     """The proved power-of-two progressions, then the conjectural
     extension to every k, checked on all indices below `order`; an order
     that leaves a progression no index is refused before anything is
     expanded."""
+    reads = ((step, offset, _count_below(order, step, offset), modulus)
+             for step, offset, modulus, _ in
+             _powers_of_two_progressions(conj_k_max))
+    yield reads
+    # checked after the yield, so that reads past the budget are refused
+    # as such first
     for step, offset, *_ in _powers_of_two_progressions(conj_k_max):
         if offset >= order:
             raise ValueError(f"order {order} leaves pdo_t({step}n+{offset}) "
                              "no index to check")
+    plan_master_series(reads)
     report = Report("powers-of-two",
                     {"order": order, "conj_k_max": conj_k_max})
-    plan_master_series(_powers_of_two_reads(order, conj_k_max))
     for step, offset, modulus, strength in (
             _powers_of_two_progressions(conj_k_max)):
         _zero_progression_check(report, order, step, offset, modulus,
                                 strength)
-    return report
+    yield report
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +518,15 @@ _INTERMEDIATE_FORMS = (
 )
 
 
-def _intermediate_reads(bound: int):
-    return [(step, offset, bound + 1, modulus)
-            for _, step, offset, modulus, *_ in _INTERMEDIATE_FORMS]
-
-
-def intermediate_steps(bound: int = 200) -> Report:
+@_planned
+def intermediate_steps(bound: int = 200):
     """Exact closed forms for the 4n, 6n and 8n subsequences and the mod-8
     and mod-32 congruences for the 3n, 6n+3, 9n, 12n and 36n ones."""
+    reads = [(step, offset, bound + 1, modulus)
+             for _, step, offset, modulus, *_ in _INTERMEDIATE_FORMS]
+    yield reads
+    plan_master_series(reads)
     report = Report("intermediate", {"bound": bound})
-    plan_master_series(_intermediate_reads(bound))
     for (name, step, offset, modulus, exponents, scalar,
          shift) in _INTERMEDIATE_FORMS:
         lhs = master_progression(step, offset, bound + 1, modulus)
@@ -516,7 +537,7 @@ def intermediate_steps(bound: int = 200) -> Report:
         else:
             _congruence_check(report, name, lhs, rhs, modulus, bound,
                               "finite-depth evidence")
-    return report
+    yield report
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +599,19 @@ def _divisible_check(report: Report, name: str, fam: Family, count: int,
                else f"n={bad[0]}: residue {bad[1]}")
 
 
-def _genfun_reads(k: int, bound: int):
-    return [(fam.step, 0, bound + 1, fam.modulus // d)
-            for fam in _family_pair(k) for d in (1, 3)]
-
-
-def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
+@_planned
+def genfun_congruences(k: int = 2, bound: int = 100):
     """The two closed forms mod 3^(k+3), pdo_t(8 3^k n) and
     pdo_t(12 3^k n) against the companions of `family(18, k)` and
     `family(36, k + 1)` through q^bound, plus the divisibility they
     force."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    report = Report("genfun", {"k": k, "bound": bound})
-    plan_master_series(_genfun_reads(k, bound))
+    _refuse_negative(k=k)
     pair = _family_pair(k)
+    reads = [(fam.step, 0, bound + 1, fam.modulus // d)
+             for fam in pair for d in (1, 3)]
+    yield reads
+    plan_master_series(reads)
+    report = Report("genfun", {"k": k, "bound": bound})
     for fam in pair:
         lhs = master_progression(fam.step, 0, bound + 1, fam.modulus)
         _congruence_check(report, f"pdo_t({fam.step}n) closed form", lhs,
@@ -602,42 +621,38 @@ def genfun_congruences(k: int = 2, bound: int = 100) -> Report:
         _divisible_check(report, f"pdo_t({fam.step}n) divisible by 3^{k + 2}",
                          fam, bound + 1,
                          f"forced by the closed form through q^{bound}")
-    return report
+    yield report
 
 
-def _divisibility_reads(k_max: int, n_max: int):
-    return ((fam.step, 0, n_max + 1, fam.modulus // 3)
-            for k in range(k_max + 1) for fam in _family_pair(k))
-
-
-def divisibility_suite(k_max: int = 3, n_max: int = 40) -> Report:
+@_planned
+def divisibility_suite(k_max: int = 3, n_max: int = 40):
     """Divisibility pdo_t(8 3^k n) == pdo_t(12 3^k n) == 0 mod 3^(k+2)
     for k <= k_max and n <= n_max."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _refuse_negative(k_max=k_max, n_max=n_max)
+    reads = ((fam.step, 0, n_max + 1, fam.modulus // 3)
+             for k in range(k_max + 1) for fam in _family_pair(k))
+    yield reads
+    plan_master_series(reads)
     report = Report("divisibility", {"k_max": k_max, "n_max": n_max})
-    plan_master_series(_divisibility_reads(k_max, n_max))
     for k in range(k_max + 1):
         for fam in _family_pair(k):
             _divisible_check(report, f"pdo_t({fam.step}n) == 0 mod 3^{k + 2}",
                              fam, n_max + 1,
                              f"finite-depth evidence, n <= {n_max}")
-    return report
+    yield report
 
 
-def _coexistence_reads(k_max: int, bound: int):
-    return ((fam.step, 0, bound + 1, fam.modulus)
-            for k in range(k_max + 1) for fam in _family_pair(k))
-
-
-def coexistence(k_max: int = 3, bound: int = 200) -> Report:
+@_planned
+def coexistence(k_max: int = 3, bound: int = 200):
     """Cross-consistency of the two closed forms: multiplying each side
     by the other's product part must agree mod 3^(k+3), because the two
     companion products coincide mod 3."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _refuse_negative(k_max=k_max)
+    reads = ((fam.step, 0, bound + 1, fam.modulus)
+             for k in range(k_max + 1) for fam in _family_pair(k))
+    yield reads
+    plan_master_series(reads)
     report = Report("coexistence", {"k_max": k_max, "bound": bound})
-    plan_master_series(_coexistence_reads(k_max, bound))
     for k in range(k_max + 1):
         eight, twelve = _family_pair(k)
         modulus = eight.modulus
@@ -650,7 +665,7 @@ def coexistence(k_max: int = 3, bound: int = 200) -> Report:
             f"2^{twelve.two} f2^4 pdo_t({eight.step}n) == "
             f"2^{eight.two} f1^8 pdo_t({twelve.step}n)",
             left, right, modulus, bound, "finite-depth evidence")
-    return report
+    yield report
 
 
 # ---------------------------------------------------------------------------
@@ -675,23 +690,6 @@ CERTIFICATE_ROWS = [
 ]
 
 
-def _certificate_instances():
-    """(instance, aux exponents, u, depth, orbit, floor(nu)) per row."""
-    for m, t, rp1, depth, u in CERTIFICATE_ROWS:
-        inst = RaduInstance(m=m, M=12, level=12,
-                            r=dict(PDO_T_EXPONENTS), t=t)
-        aux = AuxExponents(12, {1: rp1})
-        orbit, nu = orbit_and_nu(inst, aux)
-        yield inst, aux, u, depth, orbit, floor(nu)
-
-
-def _certificate_reads():
-    return [read for inst, _, u, depth, orbit, floor_nu
-            in _certificate_instances()
-            for read in shifted_reads(inst.m, orbit,
-                                      max(floor_nu, depth) + 1, u)]
-
-
 def shifted_reads(m: int, offsets, count: int, u: int):
     """The master-series reads behind c(m n + t') = pdo_t(m n + t' + 1)
     mod u, n < count, for each t' in `offsets`: the coefficients of the
@@ -710,13 +708,22 @@ def shifted_progression(m: int, u: int):
     return progression
 
 
-def certificate_table() -> Report:
+@_planned
+def certificate_table():
     """Run the full certificate for every progression row, each reading
     its orbit's progressions from the shared master series."""
+    rows, reads = [], []
+    for m, t, rp1, depth, u in CERTIFICATE_ROWS:
+        inst = RaduInstance(m=m, M=12, level=12,
+                            r=dict(PDO_T_EXPONENTS), t=t)
+        aux = AuxExponents(12, {1: rp1})
+        orbit, nu = orbit_and_nu(inst, aux)
+        rows.append((inst, aux, u, depth, floor(nu)))
+        reads += shifted_reads(m, orbit, max(floor(nu), depth) + 1, u)
+    yield reads
+    plan_master_series(reads)
     report = Report("table", {"rows": len(CERTIFICATE_ROWS)})
-    plan_master_series(_certificate_reads())
-
-    for inst, aux, u, depth, _, floor_nu in _certificate_instances():
+    for inst, aux, u, depth, floor_nu in rows:
         cert = radu_verify(inst, aux, u,
                            progression=shifted_progression(inst.m, u),
                            min_depth=depth)
@@ -730,34 +737,31 @@ def certificate_table() -> Report:
         else:
             report.add(name, False,
                        f"coefficient failure: {cert.failure}")
-    return report
+    yield report
 
 
 # ---------------------------------------------------------------------------
 # Sturm-bound closures at the two eta-quotient levels
 
 
-def _sturm_closures(k18: int, k36: int):
-    """(family, weight, Sturm bound) of the two closures."""
-    for fam in (family(18, k18), family(36, k36)):
-        weight = sum(fam.exponents.values()) // 2
-        yield fam, weight, sturm_bound(weight, fam.level)
-
-
-def _sturm_reads(k18: int, k36: int):
-    return [(fam.step, 0, bound + 1, fam.modulus)
-            for fam, _, bound in _sturm_closures(k18, k36)]
-
-
-def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
+@_planned
+def sturm_suite(k18: int = 2, k36: int = 3):
     """Close the two deepest congruences by the Sturm argument: apply the
     level-respecting U(3) operator k times to the holomorphic quotient
     and compare with its companion form through the Sturm bound for that
     weight and level.  Agreement there proves agreement everywhere, and
     the master-series dissections must then show the same congruences."""
+    _refuse_negative(k18=k18, k36=k36)
+    closures = []  # (family, weight, Sturm bound)
+    for fam in (family(18, k18), family(36, k36)):
+        weight = sum(fam.exponents.values()) // 2
+        closures.append((fam, weight, sturm_bound(weight, fam.level)))
+    reads = [(fam.step, 0, bound + 1, fam.modulus)
+             for fam, _, bound in closures]
+    yield reads
+    plan_master_series(reads)
     report = Report("sturm", {"k18": k18, "k36": k36})
-    plan_master_series(_sturm_reads(k18, k36))
-    for fam, weight, bound in _sturm_closures(k18, k36):
+    for fam, weight, bound in closures:
         level, modulus, k = fam.level, fam.modulus, fam.k
         closure = f"closure check at Sturm bound {bound}"
         dissection, companion = quotients = fam.quotients()
@@ -783,11 +787,11 @@ def sturm_suite(k18: int = 2, k36: int = 3) -> Report:
         _congruence_check(
             report, f"pdo_t({fam.step}n) matches the level-{level} closure",
             lhs, product, modulus, bound, closure)
-    return report
+    yield report
 
 
 # "all" runs these in order, after one `plan_master_series` over all their
-# `suite_reads` has expanded the master series that they read
+# `suite_reads`; a suite run alone yields its reads and then plans them
 SUITES = {
     "dissection": dissection_suite,
     "sturm": sturm_suite,
@@ -800,29 +804,9 @@ SUITES = {
     "powers-of-two": powers_of_two_suite,
 }
 
-# suite name -> its master-series reads, as a function of the suite's
-# keyword arguments
-_READS = {
-    "sturm": _sturm_reads,
-    "genfun": _genfun_reads,
-    "divisibility": _divisibility_reads,
-    "coexistence": _coexistence_reads,
-    "prime-family": _prime_family_reads,
-    "intermediate": _intermediate_reads,
-    "certificates": _certificate_reads,
-    "powers-of-two": _powers_of_two_reads,
-}
-
-
 def suite_reads(name: str, **params):
-    """The master-series reads of suite `name` run with `params`, its
-    defaults filling in the rest, as an iterable; those of a suite whose
+    """The master-series reads of suite `name` run with `params`, as an
+    iterable, [] for a suite that reads none; those of a suite whose
     parameters range over k are made one at a time, as they are read."""
-    if name not in _READS:
-        return []
-    suite = SUITES[name]
-    while hasattr(suite, "__wrapped__"):  # as inspect.signature unwraps
-        suite = suite.__wrapped__
-    names = suite.__code__.co_varnames[:suite.__code__.co_argcount]
-    defaults = dict(zip(reversed(names), reversed(suite.__defaults__ or ())))
-    return _READS[name](**{p: params.get(p, defaults.get(p)) for p in names})
+    reads = getattr(SUITES.get(name), "reads", None)
+    return [] if reads is None else reads(**params)

@@ -171,7 +171,8 @@ def test_check_flags_past_the_coefficient_budget_exit_before_expanding(
     # without the guard each of these asks for many GB; the prime-family
     # plan reads only the furthest progression of each of its rows, not
     # all 6 (p - 1) (ell_max + 1) of them
-    assert len(list(verify._prime_family_reads(1000000007, 20, 2))) == 6
+    assert len(list(verify.suite_reads("prime-family", p=1000000007,
+                                       n_max=20, ell_max=2))) == 6
     # the reads are made one at a time, and the first that takes the plan
     # past the budget stops it (k = 9 for divisibility and coexistence,
     # ell = 7 for prime-family), however far the flag reaches; a huge

@@ -314,6 +314,33 @@ def test_single_suite_plans_only_its_own_reads(expansions):
         assert expansions == planned, (name, params)
 
 
+def test_negative_parameters_are_refused_before_the_reads(expansions):
+    # each of these once passed over no index, or raised a TypeError on a
+    # fractional power of 3
+    for name, param in (("divisibility", "n_max"), ("prime-family", "n_max"),
+                        ("prime-family", "ell_max"), ("sturm", "k18"),
+                        ("sturm", "k36")):
+        for run in (SUITES[name], lambda **params: suite_reads(name, **params)):
+            with pytest.raises(ValueError,
+                               match=f"^{param} must be >= 0, got -1$"):
+                run(**{param: -1})
+    assert expansions == []
+
+
+def test_wrapped_suites_keep_their_reads(monkeypatch):
+    import functools
+
+    # as a tracer wraps each suite
+    for name, suite in list(SUITES.items()):
+        reads = list(suite_reads(name))
+        assert bool(reads) == (name != "dissection"), name
+        report = suite().to_json()
+        monkeypatch.setitem(SUITES, name, functools.wraps(suite)(
+            lambda *args, suite=suite, **kwargs: suite(*args, **kwargs)))
+        assert list(suite_reads(name)) == reads, name
+        assert SUITES[name]().to_json() == report, name
+
+
 def test_f_product_inverse_pairs():
     rng = random.Random(911)
     one = TruncSeries.one(40)
@@ -538,8 +565,7 @@ def test_family_rows_carry_both_closed_forms():
 
 def test_prime_family_plan_reads_only_the_furthest_progressions():
     from pdotq.verify import (
-        _PRIME_FAMILY_CHECKS, _prime_family_progression, _prime_family_reads,
-        master_plans,
+        _PRIME_FAMILY_CHECKS, _prime_family_progression, master_plans,
     )
 
     def master_plan(requests):
@@ -551,8 +577,8 @@ def test_prime_family_plan_reads_only_the_furthest_progressions():
                  for ell in range(ell_max + 1)
                  for modulus, a, b in _PRIME_FAMILY_CHECKS
                  for k in range(1, p)]
-        assert master_plan(_prime_family_reads(p, n_max, ell_max)) == (
-            master_plan(every))
+        assert master_plan(suite_reads("prime-family", p=p, n_max=n_max,
+                                       ell_max=ell_max)) == master_plan(every)
 
 
 def eta_families(k):
