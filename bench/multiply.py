@@ -24,7 +24,7 @@ nonzero-pair count beside them.  They are the evidence for
 Series rows: one whole `pdo_t_series` expansion (its eta product, shifted
 by q) at each (order, modulus, step) of SERIES_ROWS, best of --repeats,
 the layer that sits between one multiply and a suite; step 3 is the 3n
-series that `check --suite all` expands once.  Quotient rows: the
+series, at the sizes `check --suite all` expands it to.  Quotient rows: the
 `q_expansion` (its eta product) of the Sturm suite's level-18 and
 level-36 quotients at the depths and modulus it expands them to, best of
 --repeats; modulo the prime power 243, `eta_product`
@@ -44,7 +44,8 @@ Newton over Z 3-6x on the rows of up to 143 terms at orders 3535 and
 7600, and mod 32 and 256 on phi(-q) at 3535 (11 ms against 15-18); mod
 4 Newton stays ahead on phi(-q) from order 1000 (2.0 ms against 1.3),
 so no one residue limit is as fast on every row.  Workload division rows: the largest Newton-path
-division of proof-all (the 3n series psi(q^2) f6^3 / phi(-q)^2 to order
+division of proof-all while it read the mod-32 prime family from the
+same 3n series as the 3-adic suites (psi(q^2) f6^3 / phi(-q)^2 to order
 38340 mod 186624) and of certify-batch (the PDO_t quotient
 phi(-q^3) f12^2 / phi(-q) to order 7488 mod 128), by `_divide_newton`
 and, where it finishes in seconds, by the recurrence.  Encoding rows:
@@ -118,9 +119,11 @@ SPARSE_EXACT_SIZE = 2000
 # f_1 against random support giving this many nonzero pairs per coefficient
 PAIRS_PER_COEFF = (4, 16, 64)
 # (order, modulus, step) of eta-product expansions at the suites' sizes:
-# the full series, and the one 3n series of `check --suite all`
+# the full series; the 3n series to 38341 terms mod 186624 in one
+# expansion, with a Newton division; and the two that `check --suite all`
+# makes in its place, mod 32 with no division and to 21601 terms
 SERIES_ROWS = ((20001, 256, 1), (53137, 243, 1), (115237, 32, 1),
-               (38341, 186624, 3))
+               (38341, 186624, 3), (38341, 32, 3), (21601, 186624, 3))
 
 # (level, exponents, order, modulus) of the Sturm suite's dissection-side
 # quotients at its defaults k18 = 2 and k36 = 3: order 3^k (bound + 1)

@@ -267,13 +267,12 @@ def _cmd_radu(args) -> int:
         # m depth + max(orbit) + 1, or for the PDO_t map each series of
         # the plan of its master-series reads
         if source is None:
-            sizes = [(inst.m * depth + orbit[-1] + 1, args.u)]
+            plan = {(None, args.u): inst.m * depth + orbit[-1] + 1}
         else:
             *_, plan = master_plans(
                 shifted_reads(inst.m, orbit, depth + 1, args.u))
-            sizes = plan.values()
-        for size in sizes:
-            _refuse_over_budget(f"depth {_written(depth)}", *size)
+        for (_, modulus), order in plan.items():
+            _refuse_over_budget(f"depth {_written(depth)}", order, modulus)
 
     try:
         cert = radu_verify(inst, aux, args.u, min_depth=args.min_depth,
@@ -350,11 +349,13 @@ def _refuse_suite_over_budget(suite: str, kwargs: dict):
     for name in _EXACT_ORDERS.get(suite, ()):
         if name in kwargs:
             _refuse_over_budget(f"--suite {suite}", kwargs[name], None)
-    last, named = {}, 0  # a read changes one series of the plan at most
+    # a read may change any series of the plan, or split a step's series
+    # in two, so every series new to the plan is charged
+    last, named = {}, 0
     reads, requests = tee(suite_reads(suite, **kwargs))
     for read, plan in zip(reads, master_plans(requests)):
-        for _, size in plan.items() - last.items():
-            _refuse_over_budget(f"--suite {suite}", *size)
+        for (_, modulus), order in plan.items() - last.items():
+            _refuse_over_budget(f"--suite {suite}", order, modulus)
         # a check names its read's step, offset and modulus in decimal,
         # each in at most the digits of 2^b for a number of b bits
         named += sum(floor(n.bit_length() * log10(2)) + 1

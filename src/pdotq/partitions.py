@@ -30,6 +30,9 @@ from .series import TruncSeries, eta_product
 PDO_T_EXPONENTS = {1: -2, 2: 1, 3: 2, 6: -1, 12: 2}
 # {d: r_d} of sum pdo_t(3n) q^n = 4q * prod_d f_d^(r_d)
 PDO_T_3N_EXPONENTS = {1: -4, 2: 1, 4: 2, 6: 3}
+# step -> (exponents, scalar) of sum pdo_t(step n) q^n = scalar q prod_d
+# f_d^(r_d), the master series of `pdo_t_series`
+PDO_T_SERIES = {1: (PDO_T_EXPONENTS, 1), 3: (PDO_T_3N_EXPONENTS, 4)}
 # {d: r_d} of sum pd(n) q^n = f6/(f1 f2 f3) and sum pdo(n) q^n =
 # f4 f6^2/(f1 f3 f12) (Andrews, Lewis and Lovejoy, "Partitions with
 # designated summands", Acta Arith. 105, 2002)
@@ -99,10 +102,8 @@ def pdo_t_series(order: int, modulus=None, step: int = 1,
     is continued rather than expanded again where `eta_product` can."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if step == 1:
-        return eta_product(PDO_T_EXPONENTS, order - 1, modulus,
-                           known=known[1:]).shift(1)
-    if step == 3:
-        return eta_product(PDO_T_3N_EXPONENTS, order - 1, modulus,
-                           scalar=4, known=known[1:]).shift(1)
-    raise ValueError(f"step must be 1 or 3, got {step}")
+    if step not in PDO_T_SERIES:
+        raise ValueError(f"step must be 1 or 3, got {step}")
+    exponents, scalar = PDO_T_SERIES[step]
+    return eta_product(exponents, order - 1, modulus, scalar=scalar,
+                       known=known[1:]).shift(1)

@@ -21,7 +21,9 @@ owns it:
   (`_Operand`);
 - eta products: the smaller ring, the binomial congruence, the theta
   factors phi(-q), psi(q) and f_1^3, and the one division of the plan
-  (`eta_product`).
+  (`eta_product`); the factor plan and the 2-adic theta-unit rule, which
+  lets phi(-q)^-2 be phi(-q)^2 mod 8 (`_eta_factors`); the cost estimate
+  that plans expansions (`eta_cost`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from decimal import (
 )
 from functools import cache
 from itertools import chain, islice, repeat
-from math import gcd, isqrt
+from math import floor, gcd, isqrt, log10
 from operator import add, mul, neg, sub
 
 
@@ -804,6 +806,99 @@ def eta_product(exponents: dict, order: int, modulus=None,
     g the gcd of the remaining steps, the product is the order-ceil(order/g)
     expansion for the steps d/g, inflated by g.
 
+    Each factor of the plan (`_eta_factors`) is its base series raised to
+    |r| (one power per base and |r|, at the largest order any step needs),
+    truncated to ceil(order/d) and inflated by d.  The factors with r > 0
+    are multiplied together, and so are those with r < 0; the first
+    product (one, when there are none) is divided by the second once
+    (`_divide_list`), and not at all when there is no r < 0.  So the
+    PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is q phi(-q^3) f12^2 divided by
+    the sparse phi(-q) in one recurrence, and its 3n progression
+    4q f2 f4^2 f6^3/f1^4 is 4q psi(q^2) f6^3/phi(-q)^2, or mod 32 the
+    product 4q psi(q^2) f6^3 phi(-q)^2 with no division at all.
+    `known`, a head of this very result (say a shorter expansion of the
+    same map), lets a sparse divisor's recurrence continue after it.  It
+    is used only where it is the quotient's own head: not with a scalar,
+    nor when the steps share a factor, nor by Newton division; there, and
+    when it is empty, the expansion starts from nothing.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    ring, steps = _eta_ring(exponents, modulus, scalar)
+    if steps is None:
+        return TruncSeries.zero(order, modulus)
+    body = _eta_body(steps, order, ring, known if scalar == 1 else ())
+    if scalar == 1:
+        return body
+    return TruncSeries._reduced(_finish(body.coeffs, modulus, scalar=scalar),
+                                modulus)
+
+
+def _eta_ring(exponents: dict, modulus, scalar: int):
+    """(ring, map) of scalar * prod_d f_d^(r_d) mod `modulus`: the modulus
+    its body is expanded modulo (None over Z) and the map that
+    `binomial_reduce` leaves there, or None for the map when the product
+    is zero (see `eta_product`).  In Z/2^a a map with every |r_d| <= 2^(a+1)
+    whose own plan needs no division is kept as it is when the reduced
+    one's would: mod 2 the 3n map's plan drops phi(-q)^-2 and keeps
+    psi(q^2) = f4^2/f2, which the reduction takes to f8/f2.  The bound
+    keeps out a huge exponent, which only the reduction makes cheap."""
+    steps = {d: r for d, r in exponents.items() if r}
+    for d in steps:
+        if d < 1:
+            raise ValueError(f"Euler factor step must be >= 1, got {d}")
+    ring = None if modulus is None else modulus // gcd(scalar, modulus)
+    if not scalar or ring == 1:
+        return ring, None
+    reduced = binomial_reduce(steps, ring)
+    if (ring is not None and not ring & (ring - 1)
+            and all(abs(r) <= 2 * ring for r in steps.values())
+            and _divides(reduced, ring) and not _divides(steps, ring)):
+        return ring, steps
+    return ring, reduced
+
+
+def _divides(steps: dict, modulus) -> bool:
+    """Whether the factor plan of this map in Z/modulus divides."""
+    return any(r < 0 for *_, r in _eta_factors(steps, modulus))
+
+
+def eta_divides(exponents: dict, modulus=None, scalar: int = 1) -> bool:
+    """Whether `eta_product` of this map, scalar and modulus divides at
+    any order: whether its factor plan (`_eta_factors`) keeps a negative
+    exponent."""
+    ring, steps = _eta_ring(exponents, modulus, scalar)
+    return steps is not None and _divides(steps, ring)
+
+
+# a division costs about this many full products of its order: at order
+# 38340 mod 46656 (the 3n series to 38341 terms mod 186624) the Newton
+# division by phi(-q)^2 took 260 ms and one full product of its width
+# 96 ms; timed again on a 2-core VM (Python 3.11), 153-160 ms against
+# 59-60 ms
+_DIVISION_COST = 3
+
+
+def eta_cost(exponents: dict, order: int, modulus: int,
+             scalar: int = 1) -> int:
+    """An estimate of the work of `eta_product` of this map to `order` in
+    a residue ring: the coefficients times the digits (from logarithms,
+    so a huge ring is not written out) of the field ceil(order/2) (R-1)^2
+    of its ring Z/R, the width every product of a Newton division takes
+    (`_divide_newton`), times _DIVISION_COST when it divides
+    (`eta_divides`); 0 when the product is zero."""
+    ring, steps = _eta_ring(exponents, modulus, scalar)
+    if steps is None or order < 1:
+        return 0
+    digits = floor(log10(-(-order // 2)) + 2 * log10(ring - 1)) + 1
+    return order * digits * (_DIVISION_COST if _divides(steps, ring) else 1)
+
+
+def _eta_factors(steps: dict, modulus) -> list:
+    """The factor plan of prod_d f_d^(r_d) in Z/modulus (over Z for None),
+    for a map of nonzero exponents on valid steps: (base, d, r) for each
+    factor base(q^d)^r, the product divides when some r < 0.
+
     Theta factors come first: Ramanujan's phi(-q) = f_1^2/f_2 and
     psi(q) = f_2^2/f_1 (Berndt, Ramanujan's Notebooks, Part III, Entry 22)
     have only about 2 sqrt(order) and sqrt(2 order) nonzero terms.  In
@@ -813,48 +908,16 @@ def eta_product(exponents: dict, order: int, modulus=None,
     partner has the opposite sign becomes phi(-q^d)^(r_d/2), and step 2d
     keeps r_2d + r_d/2 for its own turn, where it can still pair with 4d.
     Every other step is f_d^(r_d), and f_1^(3j) is (f_1^3)^j from
-    `jacobi_cube`.  Each factor is its base
-    series raised to |r| (one power per base and |r|, at the largest order
-    any step needs), truncated to ceil(order/d) and inflated by d.  The
-    factors with r > 0 are multiplied together, and so are those with
-    r < 0; the first product (one, when there are none) is divided by the
-    second once (`_divide_list`), and not at all when there is no r < 0.
-    So the PDO_t series q f2 f3^2 f12^2/(f1^2 f6) is q phi(-q^3) f12^2
-    divided by the sparse phi(-q) in one recurrence, and its 3n
-    progression 4q f2 f4^2 f6^3/f1^4 is 4q psi(q^2) f6^3/phi(-q)^2.
-    `known`, a head of this very result (say a shorter expansion of the
-    same map), lets a sparse divisor's recurrence continue after it.  It
-    is used only where it is the quotient's own head: not with a scalar,
-    nor when the steps share a factor, nor by Newton division; there, and
-    when it is empty, the expansion starts from nothing.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    steps = {d: r for d, r in exponents.items() if r}
-    for d in steps:
-        if d < 1:
-            raise ValueError(f"Euler factor step must be >= 1, got {d}")
-    ring = None if modulus is None else modulus // gcd(scalar, modulus)
-    if not scalar or ring == 1:
-        return TruncSeries.zero(order, modulus)
-    body = _eta_body(binomial_reduce(steps, ring), order, ring,
-                     known if scalar == 1 else ())
-    if scalar == 1:
-        return body
-    return TruncSeries._reduced(_finish(body.coeffs, modulus, scalar=scalar),
-                                modulus)
+    `jacobi_cube`.
 
-
-def _eta_body(steps: dict, order: int, modulus, known=()) -> TruncSeries:
-    """prod_d f_d^(r_d) for a map of nonzero exponents on valid steps, as
-    it stands, continued after `known` if its divisor is sparse (see
-    `eta_product`)."""
-    g = gcd(*steps)
-    if g > 1:
-        body = _eta_body({d // g: r for d, r in steps.items()},
-                         -(-order // g), modulus)
-        return body.inflate(g, order)
-    factors = []  # (base, step, exponent): base(q^step)^exponent
+    Then the 2-adic theta-unit rule: phi(-q) == 1 (mod 2), so
+    phi(-q)^(2^(a-1)) == 1 (mod 2^a), and in Z/2^a a factor phi(-q^d)^r
+    with r < 0 takes the exponent r mod 2^(a-1) when that is at most |r|
+    (a zero exponent drops it).  So mod 8 phi(-q)^-2 is phi(-q)^2 and mod
+    4 phi(-q)^-1 is phi(-q): the 3n map mod every divisor of 32 and the
+    PDO_t map mod 4 need no division.  Rings 2^a with a >= 4, and every
+    other ring, keep the plan as it is."""
+    factors = []
     left = dict(steps)  # exponents not yet taken by a factor
     for d in sorted(steps):
         r = left.pop(d, 0)
@@ -873,6 +936,28 @@ def _eta_body(steps: dict, order: int, modulus, known=()) -> TruncSeries:
             left[2 * d] = r2 + r // 2
         else:
             factors.append((euler_factor, d, r))
+    if modulus is None or modulus & (modulus - 1):
+        return factors
+    period = modulus // 2
+    units = []
+    for base, d, r in factors:
+        if base is phi_minus and r < 0 and r % period <= -r:
+            r %= period
+        if r:
+            units.append((base, d, r))
+    return units
+
+
+def _eta_body(steps: dict, order: int, modulus, known=()) -> TruncSeries:
+    """prod_d f_d^(r_d) for a map of nonzero exponents on valid steps, as
+    it stands, continued after `known` if its divisor is sparse (see
+    `eta_product`)."""
+    g = gcd(*steps)
+    if g > 1:
+        body = _eta_body({d // g: r for d, r in steps.items()},
+                         -(-order // g), modulus)
+        return body.inflate(g, order)
+    factors = _eta_factors(steps, modulus)
     lengths = {}
     for base, d, r in factors:
         key = base, abs(r)

@@ -31,14 +31,18 @@ cached full series or the 3n series sum pdo_t(3n) q^n, a third as long.
 A suite that reads it checks its parameters, yields its requests, plans
 them (`plan_master_series`) and then makes its checks; `suite_reads`
 stops it at the yield, and `check --suite all` plans every suite's reads
-together, so the whole run makes one 3n expansion and at most one full
-one.
+together.  Each source gets one series, or two when some of its reads
+leave a ring that expands without a division and the estimate
+`series.eta_cost` puts two expansions below one (`master_plans`): the
+whole run expands the 3n series to 21,601 terms mod 186,624 for the
+3-adic reads and to 38,341 terms mod 32, by products alone, for the
+mod-32 prime family, and the full series once over Z.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import wraps
+from functools import cache, wraps
 from math import floor, lcm
 
 from . import indented_json
@@ -51,11 +55,11 @@ from .modforms import (
     sturm_bound,
     u_operator,
 )
-from .partitions import PDO_T_EXPONENTS, pdo_t_series
+from .partitions import PDO_T_EXPONENTS, PDO_T_SERIES, pdo_t_series
 from .radu import AuxExponents, RaduInstance, orbit_and_nu, radu_verify
 from .series import (
-    TruncSeries, cubic_theta, eta_product, euler_factor, jacobi_cube,
-    prime_factors,
+    TruncSeries, cubic_theta, eta_cost, eta_divides, eta_product,
+    euler_factor, jacobi_cube, prime_factors,
 )
 
 
@@ -203,24 +207,63 @@ def master_progression(step: int, offset: int, count: int,
     return TruncSeries._reduced(coeffs, modulus)
 
 
+def _joined(series, order: int, modulus):
+    """(order, modulus) of one master series serving `series`, an
+    (order, modulus) pair or None, and a read to `order` mod `modulus`."""
+    if series is None:
+        return order, modulus
+    reach, ring = series
+    return max(reach, order), (None if ring is None or modulus is None
+                               else lcm(ring, modulus))
+
+
+@cache
+def _by_products(source: int, modulus) -> bool:
+    """Whether the master series of this source step expands in Z/modulus
+    without a division (`eta_divides`); kept, since every read asks."""
+    exponents, scalar = PDO_T_SERIES[source]
+    return not eta_divides(exponents, modulus, scalar)
+
+
 def master_plans(requests):
-    """{source step: (order, modulus)} of the master series that the
-    progression requests (step, offset, count, modulus) read: the 3n
-    series to the order its readers reach, modulo the lcm of their moduli,
-    and the full series likewise, over Z if any reader needs exact values.
+    """{(source step, modulus): order} of the master series that the
+    progression requests (step, offset, count, modulus) read.  A source
+    step gets one series to the order its readers reach, modulo the lcm of
+    their moduli (over Z if any reader needs exact values), or two.  Its
+    reads that together leave a ring expanded without a division
+    (`eta_divides`: the 3n series mod a divisor of 32) are gathered apart,
+    in the order they come, and planned as a second series of that step,
+    beside one for the rest, when `eta_cost` puts the two below the one;
+    a plan over Z is not split, since no cost is known for it.  So `check
+    --suite all` reads its 3-adic progressions to 21,601 terms mod 186,624
+    and the mod-32 prime family to 38,341 terms mod 32.
     One plan is yielded per request, for the first request, the first two
     and so on, each read only when it is needed: a caller can stop at the
     first plan it will not expand, before later requests are even made."""
+    parts = {}  # source step -> (division-free reads, the rest)
     plan = {}
     for step, offset, count, modulus in requests:
         if count > 0:
-            source_step, order = _source(step, offset, count, modulus)
-            if source_step in plan:
-                reach, ring = plan[source_step]
-                order = max(reach, order)
-                modulus = (None if ring is None or modulus is None
-                           else lcm(ring, modulus))
-            plan = {**plan, source_step: (order, modulus)}
+            source, order = _source(step, offset, count, modulus)
+            free, rest = parts.get(source, (None, None))
+            joined = _joined(free, order, modulus)
+            if modulus is not None and _by_products(source, joined[1]):
+                free = joined
+            else:
+                rest = _joined(rest, order, modulus)
+            parts[source] = free, rest
+            series = [part for part in (free, rest) if part is not None]
+            if len(series) == 2:
+                exponents, scalar = PDO_T_SERIES[source]
+                whole = _joined(free, *rest)
+                if whole[1] is None or (eta_cost(exponents, *free, scalar)
+                                        + eta_cost(exponents, *rest, scalar)
+                                        >= eta_cost(exponents, *whole,
+                                                    scalar)):
+                    series = [whole]
+            plan = {key: reach for key, reach in plan.items()
+                    if key[0] != source}
+            plan.update({(source, ring): reach for reach, ring in series})
         yield plan
 
 
@@ -230,7 +273,7 @@ def plan_master_series(requests):
     plan = {}
     for plan in master_plans(requests):
         pass
-    for source_step, (order, modulus) in plan.items():
+    for (source_step, modulus), order in plan.items():
         if _cached_master(source_step, order, modulus) is None:
             master_series(order, modulus, source_step)
 
@@ -522,6 +565,7 @@ _INTERMEDIATE_FORMS = (
 def intermediate_steps(bound: int = 200):
     """Exact closed forms for the 4n, 6n and 8n subsequences and the mod-8
     and mod-32 congruences for the 3n, 6n+3, 9n, 12n and 36n ones."""
+    _refuse_negative(bound=bound)
     reads = [(step, offset, bound + 1, modulus)
              for _, step, offset, modulus, *_ in _INTERMEDIATE_FORMS]
     yield reads
@@ -605,7 +649,7 @@ def genfun_congruences(k: int = 2, bound: int = 100):
     pdo_t(12 3^k n) against the companions of `family(18, k)` and
     `family(36, k + 1)` through q^bound, plus the divisibility they
     force."""
-    _refuse_negative(k=k)
+    _refuse_negative(k=k, bound=bound)
     pair = _family_pair(k)
     reads = [(fam.step, 0, bound + 1, fam.modulus // d)
              for fam in pair for d in (1, 3)]
@@ -647,7 +691,7 @@ def coexistence(k_max: int = 3, bound: int = 200):
     """Cross-consistency of the two closed forms: multiplying each side
     by the other's product part must agree mod 3^(k+3), because the two
     companion products coincide mod 3."""
-    _refuse_negative(k_max=k_max)
+    _refuse_negative(k_max=k_max, bound=bound)
     reads = ((fam.step, 0, bound + 1, fam.modulus)
              for k in range(k_max + 1) for fam in _family_pair(k))
     yield reads

@@ -226,7 +226,7 @@ def test_radu_and_modulus_digits_past_the_budget_exit_before_expanding(
     for requests in [verify.suite_reads(name) for name in verify.SUITES] + [
             reads]:
         for plan in verify.master_plans(requests):
-            for order, modulus in plan.values():
+            for (_, modulus), order in plan.items():
                 if modulus is not None:
                     assert order * len(str(modulus)) < cli._MAX_DIGITS // 20
     big = "1:-20000000,2:10000000,3:20000000,6:-10000000,12:20000000"

@@ -249,7 +249,7 @@ def test_3n_series_is_the_3n_progression_exactly():
 
 
 # (order, modulus) of the full expansions `check --suite all` read before
-# the 3n series served it, and the single 3n expansion that replaced them
+# the 3n series served it, and one 3n expansion that covers them all
 SUITE_EXPANSIONS = ((115021, 32), (64801, 729), (53137, 243), (29809, 256))
 SUITE_3N_EXPANSION = (38341, 186624)
 

@@ -754,6 +754,44 @@ def test_scaled_eta_product_expands_in_the_ring_the_scalar_leaves(
     assert rings == []
 
 
+def test_theta_unit_rule_expands_small_2_adic_rings_without_a_division(
+        monkeypatch):
+    from pdotq import series
+    from pdotq.partitions import PDO_T_3N_EXPONENTS, PDO_T_EXPONENTS
+
+    rings = []
+    original = series._divide_list
+
+    def spy(num, den, order, modulus, known=()):
+        rings.append(modulus)
+        return original(num, den, order, modulus, known)
+
+    monkeypatch.setattr(series, "_divide_list", spy)
+    # phi(-q) == 1 (mod 2), so phi(-q)^(2^(a-1)) == 1 (mod 2^a): the plans
+    # that drop or raise a negative power of phi(-q) give the product
+    for exponents in (PDO_T_EXPONENTS, PDO_T_3N_EXPONENTS):
+        for modulus in (2, 4, 8, 16, 32):
+            got = series.eta_product(exponents, 1500, modulus)
+            assert list(got.coeffs) == eta_recurrence(
+                exponents, 1500, modulus), (exponents, modulus)
+    # the 3n series mod 4, 8, 16 and 32 (the scalar 4 leaves rings 1, 2,
+    # 4 and 8) and the PDO_t series mod 4 are products of theta series;
+    # mod 64 (ring 16) the 3n series still divides by phi(-q)^2
+    exact = eta_recurrence(PDO_T_3N_EXPONENTS, 1500, None)
+    for modulus, divisions in ((4, []), (8, []), (16, []), (32, []),
+                               (64, [16])):
+        rings.clear()
+        got = series.eta_product(PDO_T_3N_EXPONENTS, 1500, modulus, scalar=4)
+        assert list(got.coeffs) == [4 * c % modulus for c in exact]
+        assert rings == divisions, modulus
+    rings.clear()
+    series.eta_product(PDO_T_EXPONENTS, 1500, 4)
+    assert rings == []
+    assert not series.eta_divides(PDO_T_3N_EXPONENTS, 32, 4)
+    assert series.eta_divides(PDO_T_3N_EXPONENTS, 64, 4)
+    assert series.eta_divides(PDO_T_3N_EXPONENTS, 186624, 4)
+
+
 def test_eta_product_without_negative_exponents_never_inverts(monkeypatch):
     from pdotq import series
 

@@ -205,16 +205,18 @@ def test_plan_expands_each_source_once(expansions):
     requests = [(6, 3, 15, 32), (12, 0, 20, 243), (8, 0, 41, 9),
                 (4, 0, 7, None), (3, 0, 0, 5)]
     plan_master_series(requests)
-    # 3n reads reach index 228 mod lcm(32, 243); the exact read sends the
-    # full series to Z, as far as index 320
-    assert sorted(expansions) == [(77, 7776, 3), (321, None, 1)]
+    # 3n reads reach index 228 mod 243 and index 87 mod 32, which expands
+    # without a division, so two 3n series cost less than one mod
+    # lcm(32, 243); the exact read sends the full series to Z, as far as
+    # index 320
+    assert sorted(expansions) == [(30, 32, 3), (77, 243, 3), (321, None, 1)]
     plan_master_series(requests)
     exact = pdo_t_series(321)
     for step, offset, count, modulus in requests:
         got = master_progression(step, offset, count, modulus)
         want = TruncSeries(exact.coeffs[offset::step][:count], modulus)
         assert got == want, (step, offset, count, modulus)
-    assert len(expansions) == 2
+    assert len(expansions) == 3
 
 
 def test_certificates_from_progressions_equal_the_plain_ones():
@@ -265,7 +267,7 @@ def test_a_standalone_scan_expands_its_3n_source_once_after_the_head(
     assert cert == radu_verify(inst, aux, 64, progression=None)
 
 
-def test_check_all_makes_one_3n_expansion_and_one_full_one(
+def test_check_all_makes_two_3n_expansions_and_one_full_one(
         expansions, capsys):
     import hashlib
     from pathlib import Path
@@ -274,14 +276,29 @@ def test_check_all_makes_one_3n_expansion_and_one_full_one(
 
     assert main(["check", "--suite", "all", "--json"]) == 0
     out = capsys.readouterr().out
-    assert sorted(step for _, _, step in expansions) == [1, 3]
-    # one 3n expansion, modulo the lcm of every residue read, and the
-    # full series only where intermediate's exact forms need it
-    assert sorted(expansions) == [(1601, None, 1), (38341, 186624, 3)]
+    # the 3n series to the last 3-adic read, modulo the lcm of every read
+    # that needs a division, and to the mod-32 prime family's last read
+    # mod 32, by products alone; the full series only where
+    # intermediate's exact forms need it
+    assert sorted(expansions) == [(1601, None, 1), (21601, 186624, 3),
+                                  (38341, 32, 3)]
     digests = json.loads((Path(__file__).resolve().parent.parent
                           / "perfbench" / "digests.json").read_text())
     assert hashlib.sha256(out.encode()).hexdigest() == (
         digests["check --suite all --json"])
+
+
+def test_powers_of_two_and_certificates_alone_keep_one_3n_expansion(
+        expansions):
+    # each has division-free reads (moduli dividing 32) beside reads mod
+    # 64 to 256, but no further than those: apart, the two expansions
+    # would cost more than one
+    for suite in (powers_of_two_suite, certificate_table):
+        clear_master_cache()
+        expansions.clear()
+        assert suite().passed
+        assert [step for _, _, step in expansions] == [3], suite
+        assert expansions[0][1] == 256, suite
 
 
 # one parameter set of each suite other than its defaults; the
@@ -315,11 +332,13 @@ def test_single_suite_plans_only_its_own_reads(expansions):
 
 
 def test_negative_parameters_are_refused_before_the_reads(expansions):
-    # each of these once passed over no index, or raised a TypeError on a
-    # fractional power of 3
+    # each of these once passed over no index, raised a TypeError on a
+    # fractional power of 3, or refused a negative bound only after its
+    # reads were planned
     for name, param in (("divisibility", "n_max"), ("prime-family", "n_max"),
                         ("prime-family", "ell_max"), ("sturm", "k18"),
-                        ("sturm", "k36")):
+                        ("sturm", "k36"), ("intermediate", "bound"),
+                        ("genfun", "bound"), ("coexistence", "bound")):
         for run in (SUITES[name], lambda **params: suite_reads(name, **params)):
             with pytest.raises(ValueError,
                                match=f"^{param} must be >= 0, got -1$"):
