@@ -66,6 +66,11 @@ digits reduced mod 186624, the final product of the 3n division (den y
 of 57,508 fields), best of --repeats.  Store rows: a series made from a
 list of ints, and its multiple by an int, mod 186624 at that size and
 over Z with 200-bit coefficients at 3500, each stored by one pass.
+Theta rows: each sparse base that `_theta` lays down from its (index,
+value) pairs, phi(-q), psi(q), Jacobi's f_1^3 and f_1 (`euler_factor`
+to the first power), at orders 7,600 and 115,237, mod 256 and over Z,
+best of --repeats; with --against they show what the builder costs per
+call.
 With --against DIR, DIR/src/pdotq/series.py is loaded beside this tree's
 series module (it imports only the standard library), every row is timed
 on both trees in turn, call by call, and each time becomes {"this",
@@ -159,6 +164,10 @@ NEWTON_ROWS = tuple((order, modulus)
 DECODE_FIELDS = 57508
 DECODE_WIDTH = 16
 DECODE_MODULUS = 186624
+# the orders and rings of the theta rows: about certify-batch's largest
+# order, and the largest order of SERIES_ROWS
+THETA_ORDERS = (7600, 115237)
+THETA_MODULI = (256, None)
 
 
 def best_of(repeats, fn, *args):
@@ -382,6 +391,21 @@ def store_rows(rng, repeats):
     return rows
 
 
+def euler_f1(s, order, modulus):
+    """f_1 to `order` through the series module s."""
+    return s.euler_factor(1, 1, order, modulus)
+
+
+def theta_rows(repeats):
+    return [{"base": name, "order": n, "modulus": modulus,
+             "build_s": best_of(repeats, fn, n, modulus)[0]}
+            for name, fn in (("phi(-q)", kernel("phi_minus")),
+                             ("psi(q)", kernel("psi")),
+                             ("f1^3", kernel("jacobi_cube")),
+                             ("f1", euler_f1))
+            for n in THETA_ORDERS for modulus in THETA_MODULI]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -447,6 +471,7 @@ def main(argv=None) -> int:
         "newton_rows": newton_rows(args.repeats),
         "decode_row": decode_row(rng, args.repeats),
         "store_rows": store_rows(rng, args.repeats),
+        "theta_rows": theta_rows(args.repeats),
     }, indent=2))
     return 0
 

@@ -11,6 +11,9 @@ owns it:
 - storage: a residue vector with M < 2^63 is one array('q') of machine
   words, any other a list, kept by a series as a tuple (`_vector`); every
   vector the arithmetic builds is stored by one pass (`_finish`);
+- sparse series: phi(-q), psi(q), f_1^3 and every Euler factor f_k are
+  laid down from their (index, value) pairs into one zero vector
+  (`_theta`);
 - products: schoolbook convolution over the nonzero terms or Kronecker
   substitution into one Decimal, by the count of nonzero pairs
   (`_mul_lists`); the encoding into fields and its bias (`_mul_decimal`,
@@ -19,11 +22,12 @@ owns it:
   and one Karp-Markstein step otherwise (`_divide_list`); the operands
   that enter several products of one division keep their encodings
   (`_Operand`);
-- eta products: the smaller ring, the binomial congruence, the theta
-  factors phi(-q), psi(q) and f_1^3, and the one division of the plan
-  (`eta_product`); the factor plan and the 2-adic theta-unit rule, which
-  lets phi(-q)^-2 be phi(-q)^2 mod 8 (`_eta_factors`); the cost estimate
-  that plans expansions (`eta_cost`).
+- eta products: the smaller ring, the binomial congruence and the one
+  division of the plan (`eta_product`); the factor plan, which names
+  each factor's base, phi(-q), psi(q), f_1^3 or f_1, and the 2-adic
+  theta-unit rule, which lets phi(-q)^-2 be phi(-q)^2 mod 8
+  (`_eta_factors`); the cost estimate that plans expansions
+  (`eta_cost`).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from decimal import (
     Rounded,
 )
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from math import floor, gcd, isqrt, log10
 from operator import add, mul, neg, sub
 
@@ -168,17 +172,6 @@ def _finish(values, modulus, bias=0, minuend=None, scalar=1):
         _extend(out, head)
         if len(head) < _SLICE:
             return out
-
-
-def _sparse(terms, order, modulus):
-    """The series to `order` whose coefficient i is terms[i], zero where
-    `terms` has none: the zeros are laid down in C, so the work in Python
-    is one step per term."""
-    out = _vector(modulus, (0,)) * order
-    for i, c in terms.items():
-        if i < order:
-            out[i] = c if modulus is None else c % modulus
-    return TruncSeries._reduced(out, modulus)
 
 
 def _mul_schoolbook(a, b, order, modulus, lo=0, minuend=None):
@@ -428,16 +421,11 @@ def _mul_lists(a, b, order, modulus, lo=0, minuend=None):
 
 def _sparse_pairs(a, b, order):
     """Whether nnz(a) nnz(b) <= _SPARSE_PAIRS_PER_COEFF order below
-    `order`.  The heads of 16 sqrt(order) coefficients are counted first:
-    operands denser than a quarter already pass the bound there, and
-    every other pair is counted in full, a square's operand once."""
-    bound = _SPARSE_PAIRS_PER_COEFF * order
-    head = 16 * isqrt(order) + 16
-    if head < order and (_nonzero_count(a, head) * _nonzero_count(b, head)
-                         > bound):
-        return False
+    `order`, each operand's nonzero entries counted once in C (a square's
+    one operand once)."""
     nonzero = _nonzero_count(a, order)
-    return nonzero * (nonzero if b is a else _nonzero_count(b, order)) <= bound
+    return (nonzero * (nonzero if b is a else _nonzero_count(b, order))
+            <= _SPARSE_PAIRS_PER_COEFF * order)
 
 
 def _unit_inverse(a, modulus):
@@ -558,15 +546,13 @@ def _divide_list(num, den, order, modulus, known=()):
     term in den: by the recurrence (`_divide_sparse`), continued after
     `known`, a head of the quotient, when den has at most 10 sqrt(order)
     nonzero terms over Z or 32 in a residue ring, such as phi(-q) with
-    about 2 sqrt(order); otherwise by `_divide_newton`, which ignores the
-    head."""
+    about 2 sqrt(order), its nonzero terms counted once in C; otherwise by
+    `_divide_newton`, which ignores the head."""
     if order <= 0:
         return _vector(modulus)
     limit = (_SPARSE_DIVISOR_SCALE * isqrt(order) if modulus is None
              else _SPARSE_DIVISOR_TERMS_RESIDUE)
-    # a dense den is told from a head of 4 limit coefficients
-    if (_nonzero_count(den, 4 * limit) <= limit
-            and _nonzero_count(den, order) <= limit):
+    if _nonzero_count(den, order) <= limit:
         return _divide_sparse(num, den, order, modulus, known)
     return _divide_newton(num, den, order, modulus)
 
@@ -773,21 +759,18 @@ def euler_factor(step: int, exponent: int, order: int, modulus=None) -> TruncSer
     """The Euler product f_step = prod_{j>=1} (1 - q^(j*step)), raised to
     `exponent` (negative exponents invert), from the pentagonal number
     theorem f_1 = sum_k (-1)^k q^(k(3k-1)/2) over all integers k, with
-    O(sqrt(order/step)) nonzero terms."""
+    O(sqrt(order/step)) nonzero terms, laid down by `_theta` and then
+    raised to the power."""
     if step < 1:
         raise ValueError(f"Euler factor step must be >= 1, got {step}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    base = {0: 1}
-    k = 1
-    while True:
-        lo = step * (k * (3 * k - 1) // 2)
-        hi = step * (k * (3 * k + 1) // 2)
-        if lo >= order:
-            break
-        base[lo] = base[hi] = 1 if k % 2 == 0 else -1
-        k += 1
-    return _sparse(base, order, modulus) ** exponent
+    # q^0, then q^(step k(3k-1)/2) and q^(step k(3k+1)/2) with sign
+    # (-1)^k for k = 1, 2, ...: the gaps between these indices are step
+    # times 2k - 1 and k, summed in C
+    gaps = chain.from_iterable(zip(count(step, 2 * step), count(step, step)))
+    return _theta(order, modulus, zip(accumulate(gaps, initial=0), chain(
+        (1,), cycle((-1, -1, 1, 1))))) ** exponent
 
 
 def eta_product(exponents: dict, order: int, modulus=None,
@@ -907,8 +890,9 @@ def _eta_factors(steps: dict, modulus) -> list:
     psi(q^d)^(-r_d) when r_2d = -2 r_d.  Failing both, an even r_d whose
     partner has the opposite sign becomes phi(-q^d)^(r_d/2), and step 2d
     keeps r_2d + r_d/2 for its own turn, where it can still pair with 4d.
-    Every other step is f_d^(r_d), and f_1^(3j) is (f_1^3)^j from
-    `jacobi_cube`.
+    Every other step is f_d^(r_d), planned as (jacobi_cube, d, r_d/3),
+    the sparse f_1^3 of Jacobi's identity, when 3 divides r_d, and as
+    (euler_factor, d, r_d) otherwise.
 
     Then the 2-adic theta-unit rule: phi(-q) == 1 (mod 2), so
     phi(-q)^(2^(a-1)) == 1 (mod 2^a), and in Z/2^a a factor phi(-q^d)^r
@@ -934,6 +918,8 @@ def _eta_factors(steps: dict, modulus) -> list:
             # phi(-q^d)^(r/2) takes all of f_d^r; f_2d keeps the carry
             factors.append((phi_minus, d, r // 2))
             left[2 * d] = r2 + r // 2
+        elif r % 3 == 0:
+            factors.append((jacobi_cube, d, r // 3))
         else:
             factors.append((euler_factor, d, r))
     if modulus is None or modulus & (modulus - 1):
@@ -962,7 +948,9 @@ def _eta_body(steps: dict, order: int, modulus, known=()) -> TruncSeries:
     for base, d, r in factors:
         key = base, abs(r)
         lengths[key] = max(lengths.get(key, 0), -(-order // d))
-    powers = {(base, e): _base_power(base, e, n, modulus)
+    # a power f_1^e is one euler_factor call, where traces count it
+    powers = {(base, e): euler_factor(1, e, n, modulus)
+              if base is euler_factor else base(n, modulus) ** e
               for (base, e), n in lengths.items()}
 
     def inflated(sign):
@@ -1053,44 +1041,40 @@ def binomial_reduce(exponents: dict, modulus=None) -> dict:
     return done
 
 
-def _base_power(base, exponent, order, modulus):
-    if base is euler_factor:
-        if exponent % 3 == 0:
-            # f_1^(3j) = (f_1^3)^j, and f_1^3 is the sparse Jacobi series
-            return jacobi_cube(order, modulus) ** (exponent // 3)
-        return euler_factor(1, exponent, order, modulus)
-    return base(order, modulus) ** exponent
-
-
-def _theta(order, modulus, weight, index=lambda n: n * (n + 1) // 2):
-    """sum_{n>=0} weight(n) q^index(n) to `order`, for an increasing index,
-    the triangular numbers or the squares, so a series with O(sqrt(order))
-    nonzero terms."""
-    terms = {}
-    n = 0
-    while index(n) < order:
-        terms[index(n)] = weight(n)
-        n += 1
-    return _sparse(terms, order, modulus)
+def _theta(order, modulus, terms):
+    """The series to `order` whose nonzero coefficients are the (index,
+    value) pairs of `terms`, an iterable in ascending index order, such as
+    a theta series or a pentagonal one with O(sqrt(order)) of them: the
+    zeros are laid down in C, and the pairs are read until one reaches the
+    order, so the work in Python is one step per term below it."""
+    out = _vector(modulus, (0,)) * order
+    for i, c in terms:
+        if i >= order:
+            break
+        out[i] = c if modulus is None else c % modulus
+    return TruncSeries._reduced(out, modulus)
 
 
 def phi_minus(order: int, modulus=None) -> TruncSeries:
     """Ramanujan's phi(-q) = f_1^2/f_2 written directly as its theta series
     sum over all integers k of (-1)^k q^(k^2)."""
-    return _theta(order, modulus, lambda k: (-2 if k % 2 else 2) if k else 1,
-                  lambda k: k * k)
+    # k^2 is the sum of the first k odd numbers
+    return _theta(order, modulus, zip(accumulate(count(1, 2), initial=0),
+                                      chain((1,), cycle((-2, 2)))))
 
 
 def psi(order: int, modulus=None) -> TruncSeries:
     """Ramanujan's psi(q) = f_2^2/f_1 written directly as its theta series
     sum_{n>=0} q^(n(n+1)/2)."""
-    return _theta(order, modulus, lambda n: 1)
+    return _theta(order, modulus, zip(accumulate(count(1), initial=0),
+                                      repeat(1)))
 
 
 def jacobi_cube(order: int, modulus=None) -> TruncSeries:
     """f_1^3 written directly through Jacobi's identity
     f_1^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2)."""
-    return _theta(order, modulus, lambda n: -2 * n - 1 if n % 2 else 2 * n + 1)
+    return _theta(order, modulus, zip(accumulate(count(1), initial=0),
+                                      map(mul, count(1, 2), cycle((1, -1)))))
 
 
 def cubic_theta(order: int, modulus=None) -> TruncSeries:

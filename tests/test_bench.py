@@ -59,6 +59,10 @@ def test_against_times_each_row_on_this_tree_and_another_in_turn():
              bench.decode_row(rng, 2)["decode_s"]]
     for store in bench.store_rows(rng, 1):
         times += [store["from_list_s"], store["times_int_s"]]
+    # the theta rows time every sparse base, in both rings
+    rows = bench.theta_rows(1)
+    assert len(rows) == 16
+    times += [row["build_s"] for row in rows]
     for time in times:
         assert set(time) == {"this", "against", "ratio"}
         assert time["this"] > 0 and time["against"] > 0 and time["ratio"] > 0

@@ -36,8 +36,7 @@ def poly_mul(a, b, order):
 
 def euler_direct(step, order):
     """prod_{j>=1} (1 - q^(j*step)) by explicit factor-by-factor expansion."""
-    out = [0] * order
-    out[0] = 1
+    out = [int(i == 0) for i in range(order)]
     j = 1
     while j * step < order:
         factor = [0] * order
@@ -82,12 +81,20 @@ def test_euler_factor_leading_terms():
 
 
 def test_euler_factor_matches_direct_product():
-    for step, order in [(1, 60), (2, 60), (3, 90), (6, 120), (12, 120)]:
-        direct = tuple(euler_direct(step, order))
-        assert euler_factor(step, 1, order).coeffs == direct, (
-            f"pentagonal expansion of f_{step} disagrees with the "
-            f"term-by-term product at order {order}"
-        )
+    # orders 0-2 end inside the first pentagonal terms; residues mod
+    # 2^63 - 25 are kept in machine words, those mod 2^64 - 59 in a tuple
+    for step, order in [(1, 0), (1, 1), (1, 2), (2, 2), (1, 60), (2, 60),
+                        (3, 90), (6, 120), (12, 120)]:
+        direct = euler_direct(step, order)
+        for modulus in (None, 2, 8, 243, 2 ** 63 - 25, 2 ** 64 - 59):
+            got = euler_factor(step, 1, order, modulus)
+            assert list(got.coeffs) == [c if modulus is None else c % modulus
+                                        for c in direct], (
+                f"pentagonal expansion of f_{step} disagrees with the "
+                f"term-by-term product at order {order} mod {modulus}"
+            )
+            assert isinstance(got.coeffs, tuple) == (
+                modulus is None or modulus >= 2 ** 63)
 
 
 def test_addition_doubles_f1():
@@ -1524,7 +1531,7 @@ def test_binomial_reduction_of_phi_mod_2_is_one(monkeypatch):
     def forbidden(*args):
         raise AssertionError("phi(-q) == 1 mod 2 has no factor to build")
 
-    monkeypatch.setattr(series, "_base_power", forbidden)
+    monkeypatch.setattr(series, "_theta", forbidden)
     assert series.binomial_reduce({1: 2, 2: -1}, 2) == {}
     for order in (0, 1, 50):
         assert series.eta_product({1: 2, 2: -1}, order, 2) == (
