@@ -30,9 +30,7 @@ from .partitions import (
     PD_EXPONENTS, PDO_EXPONENTS, PDO_T_EXPONENTS, designated_counts, pd,
     pd_t, pdo, pdo_t,
 )
-from .radu import (
-    AuxExponents, CriterionNotApplicable, RaduInstance, radu_verify,
-)
+from .radu import CriterionNotApplicable, RaduInstance, radu_verify
 from .series import binomial_reduce, eta_product, too_wide
 from .verify import (
     SUITES, master_plans, master_progression, plan_master_series,
@@ -249,7 +247,7 @@ def _cmd_radu(args) -> int:
     rprime = parse_exponents(args.rprime)
     inst = RaduInstance(m=args.m, M=args.big_m, level=args.level, r=r,
                         t=args.t)
-    aux = AuxExponents(args.level, rprime)
+    aux = EtaQuotient(args.level, rprime)
     _refuse_outside("--min-depth", args.min_depth, 0)
     _refuse_outside("--level", inst.level, most=_MAX_LEVEL)
     # a modulus below 2 is no ring to charge

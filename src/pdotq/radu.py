@@ -16,11 +16,14 @@ auxiliary exponents r' over the divisors of N:
 
 radu_verify runs the pipeline and returns a Certificate, a named tuple
 recording every quantity exactly; its JSON writes the fields in order, and
-rationals as "num/den" strings.  Instances, auxiliary exponents and
-certificates are named tuples, checked and normalised as they are made,
-and never change after that.  For the PDO_t map f2 f3^2 f12^2/(f1^2 f6),
-whose sum d r_d is 24, each orbit residue is t' = s (t + 1) - 1 mod m
-with s == 1 mod 24, so with 3 | m the 3n master series serves the orbit.
+rationals as "num/den" strings.  Instances and certificates are named
+tuples, checked and normalised as they are made, and never change after
+that; the auxiliary eta-product prod_{d | N} eta(d z)^(r'_d) is a
+`modforms.EtaQuotient`, and its cusp bounds p*(delta) are its
+`cusp_order`s in Radu's normalisation.  For the PDO_t map
+f2 f3^2 f12^2/(f1^2 f6), whose sum d r_d is 24, each orbit residue is
+t' = s (t + 1) - 1 mod m with s == 1 mod 24, so with 3 | m the 3n master
+series serves the orbit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cache
 from math import floor, gcd, lcm
 
 from . import indented_json
-from .modforms import sl2_index
+from .modforms import EtaQuotient, cusp_order, sl2_index
 from .series import TruncSeries, divisors, eta_product, prime_factors
 
 
@@ -112,20 +115,6 @@ class RaduInstance(namedtuple("RaduInstance", "m M level r t")):
             s += v2 * abs(v)
             j = j * pow(d >> v2, abs(v), 8) % 8
         return s, j
-
-
-class AuxExponents(namedtuple("AuxExponents", "level r")):
-    """Auxiliary eta-product exponents r' over the divisors of the level."""
-
-    __slots__ = ()
-
-    def __new__(cls, level: int, r: dict[int, int]):
-        for delta in r:
-            if delta < 1 or level % delta != 0:
-                raise ValueError(
-                    f"divisor {delta} does not divide level {level}")
-        r = {d: v for d, v in sorted(r.items()) if v != 0}
-        return super().__new__(cls, level, r)
 
 
 class Certificate(namedtuple("Certificate", [
@@ -234,14 +223,13 @@ def p_mr(inst: RaduInstance, delta: int) -> tuple[Fraction, int]:
     return Fraction(best, 24 * scale * m), best_lambda
 
 
-def p_star(aux: AuxExponents, delta: int) -> Fraction:
-    """Order bound of the auxiliary eta-product at the same representative:
-    (1/24) sum_{d | N} r'_d gcd(d, delta)^2 / d."""
-    total = Fraction(0)
-    for d, v in aux.r.items():
-        g = gcd(d, delta)
-        total += Fraction(v * g * g, d)
-    return total / 24
+def p_star(aux: EtaQuotient, delta: int) -> Fraction:
+    """Order bound of the auxiliary eta-product at the same representative,
+    (1/24) sum_{d | N} r'_d gcd(d, delta)^2 / d: Radu's normalisation of
+    `cusp_order`, which carries the further factor
+    N / (gcd(delta, N / delta) delta)."""
+    N = aux.level
+    return cusp_order(aux, delta) * gcd(delta, N // delta) * delta / N
 
 
 class _Cell:
@@ -259,19 +247,19 @@ class _Cell:
 _CELLS: dict = {}
 
 
-def _cell(inst: RaduInstance, aux: AuxExponents) -> _Cell:
+def _cell(inst: RaduInstance, aux: EtaQuotient) -> _Cell:
     key = (inst.m, inst.M, inst.level, tuple(inst.r.items()),
-           tuple(aux.r.items()))
+           tuple(aux.exponents.items()))
     if key not in _CELLS:
-        nu = Fraction((inst.exponent_sum + sum(aux.r.values()))
+        nu = Fraction((inst.exponent_sum + sum(aux.exponents.values()))
                       * sl2_index(inst.level)
-                      - sum(d * v for d, v in aux.r.items()), 24)
+                      - sum(d * v for d, v in aux.exponents.items()), 24)
         nu -= Fraction(inst.weighted_exponent_sum, 24 * inst.m)
         _CELLS[key] = _Cell(_t_free_conditions(inst), nu)
     return _CELLS[key]
 
 
-def _nonnegativity(inst: RaduInstance, aux: AuxExponents) -> tuple:
+def _nonnegativity(inst: RaduInstance, aux: EtaQuotient) -> tuple:
     rows = []
     for delta in divisors(inst.level):
         bound, lam = p_mr(inst, delta)
@@ -285,13 +273,13 @@ def _nonnegativity(inst: RaduInstance, aux: AuxExponents) -> tuple:
     return tuple(rows), None
 
 
-def orbit_and_nu(inst: RaduInstance, aux: AuxExponents) -> tuple:
+def orbit_and_nu(inst: RaduInstance, aux: EtaQuotient) -> tuple:
     """The orbit P(t), formed once, and the bound nu."""
     orbit = p_set(inst)
     return orbit, _cell(inst, aux).nu - Fraction(orbit[0], inst.m)
 
 
-def nu_bound(inst: RaduInstance, aux: AuxExponents) -> Fraction:
+def nu_bound(inst: RaduInstance, aux: EtaQuotient) -> Fraction:
     """The exact rational verification bound; checking the congruence for
     a full orbit up to floor(nu) proves it for all n."""
     return orbit_and_nu(inst, aux)[1]
@@ -314,7 +302,7 @@ def _fresh_progression(inst: RaduInstance, u: int):
 
 def radu_verify(
     inst: RaduInstance,
-    aux: AuxExponents,
+    aux: EtaQuotient,
     u: int,
     min_depth: int = 0,
     progression: Callable[[list[int], int], list] | None = None,
@@ -393,7 +381,7 @@ def radu_verify(
         level=N,
         r=dict(inst.r),
         t=inst.t,
-        rprime=dict(aux.r),
+        rprime=dict(aux.exponents),
         u=u,
         delta_star=conditions,
         p_set=orbit,

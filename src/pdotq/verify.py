@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, wraps
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from . import indented_json
 from .modforms import (
@@ -56,7 +56,7 @@ from .modforms import (
     u_operator,
 )
 from .partitions import PDO_T_EXPONENTS, PDO_T_SERIES, pdo_t_series
-from .radu import AuxExponents, RaduInstance, orbit_and_nu, radu_verify
+from .radu import RaduInstance, orbit_and_nu, radu_verify
 from .series import (
     TruncSeries, cubic_theta, eta_cost, eta_divides, eta_product,
     euler_factor, jacobi_cube, prime_factors,
@@ -485,18 +485,6 @@ def nonresidue_prime_family(p: int = 5, n_max: int = 20, ell_max: int = 2):
 # the power-of-two landscape
 
 
-# (step, offset, modulus): proved progressions
-POWER_OF_TWO_ROWS = [
-    (6, 0, 8), (12, 0, 16), (24, 0, 32),
-    (48, 0, 64), (96, 0, 128), (192, 0, 256),
-    (6, 3, 4), (12, 6, 8), (24, 12, 16),
-    (48, 24, 32), (96, 48, 64), (192, 96, 128),
-    (12, 3, 4), (12, 9, 4), (24, 6, 8), (24, 18, 8),
-    (48, 12, 16), (48, 36, 16), (96, 24, 32), (96, 72, 32),
-    (192, 48, 64), (192, 144, 64),
-]
-
-
 def _powers_of_two_progressions(conj_k_max: int):
     """(step, offset, modulus, strength) of every check, in report order,
     made as they are read: the proved rows, then the conjectural families
@@ -733,6 +721,14 @@ CERTIFICATE_ROWS = [
     (192, 143, 160, 154, 64), (192, 191, 160, 154, 256),
 ]
 
+# (step, offset, modulus): the progressions pdo_t(m n + t + 1) == 0 mod u
+# that CERTIFICATE_ROWS proves, in the powers-of-two report's order: by
+# the denominator of offset/step (offset 0, then step/2, then step/4 and
+# 3 step/4), then by step and offset
+POWER_OF_TWO_ROWS = sorted(
+    ((m, (t + 1) % m, u) for m, t, _, _, u in CERTIFICATE_ROWS),
+    key=lambda row: (row[0] // gcd(row[0], row[1]), row[0], row[1]))
+
 
 def shifted_reads(m: int, offsets, count: int, u: int):
     """The master-series reads behind c(m n + t') = pdo_t(m n + t' + 1)
@@ -760,7 +756,7 @@ def certificate_table():
     for m, t, rp1, depth, u in CERTIFICATE_ROWS:
         inst = RaduInstance(m=m, M=12, level=12,
                             r=dict(PDO_T_EXPONENTS), t=t)
-        aux = AuxExponents(12, {1: rp1})
+        aux = EtaQuotient(12, {1: rp1})
         orbit, nu = orbit_and_nu(inst, aux)
         rows.append((inst, aux, u, depth, floor(nu)))
         reads += shifted_reads(m, orbit, max(floor(nu), depth) + 1, u)
@@ -791,10 +787,11 @@ def certificate_table():
 @_planned
 def sturm_suite(k18: int = 2, k36: int = 3):
     """Close the two deepest congruences by the Sturm argument: apply the
-    level-respecting U(3) operator k times to the holomorphic quotient
-    and compare with its companion form through the Sturm bound for that
-    weight and level.  Agreement there proves agreement everywhere, and
-    the master-series dissections must then show the same congruences."""
+    level-respecting U(3) operator k times to the holomorphic quotient,
+    as the one dissection U(3)^k = U(3^k), and compare with its companion
+    form through the Sturm bound for that weight and level.  Agreement
+    there proves agreement everywhere, and the master-series dissections
+    must then show the same congruences."""
     _refuse_negative(k18=k18, k36=k36)
     closures = []  # (family, weight, Sturm bound)
     for fam in (family(18, k18), family(36, k36)):
@@ -815,9 +812,8 @@ def sturm_suite(k18: int = 2, k36: int = 3):
                        "integral weight, trivial-character sums, "
                        "nonnegative cusp orders")
 
-        closed = q_expansion(dissection, 3 ** k * (bound + 1), modulus)
-        for _ in range(k):
-            closed = u_operator(closed, 3)
+        closed = u_operator(
+            q_expansion(dissection, 3 ** k * (bound + 1), modulus), 3 ** k)
         expanded = q_expansion(companion, bound + 1, modulus)
         _congruence_check(
             report, f"U(3)^{k} of level-{level} quotient == companion",

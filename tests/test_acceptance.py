@@ -11,6 +11,7 @@ from math import floor, gcd
 from time import monotonic
 
 from pdotq.modforms import (
+    EtaQuotient,
     congruent_upto,
     cusp_order,
     modularity_check,
@@ -20,7 +21,6 @@ from pdotq.modforms import (
 )
 from pdotq.partitions import designated_counts, pdo_t, pdo_t_series
 from pdotq.radu import (
-    AuxExponents,
     RaduInstance,
     delta_star_check,
     nu_bound,
@@ -78,7 +78,7 @@ def test_criterion_2_certificate_table_reproduction():
     for m, t, rp1, floor_nu, depth, u in TABLE_ROWS:
         inst = RaduInstance(m=m, M=12, level=12,
                             r=dict(PDO_T_EXPONENTS), t=t)
-        aux = AuxExponents(12, {1: rp1})
+        aux = EtaQuotient(12, {1: rp1})
 
         conditions = delta_star_check(inst)
         assert all(conditions.values()), (m, t, conditions)

@@ -561,13 +561,11 @@ def _radu_reference(m, t, u, rp1, depth):
     radu_verify's own fresh expansion of c_r; the message on stderr
     instead when the criterion does not apply."""
     from pdotq.partitions import PDO_T_EXPONENTS
-    from pdotq.radu import (
-        AuxExponents, CriterionNotApplicable, RaduInstance, radu_verify,
-    )
+    from pdotq.radu import CriterionNotApplicable, RaduInstance, radu_verify
 
     inst = RaduInstance(m=m, M=12, level=12, r=dict(PDO_T_EXPONENTS), t=t)
     try:
-        cert = radu_verify(inst, AuxExponents(12, {1: rp1}), u,
+        cert = radu_verify(inst, EtaQuotient(12, {1: rp1}), u,
                            min_depth=depth, progression=None)
     except CriterionNotApplicable as exc:
         return 1, "", f"pdotq radu: criterion not applicable: {exc}\n"

@@ -82,13 +82,14 @@ def test_report_to_json_is_json_text():
 
 def test_certificate_to_json_is_json_text():
     from pdotq.partitions import PDO_T_EXPONENTS
-    from pdotq.radu import AuxExponents, RaduInstance, _frac_str, radu_verify
+    from pdotq.modforms import EtaQuotient
+    from pdotq.radu import RaduInstance, _frac_str, radu_verify
 
     certs = []
     for m, t, u, rp1 in ((6, 2, 4, 5), (24, 23, 32, 20), (6, 2, 8, 5)):
         inst = RaduInstance(m=m, M=12, level=12, r=dict(PDO_T_EXPONENTS),
                             t=t)
-        certs.append(radu_verify(inst, AuxExponents(12, {1: rp1}), u))
+        certs.append(radu_verify(inst, EtaQuotient(12, {1: rp1}), u))
     assert [c.verdict for c in certs] == [True, True, False]
     for cert in certs:
         payload = {**cert._asdict(), "nu": _frac_str(cert.nu)}

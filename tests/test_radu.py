@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from pdotq.modforms import EtaQuotient
 from pdotq.partitions import pdo_t
 from pdotq.radu import (
-    AuxExponents,
     Certificate,
     CriterionNotApplicable,
     DeltaStarFailure,
@@ -104,7 +104,7 @@ def test_instance_validation_and_invariants():
     with pytest.raises(ValueError):
         RaduInstance(m=6, M=12, level=12, r={5: 1}, t=0)
     with pytest.raises(ValueError):
-        AuxExponents(level=12, r={7: 1})
+        EtaQuotient(level=12, exponents={7: 1})
 
 
 def test_kappa_values():
@@ -126,7 +126,7 @@ def test_delta_star_failure_identifies_condition():
     assert conditions["progression_gcd_divides_level"] is False
     assert sum(1 for ok in conditions.values() if not ok) == 1
     with pytest.raises(DeltaStarFailure) as exc:
-        radu_verify(inst, AuxExponents(12, {1: 20}), u=8)
+        radu_verify(inst, EtaQuotient(12, {1: 20}), u=8)
     assert exc.value.conditions == conditions
     assert isinstance(exc.value, CriterionNotApplicable)
 
@@ -186,13 +186,24 @@ def test_p_mr_matches_fraction_reference_on_random_admissible_instances():
 
 
 def test_p_star_values():
-    aux = AuxExponents(12, {1: 5})
+    aux = EtaQuotient(12, {1: 5})
     for delta in divisors(12):
         assert p_star(aux, delta) == Fraction(5, 24)
-    assert p_star(AuxExponents(12, {1: 160}), 12) == Fraction(20, 3)
-    assert p_star(AuxExponents(12, {}), 3) == 0
+    assert p_star(EtaQuotient(12, {1: 160}), 12) == Fraction(20, 3)
+    assert p_star(EtaQuotient(12, {}), 3) == 0
     # gcd actually matters once larger divisors carry weight
-    assert p_star(AuxExponents(12, {1: 2, 6: 1}), 6) == Fraction(1, 3)
+    assert p_star(EtaQuotient(12, {1: 2, 6: 1}), 6) == Fraction(1, 3)
+    # p_star rescales modforms.cusp_order; Radu's sum, written out here,
+    # must come out of it at every representative
+    rng = random.Random(23)
+    for level in (1, 2, 4, 6, 12, 18, 36, 60, 132):
+        for _ in range(20):
+            aux = EtaQuotient(level, {d: rng.randint(-50, 50)
+                                      for d in divisors(level)})
+            for delta in divisors(level):
+                radu = sum(Fraction(v * math.gcd(d, delta) ** 2, d)
+                           for d, v in aux.exponents.items()) / 24
+                assert p_star(aux, delta) == radu, (aux, delta)
 
 
 def test_sl2_index():
@@ -203,12 +214,12 @@ def test_sl2_index():
 
 
 def test_nu_bound_anchors():
-    aux5 = AuxExponents(12, {1: 5})
+    aux5 = EtaQuotient(12, {1: 5})
     assert nu_bound(pdo_t_instance(6, 2), aux5) == Fraction(151, 24)
     assert nu_bound(pdo_t_instance(6, 5), aux5) == Fraction(139, 24)
-    aux10 = AuxExponents(12, {1: 10})
+    aux10 = EtaQuotient(12, {1: 10})
     assert nu_bound(pdo_t_instance(12, 11), aux10) == Fraction(127, 12)
-    aux160 = AuxExponents(12, {1: 160})
+    aux160 = EtaQuotient(12, {1: 160})
     assert nu_bound(pdo_t_instance(192, 191), aux160) == Fraction(463, 3)
 
 
@@ -231,7 +242,7 @@ def test_c_r_series_counts_tagged_partitions():
 
 def test_radu_verify_positive_certificate():
     inst = pdo_t_instance(6, 2)
-    cert = radu_verify(inst, AuxExponents(12, {1: 5}), u=4)
+    cert = radu_verify(inst, EtaQuotient(12, {1: 5}), u=4)
     assert cert.verdict is True
     assert cert.failure is None
     assert cert.p_set == [2]
@@ -246,7 +257,7 @@ def test_radu_verify_positive_certificate():
 
 
 def test_radu_verify_medium_row():
-    cert = radu_verify(pdo_t_instance(12, 11), AuxExponents(12, {1: 10}), u=16)
+    cert = radu_verify(pdo_t_instance(12, 11), EtaQuotient(12, {1: 10}), u=16)
     assert cert.verdict is True
     assert cert.floor_nu == 10
     assert cert.checked[-1] == (11, 10)
@@ -254,7 +265,7 @@ def test_radu_verify_medium_row():
 
 def test_radu_verify_detects_false_congruence():
     # mod 8 fails immediately: the coefficient at index 2 is 4
-    cert = radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), u=8)
+    cert = radu_verify(pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), u=8)
     assert cert.verdict is False
     assert cert.failure == {"t": 2, "n": 0, "index": 2, "residue": 4}
     assert cert.checked == []
@@ -262,7 +273,7 @@ def test_radu_verify_detects_false_congruence():
 
 def test_nonnegativity_failure():
     with pytest.raises(NonnegativityFailure) as exc:
-        radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {}), u=4)
+        radu_verify(pdo_t_instance(6, 2), EtaQuotient(12, {}), u=4)
     assert exc.value.delta == 1
     assert exc.value.value == Fraction(-5, 24)
 
@@ -288,19 +299,19 @@ def test_two_adic_split_from_valuations():
 def test_level_not_squarefree():
     inst = RaduInstance(m=3, M=9, level=9, r={1: 1}, t=0)
     with pytest.raises(LevelNotSquarefree):
-        radu_verify(inst, AuxExponents(9, {}), u=2)
+        radu_verify(inst, EtaQuotient(9, {}), u=2)
     # 12 = 4 * 3 is fine because 6 is squarefree; 8 is not
     bad = RaduInstance(m=2, M=8, level=8, r={1: 1}, t=0)
     with pytest.raises(LevelNotSquarefree):
-        radu_verify(bad, AuxExponents(8, {}), u=2)
+        radu_verify(bad, EtaQuotient(8, {}), u=2)
 
 
 def test_radu_verify_argument_errors():
     inst = pdo_t_instance(6, 2)
     with pytest.raises(ValueError):
-        radu_verify(inst, AuxExponents(6, {1: 5}), u=4)
+        radu_verify(inst, EtaQuotient(6, {1: 5}), u=4)
     with pytest.raises(ValueError):
-        radu_verify(inst, AuxExponents(12, {1: 5}), u=1)
+        radu_verify(inst, EtaQuotient(12, {1: 5}), u=1)
 
 
 def sliced(series, m):
@@ -311,7 +322,7 @@ def sliced(series, m):
 
 def test_series_reuse_matches_fresh_computation():
     inst = pdo_t_instance(6, 2)
-    aux = AuxExponents(12, {1: 5})
+    aux = EtaQuotient(12, {1: 5})
     fresh = radu_verify(inst, aux, u=4)
     shared = c_r_series(inst, 64, 8)
     reused = radu_verify(inst, aux, u=4, progression=sliced(shared, 6))
@@ -323,7 +334,7 @@ def test_a_short_progression_is_never_read_as_clean():
     # to order 30 holds only n <= 4, all 0 mod 4
     short = sliced(eta_product(PDO_T_R, 30, 4), 6)
     with pytest.raises(IndexError):
-        radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), u=4,
+        radu_verify(pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), u=4,
                     progression=short)
     # nor is a source that leaves out an orbit residue
     inst, aux = PAST_HEAD
@@ -335,14 +346,14 @@ def test_a_short_progression_is_never_read_as_clean():
 
 def test_min_depth_extends_checking():
     inst = pdo_t_instance(6, 2)
-    cert = radu_verify(inst, AuxExponents(12, {1: 5}), u=4, min_depth=20)
+    cert = radu_verify(inst, EtaQuotient(12, {1: 5}), u=4, min_depth=20)
     assert cert.floor_nu == 6
     assert cert.checked == [(2, n) for n in range(21)]
     assert cert.verdict is True
 
 
 def test_certificate_json_roundtrip():
-    cert = radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), u=4)
+    cert = radu_verify(pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), u=4)
     data = json.loads(cert.to_json())
     assert data == cert.to_dict()
     assert data["nu"] == "151/24"
@@ -350,7 +361,7 @@ def test_certificate_json_roundtrip():
     assert data["verdict"] is True
     assert data["r"] == {"1": -2, "2": 1, "3": 2, "6": -1, "12": 2}
     assert data["checked"][0] == [2, 0]
-    failing = radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), u=8)
+    failing = radu_verify(pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), u=8)
     assert json.loads(failing.to_json())["failure"]["residue"] == 4
 
 
@@ -365,7 +376,7 @@ def test_divisors():
 # head of n <= 2
 PAST_HEAD = (RaduInstance(m=5, M=20, level=20,
                           r={1: -1, 2: -2, 5: 1, 10: 5, 20: 3}, t=3),
-             AuxExponents(20, {1: 24}))
+             EtaQuotient(20, {1: 24}))
 
 
 def full_expansion_certificate(inst, aux, u, min_depth=0):
@@ -382,7 +393,7 @@ def test_fresh_certificates_match_a_full_expansion_on_the_table():
     verdicts = Counter()
     for m, t, rp1, depth, u in CERTIFICATE_ROWS:
         inst = pdo_t_instance(m, t)
-        aux = AuxExponents(12, {1: rp1})
+        aux = EtaQuotient(12, {1: rp1})
         for modulus in (u, 2 * u):
             fresh = radu_verify(inst, aux, modulus, min_depth=depth)
             assert fresh.to_dict() == full_expansion_certificate(
@@ -398,7 +409,7 @@ def test_fresh_certificates_match_a_full_expansion_on_a_seeded_grid():
     while sum(verdicts.values()) < 40:
         m = rng.choice((6, 12, 24, 48, 96))
         inst = pdo_t_instance(m, rng.randrange(m))
-        aux = AuxExponents(12, {1: rng.choice((5, 10, 20, 40, 80))})
+        aux = EtaQuotient(12, {1: rng.choice((5, 10, 20, 40, 80))})
         u = 2 ** rng.randrange(1, 9)
         try:
             fresh = radu_verify(inst, aux, u)
@@ -448,14 +459,14 @@ def test_fresh_expansion_orders(monkeypatch):
     cases = [
         # FAILs at n = 0 and n = 2 of orbit[0] are settled in the head,
         # 2 m + orbit[0] + 1 long
-        (pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 8, False, [15]),
-        (n2_fail, AuxExponents(15, {1: 24}), 2, False, [12]),
+        (pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), 8, False, [15]),
+        (n2_fail, EtaQuotient(15, {1: 24}), 2, False, [12]),
         # a FAIL past the head and a PASS expand the head, then the full
         # order m floor(nu) + max(orbit) + 1
         (*PAST_HEAD, 2, False, [13, 214]),
-        (pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 4, True, [15, 39]),
+        (pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), 4, True, [15, 39]),
         # floor(nu) = 2 and a one-residue orbit: the head is the full order
-        (short, AuxExponents(6, {1: 10}), 2, True, [9]),
+        (short, EtaQuotient(6, {1: 10}), 2, True, [9]),
     ]
     for inst, aux, u, verdict, want in cases:
         orders.clear()
@@ -463,7 +474,7 @@ def test_fresh_expansion_orders(monkeypatch):
         assert orders == want, (inst, u)
     # a supplied progression is read as it is
     orders.clear()
-    radu_verify(pdo_t_instance(6, 2), AuxExponents(12, {1: 5}), 8,
+    radu_verify(pdo_t_instance(6, 2), EtaQuotient(12, {1: 5}), 8,
                 progression=sliced(eta_product(PDO_T_R, 39, 8), 6))
     assert orders == []
 
@@ -549,7 +560,7 @@ def test_cell_cache_hands_out_copies_and_runs_p_mr_once_per_delta(
 
     monkeypatch.setattr(radu, "_CELLS", {})
     monkeypatch.setattr(radu, "p_mr", counted)
-    aux = AuxExponents(12, {1: 20})
+    aux = EtaQuotient(12, {1: 20})
     certs = {}
     for t in range(24):
         try:

@@ -8,6 +8,7 @@ import pytest
 from pdotq.partitions import pdo_t_series
 from pdotq.series import TruncSeries
 from pdotq.verify import (
+    CERTIFICATE_ROWS,
     Report,
     certificate_table,
     clear_master_cache,
@@ -26,8 +27,8 @@ from pdotq.verify import (
     suite_reads,
     SUITES,
 )
-from pdotq.modforms import modularity_check
-from pdotq.radu import AuxExponents, RaduInstance, nu_bound, radu_verify
+from pdotq.modforms import EtaQuotient, modularity_check
+from pdotq.radu import RaduInstance, nu_bound, radu_verify
 
 
 @pytest.fixture
@@ -221,8 +222,7 @@ def test_plan_expands_each_source_once(expansions):
 
 def test_certificates_from_progressions_equal_the_plain_ones():
     from pdotq.verify import (
-        CERTIFICATE_ROWS, PDO_T_EXPONENTS, shifted_progression,
-        master_progression,
+        PDO_T_EXPONENTS, shifted_progression, master_progression,
     )
 
     clear_master_cache()
@@ -231,7 +231,7 @@ def test_certificates_from_progressions_equal_the_plain_ones():
     for m, t, rp1, depth, u in CERTIFICATE_ROWS:
         inst = RaduInstance(m=m, M=12, level=12,
                             r=dict(PDO_T_EXPONENTS), t=t)
-        aux = AuxExponents(12, {1: rp1})
+        aux = EtaQuotient(12, {1: rp1})
         top = max(top, m * max(int(nu_bound(inst, aux)), depth) + m)
         rows.append((inst, aux, u, depth))
     plain = pdo_t_series(top + 2, 256).shift(-1).coeffs
@@ -256,7 +256,7 @@ def test_a_standalone_scan_expands_its_3n_source_once_after_the_head(
 
     inst = RaduInstance(m=150, M=12, level=60, r=dict(PDO_T_EXPONENTS),
                         t=104)
-    aux = AuxExponents(60, {1: 125})
+    aux = EtaQuotient(60, {1: 125})
     cert = radu_verify(inst, aux, 64,
                        progression=shifted_progression(inst.m, 64))
     assert cert.verdict and cert.p_set == [44, 104]
@@ -430,6 +430,13 @@ def test_powers_of_two_suite():
     # 22 proved progressions plus 4 conjectural families per k
     assert len(report.checks) == 22 + 12
     assert report.passed
+    # the proved rows are the progressions the certificate table proves,
+    # pdo_t(m n + t + 1) == 0 mod u, each once
+    certified = sorted(
+        f"pdo_t({m}n{f'+{(t + 1) % m}' if (t + 1) % m else ''}) == 0 mod {u}"
+        for m, t, _, _, u in CERTIFICATE_ROWS)
+    proved = [c.name for c in report.checks if "proved" in c.detail]
+    assert sorted(proved) == certified
     evidence = [c for c in report.checks if "evidence" in c.detail]
     assert len(evidence) == 12
 
